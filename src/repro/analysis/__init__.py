@@ -23,6 +23,8 @@ rule id                   contract it encodes
 ``hot-path-alloc``        ``@hot_path`` functions stay allocation-free (PR 6)
 ``broad-except``          bare/broad excepts carry a written rationale
 ``pickle-safety``         no lambdas/closures in backend-submitted payloads
+``global-memo``           no process-global ``functools.lru_cache``/``cache``
+                          memos: a warm memo changes what a run costs
 ========================  ====================================================
 
 Run it as ``python -m repro.analysis [--strict] [paths]``; suppress a single

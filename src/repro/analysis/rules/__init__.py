@@ -11,6 +11,7 @@ from repro.analysis.rules.local import (
     BroadExceptRule,
     DeterminismRule,
     DurabilityRule,
+    GlobalMemoRule,
     HotPathAllocationRule,
     PickleSafetyRule,
     StrictJsonRule,
@@ -21,6 +22,7 @@ __all__ = [
     "ContractCoverageRule",
     "DeterminismRule",
     "DurabilityRule",
+    "GlobalMemoRule",
     "HotPathAllocationRule",
     "PickleSafetyRule",
     "StrictJsonRule",
@@ -35,6 +37,7 @@ def all_rules() -> list:
         ContractCoverageRule(),
         DeterminismRule(),
         DurabilityRule(),
+        GlobalMemoRule(),
         HotPathAllocationRule(),
         PickleSafetyRule(),
         StrictJsonRule(),

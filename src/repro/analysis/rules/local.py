@@ -20,6 +20,7 @@ __all__ = [
     "HotPathAllocationRule",
     "BroadExceptRule",
     "PickleSafetyRule",
+    "GlobalMemoRule",
 ]
 
 
@@ -514,3 +515,36 @@ class PickleSafetyRule(Rule):
                 )
             stack.extend(ast.iter_child_nodes(node))
         return frozenset(names)
+
+
+# -------------------------------------------------------------- global memo
+class GlobalMemoRule(Rule):
+    """A process-global memo is hidden state shared by every run in the
+    process: how warm it is changes what a run costs, so cold and warm
+    measurements of the same work disagree.  State that caches belongs to
+    an object the caller creates and owns."""
+
+    id = "global-memo"
+    description = (
+        "no process-global functools.lru_cache / functools.cache memos in "
+        "repro code"
+    )
+    severity = ERROR
+
+    _MEMOS = frozenset({"functools.lru_cache", "functools.cache"})
+
+    def check_file(self, ctx: FileContext) -> Iterable[Finding]:
+        for node in ast.walk(ctx.tree):
+            if not isinstance(node, (ast.Name, ast.Attribute)):
+                continue
+            if not isinstance(node.ctx, ast.Load):
+                continue
+            dotted = ctx.imports.resolve(node)
+            if dotted in self._MEMOS:
+                yield self.finding(
+                    ctx,
+                    node,
+                    f"{dotted}: a process-global memo makes a run's cost "
+                    "depend on what ran before it in the process; keep the "
+                    "cache on an object the caller owns",
+                )

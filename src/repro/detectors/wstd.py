@@ -8,15 +8,19 @@ p-value below the warning/drift significance levels raises the corresponding
 state.
 
 Because the samples are 0/1 indicator bits, the rank test depends only on the
-*counts* ``(n_old, ones_old, n_recent, ones_recent)``: the midranks assigned
-to the tied zeros/ones — and therefore the U statistic, the tie correction,
-and the asymptotic p-value — are invariant to the order of the elements (the
-rank sums are sums of exactly representable half-integers, so even the
-floating-point value is order-independent).  Both the scalar path and the
-batch kernel exploit this by memoising the scipy p-value per count tuple,
-which turns the former O(window) rank computation per instance into O(1)
-amortised and lets the kernel evaluate whole chunks from rolling bit counts,
-bit-identical to per-instance stepping.
+*counts* ``(n_old, ones_old, n_recent, ones_recent)``: the ``z`` pooled zeros
+share the midrank ``(z + 1) / 2`` and the ``o`` pooled ones the midrank
+``z + (o + 1) / 2``, so the rank sum, the U statistic and the tie correction
+are closed-form functions of the counts.  :func:`_rank_sum_p_values` evaluates
+scipy's tie- and continuity-corrected normal approximation from those counts
+with the same floating-point operations in the same order.  Every
+intermediate up to the standard deviation is an exactly representable
+half-integer or integer, so the p-values are bit-identical to
+``scipy.stats.mannwhitneyu(..., method="asymptotic")`` on the windows
+themselves (pinned against :func:`_rank_sum_p_value`, the scipy reference).
+The batch kernel tests a whole segment in one vectorised call from rolling bit
+counts, bit-identical to per-instance stepping, and no state outlives the
+detector.
 """
 
 from __future__ import annotations
@@ -24,7 +28,7 @@ from __future__ import annotations
 from functools import lru_cache
 
 import numpy as np
-from scipy import stats
+from scipy import special, stats
 
 from repro.core.windows import RingWindow
 from repro.detectors.base import ErrorRateDetector
@@ -32,12 +36,13 @@ from repro.detectors.base import ErrorRateDetector
 __all__ = ["WSTD"]
 
 
-@lru_cache(maxsize=65536)
+@lru_cache(maxsize=65536)  # lint: disable=global-memo -- scipy reference for tests; perfbench reads cache_info()
 def _rank_sum_p_value(n_old: int, ones_old: int, n_recent: int, ones_recent: int) -> float:
     """Two-sided asymptotic Mann-Whitney p-value for two 0/1 samples.
 
-    The samples are reconstructed from their counts; the result is identical
-    (bit-for-bit) to calling scipy on the windows in stream order.
+    The scipy reference for :func:`_rank_sum_p_values`: the samples are
+    reconstructed from their counts and handed to scipy.  No detector path
+    calls it.
     """
     old = np.concatenate(
         [np.ones(ones_old), np.zeros(n_old - ones_old)]
@@ -49,6 +54,28 @@ def _rank_sum_p_value(n_old: int, ones_old: int, n_recent: int, ones_recent: int
         old, recent, alternative="two-sided", method="asymptotic"
     )
     return float(p_value)
+
+
+def _rank_sum_p_values(n_old, ones_old, n_recent, ones_recent):
+    """Two-sided asymptotic Mann-Whitney p-values from 0/1 sample counts.
+
+    Takes Python ints (the scalar path) or broadcastable int64 arrays (the
+    batch kernel) and is bit-identical to :func:`_rank_sum_p_value` on
+    either.  Callers exclude a constant pooled sample, for which the test is
+    undefined.
+    """
+    n1, a, n2, b = n_old, ones_old, n_recent, ones_recent
+    zeros = (n1 - a) + (n2 - b)
+    ones = a + b
+    n = n1 + n2
+    r1 = (n1 - a) * ((zeros + 1) / 2) + a * (zeros + (ones + 1) / 2)
+    u1 = r1 - n1 * (n1 + 1) / 2
+    u = np.maximum(u1, n1 * n2 - u1)
+    tie_term = (zeros**3 - zeros) + (ones**3 - ones)
+    s = np.sqrt(n1 * n2 / 12 * ((n + 1) - tie_term / (n * (n - 1))))
+    p = special.ndtr(-((u - n1 * n2 / 2 - 0.5) / s))
+    p *= 2
+    return np.clip(p, 0.0, 1.0)
 
 
 class WSTD(ErrorRateDetector):
@@ -111,7 +138,7 @@ class WSTD(ErrorRateDetector):
         ones_recent = int(self._recent.sum)
         if self._is_constant(n_old, ones_old, len(self._recent), ones_recent):
             return  # identical constant samples: no evidence of change
-        p_value = _rank_sum_p_value(
+        p_value = _rank_sum_p_values(
             n_old, ones_old, len(self._recent), ones_recent
         )
         if p_value < self._drift_significance:
@@ -169,19 +196,10 @@ class WSTD(ErrorRateDetector):
         warning_last = False
         if tested.any():
             test_idx = np.flatnonzero(tested)
-            triples = np.stack(
-                [n_old[test_idx], ones_old[test_idx], n_recent[test_idx],
-                 ones_recent[test_idx]],
-                axis=1,
+            p_values = _rank_sum_p_values(
+                n_old[test_idx], ones_old[test_idx],
+                n_recent[test_idx], ones_recent[test_idx],
             )
-            unique, inverse = np.unique(triples, axis=0, return_inverse=True)
-            p_unique = np.array(
-                [
-                    _rank_sum_p_value(int(a), int(b), int(c), int(d))
-                    for a, b, c, d in unique
-                ]
-            )
-            p_values = p_unique[inverse]
             drift = p_values < self._drift_significance
             if drift.any():
                 hit = int(test_idx[int(np.argmax(drift))])

@@ -193,5 +193,6 @@ class TestCli:
             "hot-path-alloc",
             "broad-except",
             "pickle-safety",
+            "global-memo",
         ):
             assert rule_id in out

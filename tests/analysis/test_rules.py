@@ -16,6 +16,7 @@ from repro.analysis.rules.local import (
     BroadExceptRule,
     DeterminismRule,
     DurabilityRule,
+    GlobalMemoRule,
     HotPathAllocationRule,
     PickleSafetyRule,
     StrictJsonRule,
@@ -344,6 +345,72 @@ class TestPickleSafety:
         assert [(f.rule, f.line) for f in findings] == [("pickle-safety", 3)]
 
 
+# -------------------------------------------------------------- global-memo
+class TestGlobalMemo:
+    def test_bad_fixture(self, lint_source):
+        findings = lint_source(
+            """\
+            import functools
+            import functools as ft
+            from functools import cache as memo
+            from functools import lru_cache
+
+
+            @lru_cache(maxsize=None)
+            def one(n):
+                return n
+
+
+            @ft.cache
+            def two(n):
+                return n
+
+
+            @memo
+            def three(n):
+                return n
+
+
+            four = functools.lru_cache()(len)
+            """,
+            [GlobalMemoRule()],
+        )
+        assert [(f.rule, f.line) for f in findings] == [
+            ("global-memo", 7),
+            ("global-memo", 12),
+            ("global-memo", 17),
+            ("global-memo", 22),
+        ]
+        assert all(finding.severity == ERROR for finding in findings)
+
+    def test_good_fixture(self, lint_source):
+        findings = lint_source(
+            """\
+            import functools
+
+
+            class Table:
+                def __init__(self):
+                    self._memo = {}
+
+                @functools.cached_property
+                def size(self):
+                    return len(self._memo)
+
+
+            def lru_cache(fn):
+                return fn
+
+
+            @lru_cache
+            def local_name_is_not_functools(n):
+                return functools.partial(int, n)()
+            """,
+            [GlobalMemoRule()],
+        )
+        assert findings == []
+
+
 # ----------------------------------------------------------------- pragmas
 class TestPragmas:
     def test_disable_pragma_suppresses_on_its_line(self, lint_source):
@@ -429,6 +496,7 @@ class TestMachinery:
             "contract-coverage",
             "determinism",
             "durability",
+            "global-memo",
             "hot-path-alloc",
             "pickle-safety",
             "strict-json",

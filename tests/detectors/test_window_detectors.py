@@ -5,6 +5,7 @@ import pytest
 
 from conftest import feed_errors, make_error_stream
 from repro.detectors import ECDDWT, FHDDM, HDDM_A, HDDM_W, PageHinkley, WSTD
+from repro.detectors.wstd import _rank_sum_p_value, _rank_sum_p_values
 
 
 class TestFHDDM:
@@ -67,6 +68,42 @@ class TestWSTD:
             detector.step(x, 1 if error else 0, 0)
             warned = warned or detector.in_warning
         assert warned
+
+
+def bits(values) -> np.ndarray:
+    """The IEEE-754 bit patterns of float64 values (bit-identity, not ==)."""
+    return np.asarray(values, dtype=np.float64).view(np.int64)
+
+
+class TestWSTDClosedForm:
+    """The closed-form p-values are bit-identical to the scipy reference."""
+
+    MAX_OLD = 2_000  # WSTD's default max_old_instances
+
+    @pytest.mark.parametrize("window_size", [5, 25, 75, 100])
+    def test_vectorised_matches_scipy_over_count_grid(self, window_size):
+        grid = []
+        for n_old in (window_size, 3 * window_size + 1, self.MAX_OLD):
+            for ones_old in sorted({0, 1, n_old // 10, n_old // 2, n_old - 1, n_old}):
+                for ones_recent in range(window_size + 1):
+                    if WSTD._is_constant(n_old, ones_old, window_size, ones_recent):
+                        continue
+                    grid.append((n_old, ones_old, window_size, ones_recent))
+        counts = np.array(grid, dtype=np.int64)
+        expected = [_rank_sum_p_value(*row) for row in grid]
+        got = _rank_sum_p_values(*counts.T)
+        assert got.shape == (len(grid),)
+        np.testing.assert_array_equal(bits(got), bits(expected))
+
+    @pytest.mark.parametrize("window_size", [5, 25, 75, 100])
+    def test_scalar_calls_match_scipy(self, window_size):
+        counts = (self.MAX_OLD, self.MAX_OLD // 10, window_size, window_size // 2)
+        expected = bits(_rank_sum_p_value(*counts))
+        zero_d = _rank_sum_p_values(*(np.asarray(c, dtype=np.int64) for c in counts))
+        assert np.ndim(zero_d) == 0
+        assert bits(zero_d) == expected
+        # add_element passes plain Python ints.
+        assert bits(_rank_sum_p_values(*counts)) == expected
 
 
 class TestHDDM:
