@@ -21,7 +21,7 @@ from __future__ import annotations
 from repro.core import RBMIM, RBMIMConfig
 from repro.detectors import DDM_OCI, RDDM
 from repro.evaluation import PrequentialRunner, default_classifier_factory
-from repro.streams import ImbalancedStream, LocalDriftStream, StaticImbalance
+from repro.streams import Schedule, ScheduledStream, Segment, StaticImbalance
 from repro.streams.generators import RandomRBFGenerator
 from repro.streams.scenarios import ScenarioStream
 
@@ -44,44 +44,28 @@ def build_intrusion_stream(seed: int = 17) -> ScenarioStream:
             seed=seed,
         )
 
-    # First drift: attack family 3 (the rarest) changes its signature.
-    stage_one = LocalDriftStream(
-        generator_factory=concept,
-        old_concept=0,
-        new_concept=4,
-        drifted_classes=[3],
-        position=FIRST_DRIFT,
-        seed=seed + 1,
+    schedule = Schedule.of(
+        Segment(length=FIRST_DRIFT, concept=0),
+        # First drift: attack family 3 (the rarest) changes its signature.
+        Segment(length=SECOND_DRIFT - FIRST_DRIFT, concept=4, drifted_classes=(3,)),
+        # Second drift: attack families 2 and 3 change together; benign
+        # traffic and family 1 keep their original behaviour throughout.
+        Segment(
+            length=N_INSTANCES - SECOND_DRIFT, concept=8, drifted_classes=(2, 3)
+        ),
     )
-
-    # Second drift: attack families 2 and 3 change together.
-    def stage_one_factory(index: int):
-        if index == 0:
-            return LocalDriftStream(
-                generator_factory=concept,
-                old_concept=0,
-                new_concept=4,
-                drifted_classes=[3],
-                position=FIRST_DRIFT,
-                seed=seed + 1,
-            )
-        return concept(8)
-
-    stage_two = LocalDriftStream(
-        generator_factory=stage_one_factory,
-        old_concept=0,
-        new_concept=1,
-        drifted_classes=[2, 3],
-        position=SECOND_DRIFT,
-        seed=seed + 2,
+    stream = ScheduledStream(
+        concept,
+        schedule,
+        # Benign traffic outnumbers the rarest attack family ~200:1.
+        imbalance=StaticImbalance(N_CLASSES, 200.0),
+        seed=seed,
+        name="intrusion-detection",
     )
-
-    # Benign traffic outnumbers the rarest attack family ~200:1.
-    skewed = ImbalancedStream(stage_two, StaticImbalance(N_CLASSES, 200.0), seed=seed)
     return ScenarioStream(
-        stream=skewed,
-        drift_points=[FIRST_DRIFT, SECOND_DRIFT],
-        drifted_classes=[[3], [2, 3]],
+        stream=stream,
+        drift_points=stream.drift_points,
+        drifted_classes=stream.drifted_classes,
         name="intrusion-detection",
         n_instances=N_INSTANCES,
     )

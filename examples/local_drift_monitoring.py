@@ -21,7 +21,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core import RBMIM, RBMIMConfig
-from repro.streams import ImbalancedStream, LocalDriftStream, StaticImbalance
+from repro.streams import Schedule, ScheduledStream, Segment, StaticImbalance
 from repro.streams.generators import RandomRBFGenerator
 
 N_CLASSES = 4
@@ -31,7 +31,7 @@ N_INSTANCES = 6_000
 DRIFTED_CLASS = 3
 
 
-def build_stream() -> ImbalancedStream:
+def build_stream() -> ScheduledStream:
     """A 4-class stream where only class 3 (a minority class) drifts."""
 
     def concept(index: int) -> RandomRBFGenerator:
@@ -43,15 +43,17 @@ def build_stream() -> ImbalancedStream:
             seed=5,
         )
 
-    local_drift = LocalDriftStream(
-        generator_factory=concept,
-        old_concept=0,
-        new_concept=6,
-        drifted_classes=[DRIFTED_CLASS],
-        position=DRIFT_POSITION,
-        seed=9,
+    schedule = Schedule.of(
+        Segment(length=DRIFT_POSITION, concept=0),
+        Segment(
+            length=N_INSTANCES - DRIFT_POSITION,
+            concept=6,
+            drifted_classes=(DRIFTED_CLASS,),
+        ),
     )
-    return ImbalancedStream(local_drift, StaticImbalance(N_CLASSES, 10.0), seed=2)
+    return ScheduledStream(
+        concept, schedule, imbalance=StaticImbalance(N_CLASSES, 10.0), seed=9
+    )
 
 
 def main() -> None:

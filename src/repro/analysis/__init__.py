@@ -10,7 +10,8 @@ rule id                   contract it encodes
 ========================  ====================================================
 ``determinism``           fixed-draw-budget RNG discipline (PR 1/3/4): no
                           seedless ``default_rng()``, no global
-                          ``np.random``/``random`` samplers, no ``time.time``
+                          ``np.random``/``random`` samplers, no ``time.time``,
+                          no per-process-salted builtin ``hash()``
 ``strict-json``           result sinks emit strict JSON (PR 8): ``json.dump``
                           outside ``repro.core.jsonio`` needs
                           ``allow_nan=False``

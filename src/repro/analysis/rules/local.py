@@ -30,17 +30,33 @@ def _walk_calls(tree: ast.AST) -> Iterator[ast.Call]:
             yield node
 
 
+def _bound_names(tree: ast.AST) -> set:
+    """Every name the module binds anywhere (assignment, def, argument, import)."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Load):
+            names.add(node.id)
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, ast.arg):
+            names.add(node.arg)
+        elif isinstance(node, ast.alias):
+            names.add(node.asname or node.name.split(".")[0])
+    return names
+
+
 # ------------------------------------------------------------- determinism
 class DeterminismRule(Rule):
     """Batch ≡ instance bit-identity rests on every random draw flowing from
-    an explicit seed and a fixed draw budget (PR 1/3/4).  Global RNG state
-    and wall-clock reads silently break that: results stop being a function
+    an explicit seed and a fixed draw budget (PR 1/3/4).  Global RNG state,
+    wall-clock reads and the builtin ``hash()`` (salted per process for
+    ``str``/``bytes``) silently break that: results stop being a function
     of ``(spec, seed)``."""
 
     id = "determinism"
     description = (
         "no seedless default_rng(), global numpy.random/random samplers, "
-        "or wall-clock time.time() in repro code"
+        "wall-clock time.time(), or builtin hash() in repro code"
     )
     severity = ERROR
 
@@ -63,8 +79,23 @@ class DeterminismRule(Rule):
     _STDLIB_ALLOWED = frozenset({"Random"})
 
     def check_file(self, ctx: FileContext) -> Iterable[Finding]:
+        hash_rebound = "hash" in _bound_names(ctx.tree)
         for call in _walk_calls(ctx.tree):
             dotted = ctx.imports.resolve_call(call)
+            builtin_hash = (
+                isinstance(call.func, ast.Name)
+                and call.func.id == "hash"
+                and not hash_rebound
+            )
+            if builtin_hash or dotted == "builtins.hash":
+                yield self.finding(
+                    ctx,
+                    call,
+                    "builtin hash(): str/bytes hashes are salted per process "
+                    "(PYTHONHASHSEED), so a seed derived from one differs "
+                    "between runs; use zlib.crc32 or hashlib",
+                )
+                continue
             if dotted is None:
                 continue
             if dotted == "numpy.random.default_rng":

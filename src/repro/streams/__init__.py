@@ -1,4 +1,5 @@
-"""Data-stream substrate: instances, generators, drift and imbalance wrappers."""
+"""Data-stream substrate: instances, generators, imbalance profiles, and the
+schedule engine that composes them into drifting benchmark scenarios."""
 
 from repro.streams.base import (
     DataStream,
@@ -8,16 +9,8 @@ from repro.streams.base import (
     stream_to_arrays,
     take,
 )
-from repro.streams.drift import (
-    ConceptDriftStream,
-    ConceptScheduleStream,
-    DriftingStream,
-    LocalDriftStream,
-    RecurringDriftStream,
-)
 from repro.streams.imbalance import (
     DynamicImbalance,
-    ImbalancedStream,
     ImbalanceProfile,
     RoleSwitchingImbalance,
     StaticImbalance,
@@ -60,13 +53,7 @@ __all__ = [
     "StreamSchema",
     "stream_to_arrays",
     "take",
-    "ConceptDriftStream",
-    "ConceptScheduleStream",
-    "DriftingStream",
-    "LocalDriftStream",
-    "RecurringDriftStream",
     "DynamicImbalance",
-    "ImbalancedStream",
     "ImbalanceProfile",
     "RoleSwitchingImbalance",
     "StaticImbalance",

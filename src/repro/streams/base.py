@@ -3,19 +3,12 @@
 The paper evaluates drift detectors on MOA data streams.  This module provides
 the equivalent substrate: an :class:`Instance` record, a :class:`StreamSchema`
 describing the feature space, and the :class:`DataStream` base class that every
-generator, drift wrapper, and imbalance wrapper in :mod:`repro.streams` builds
-on.
+generator and the schedule engine in :mod:`repro.streams` build on.
 
-Streams are **batch-first**: the primitive operation is
-:meth:`DataStream.generate_batch`, which produces ``(X, y)`` NumPy arrays for
-``n`` instances in one call, and the per-instance iterator protocol
-(:meth:`DataStream.next_instance` / ``__iter__``) is a thin shim over the
-batch path.  A subclass implements exactly one of
-
-* ``_generate()`` — the legacy instance-primitive hook; ``generate_batch``
-  then falls back to a per-instance loop, or
-* ``_generate_batch(n)`` — the vectorized batch-primitive hook; the instance
-  shim draws batches of size one.
+Streams are **batch-first**: a subclass implements one hook,
+``_generate_batch(n)``, which produces ``(X, y)`` NumPy arrays for up to ``n``
+instances in one call.  The per-instance iterator protocol
+(:meth:`DataStream.next_instance` / ``__iter__``) reads batches of size one.
 
 Because every vectorized generator draws its randomness as one contiguous
 block of uniform doubles per instance (see :mod:`repro.streams.vector_ops`),
@@ -121,21 +114,13 @@ class DataStream(Snapshotable, abc.ABC):
     into an identically configured instance — after which the restored
     stream emits the bit-identical tail.  The base state is the generator
     bit-state plus position (plus the active concept for generators with
-    ``set_concept``); wrappers contribute their cursors, carries, and
-    pending-uniform buffers through :meth:`_snapshot_extra`.
+    ``set_concept``); the schedule engine and :class:`ListStream` contribute
+    their samplers, replay buffers and cursors through :meth:`_snapshot_extra`.
     """
 
     SNAPSHOT_SELF_CONTAINED = False
 
     def __init__(self, schema: StreamSchema, seed: int | None = None) -> None:
-        if (
-            type(self)._generate is DataStream._generate
-            and type(self)._generate_batch is DataStream._generate_batch
-        ):
-            raise TypeError(
-                f"{type(self).__name__} must implement _generate() or "
-                "_generate_batch(n)"
-            )
         self._schema = schema
         self._seed = seed
         self._rng = np.random.default_rng(seed)
@@ -198,35 +183,26 @@ class DataStream(Snapshotable, abc.ABC):
     def _restore_extra(self, extra: dict) -> None:
         """Subclass hook: apply the state captured by :meth:`_snapshot_extra`."""
 
-    # ------------------------------------------------------------ primitives
-    def _generate(self) -> Instance:
-        """Produce the next raw instance (instance-primitive hook).
-
-        The default implementation adapts the batch-primitive hook; streams
-        that implement ``_generate_batch`` inherit it unchanged.  Raises
-        :class:`StopIteration` when the stream is exhausted.
-        """
-        features, labels = self._generate_batch(1)
-        if labels.shape[0] == 0:
-            raise StopIteration(f"stream '{self.name}' exhausted")
-        return Instance(x=features[0], y=int(labels[0]))
-
+    # ------------------------------------------------------------ primitive
+    @abc.abstractmethod
     def _generate_batch(self, n: int) -> tuple[np.ndarray, np.ndarray]:
-        """Produce up to ``n`` raw instances as ``(X, y)`` (batch hook).
+        """Produce up to ``n >= 1`` raw instances as ``(X, y)``.
 
-        Batch-primitive subclasses override this with a vectorized
-        implementation.  The hook must not advance :attr:`position` (the
-        public wrappers do) but may read it, e.g. for position-dependent
-        schedules.  Returning fewer than ``n`` rows signals exhaustion.
+        The hook must not advance :attr:`position` (:meth:`generate_batch`
+        does) but may read it, e.g. for position-dependent schedules.
+        Returning fewer than ``n`` rows signals exhaustion.
         """
-        raise NotImplementedError  # pragma: no cover - dispatch short-circuits
 
     # --------------------------------------------------------------- reading
     def next_instance(self) -> Instance:
-        """Return the next instance and advance the stream position."""
-        instance = self._generate()
-        self._position += 1
-        return instance
+        """Return the next instance and advance the stream position.
+
+        Raises :class:`StopIteration` when a finite stream is exhausted.
+        """
+        features, labels = self.generate_batch(1)
+        if labels.shape[0] == 0:
+            raise StopIteration(f"stream '{self.name}' exhausted")
+        return Instance(x=features[0], y=int(labels[0]))
 
     def generate_batch(self, n: int) -> tuple[np.ndarray, np.ndarray]:
         """Return the next ``n`` instances as ``(X, y)`` arrays.
@@ -241,21 +217,6 @@ class DataStream(Snapshotable, abc.ABC):
             raise ValueError(f"n must be >= 0, got {n}")
         if n == 0:
             return self._empty_batch()
-        if type(self)._generate_batch is DataStream._generate_batch:
-            # Instance-primitive stream: fall back to a per-instance loop so
-            # position-dependent logic in `_generate` keeps working.
-            xs: list[np.ndarray] = []
-            ys: list[int] = []
-            for _ in range(n):
-                try:
-                    instance = self.next_instance()
-                except StopIteration:
-                    break
-                xs.append(instance.x)
-                ys.append(instance.y)
-            if not xs:
-                return self._empty_batch()
-            return np.vstack(xs), np.asarray(ys, dtype=np.int64)
         features, labels = self._generate_batch(n)
         self._position += int(labels.shape[0])
         return features, labels
@@ -314,9 +275,8 @@ class ListStream(DataStream):
                 n_features=n_features, n_classes=max(2, n_classes), name=name
             )
         super().__init__(schema, seed=None)
-        self._instances = list(instances)
-        self._features = np.vstack([inst.x for inst in self._instances])
-        self._labels = np.asarray([inst.y for inst in self._instances], dtype=np.int64)
+        self._features = np.vstack([inst.x for inst in instances])
+        self._labels = np.asarray([inst.y for inst in instances], dtype=np.int64)
         self._cursor = 0
 
     def restart(self) -> None:
@@ -329,22 +289,15 @@ class ListStream(DataStream):
     def _restore_extra(self, extra: dict) -> None:
         self._cursor = int(extra["cursor"])
 
-    def _generate(self) -> Instance:
-        if self._cursor >= len(self._instances):
-            raise StopIteration("ListStream exhausted")
-        instance = self._instances[self._cursor]
-        self._cursor += 1
-        return instance
-
     def _generate_batch(self, n: int) -> tuple[np.ndarray, np.ndarray]:
-        end = min(self._cursor + n, len(self._instances))
+        end = min(self._cursor + n, len(self))
         features = self._features[self._cursor : end].copy()
         labels = self._labels[self._cursor : end].copy()
         self._cursor = end
         return features, labels
 
     def __len__(self) -> int:
-        return len(self._instances)
+        return int(self._labels.shape[0])
 
 
 def take(stream: Iterable[Instance], n: int) -> list[Instance]:

@@ -6,9 +6,9 @@ of additional classic stream generators (SEA, Sine, STAGGER, LED, Waveform,
 Mixed) that are useful for tests, examples, and ablations.
 
 Every generator derives from :class:`repro.streams.base.DataStream`, exposes a
-``concept`` parameter (or equivalent) so that the drift wrappers in
-:mod:`repro.streams.drift` can switch between concepts, and is deterministic
-for a fixed seed.
+``concept`` parameter (or equivalent) so that the schedule engine in
+:mod:`repro.streams.schedule` can build one source per concept, and is
+deterministic for a fixed seed.
 """
 
 from repro.streams.generators.agrawal import AgrawalGenerator

@@ -74,7 +74,7 @@ class AgrawalGenerator(DataStream):
     def _init_concept(self, concept: int) -> None:
         # Per-concept ingredient weights: deterministic, independent of the
         # stream seed so that the same concept index always means the same
-        # concept (required for drift wrappers to be meaningful).
+        # concept (required for scheduled concept drifts to be meaningful).
         concept_rng = np.random.default_rng(1_000 + concept)
         self._weights = concept_rng.uniform(-1.0, 1.0, size=6)
         # Bin edges are placed at the empirical quantiles of the score under

@@ -4,8 +4,8 @@ The hyperplane generator labels points in the unit hypercube by which side of
 a moving hyperplane they fall on.  The multi-class variant used in the paper
 (Hyperplane5/10/20) is obtained by slicing the signed distance to the
 hyperplane into ``n_classes`` bands.  Incremental/gradual drift is produced by
-letting the hyperplane weights move continuously (``mag_change``); the drift
-wrappers can additionally switch whole concepts by re-randomising the weights.
+letting the hyperplane weights move continuously (``mag_change``); a new
+``concept`` re-randomises the weights for a sudden switch.
 """
 
 from __future__ import annotations

@@ -2,14 +2,12 @@
 
 The paper's three scenarios (Section IV) all involve a *dynamic imbalance
 ratio* and, in Scenarios 2-3, *changing class roles* (minority classes become
-majority and vice versa).  This module provides:
-
-* :class:`ImbalanceProfile` implementations that map a stream position ``t``
-  to a vector of class priors — static skew, oscillating skew, and role
-  switching;
-* :class:`ImbalancedStream`, a wrapper that re-samples any base stream so the
-  emitted class frequencies follow the requested priors.  Re-sampling uses a
-  per-class buffer so no base instances are discarded unnecessarily.
+majority and vice versa).  This module provides the
+:class:`ImbalanceProfile` implementations that map a stream position ``t``
+to a vector of class priors — static skew, oscillating skew, and role
+switching.  :class:`~repro.streams.schedule.ScheduledStream` evaluates a
+profile at every emitted position and re-samples its sources so the emitted
+class frequencies follow it.
 """
 
 from __future__ import annotations
@@ -18,24 +16,14 @@ import abc
 
 import numpy as np
 
-from repro.streams.base import DataStream, StreamSchema
-from repro.streams.sampling import (
-    ClassConditionalSampler,
-    UniformReplayBuffer,
-    inverse_cdf_classes,
-)
-
 __all__ = [
     "ImbalanceProfile",
     "StaticImbalance",
     "DynamicImbalance",
     "RoleSwitchingImbalance",
-    "ImbalancedStream",
     "geometric_priors",
     "geometric_priors_batch",
 ]
-
-_MAX_BUFFER_FILL_DRAWS = 20_000
 
 
 def geometric_priors(n_classes: int, imbalance_ratio: float) -> np.ndarray:
@@ -210,112 +198,3 @@ class RoleSwitchingImbalance(ImbalanceProfile):
         gather = (columns[None, :] - rotations[:, None]) % self.n_classes
         return np.take_along_axis(base, gather, axis=1)
 
-
-class ImbalancedStream(DataStream):
-    """Re-sample a base stream to follow an :class:`ImbalanceProfile`.
-
-    At every step the target class is drawn from the profile's current priors
-    and an instance of that class is taken either from a per-class buffer of
-    recently seen base instances or by drawing new base instances (buffering
-    the ones of other classes).  Buffers are intentionally small and consumed
-    newest-first so that emitted instances always reflect the *current* state
-    of the base stream — crucial when the base stream drifts, otherwise rare
-    classes would keep replaying stale pre-drift instances long after the
-    drift.  If the base stream fails to produce the requested class within a
-    bounded number of draws, the most available class is emitted instead —
-    this keeps the wrapper robust to degenerate generators while preserving
-    the requested skew in all practical cases.
-    """
-
-    def __init__(
-        self,
-        base: DataStream,
-        profile: ImbalanceProfile,
-        seed: int | None = None,
-        max_buffer_per_class: int = 32,
-    ) -> None:
-        if profile.n_classes != base.n_classes:
-            raise ValueError("profile and base stream disagree on n_classes")
-        schema = StreamSchema(
-            n_features=base.n_features,
-            n_classes=base.n_classes,
-            name=f"{base.name}-imbalanced",
-        )
-        super().__init__(schema, seed)
-        self._base = base
-        self._profile = profile
-        # block_size=1 keeps the base stream's draw-on-demand RNG consumption
-        # (and therefore every seeded realization) identical to a hand-rolled
-        # per-instance rejection loop.
-        self._sampler = ClassConditionalSampler(
-            base,
-            base.n_classes,
-            max_buffer=max_buffer_per_class,
-            max_draws=_MAX_BUFFER_FILL_DRAWS,
-            block_size=1,
-        )
-        # Class-choice uniforms drawn for positions not yet emitted (a finite
-        # base exhausted mid-batch).  Replayed before fresh RNG draws so batch
-        # and per-instance reads consume the wrapper RNG identically no matter
-        # where the truncation fell.
-        self._uniforms = UniformReplayBuffer()
-
-    @property
-    def profile(self) -> ImbalanceProfile:
-        return self._profile
-
-    @property
-    def drift_points(self) -> list[int]:
-        """Propagate ground-truth drift positions from the wrapped stream."""
-        return list(getattr(self._base, "drift_points", []))
-
-    def set_concept(self, concept: int) -> None:
-        """Forward a concept switch to the wrapped generator.
-
-        Buffered instances belong to the previous concept and are discarded so
-        the switch takes effect immediately in the emitted stream.  This lets
-        drift wrappers (e.g. :class:`~repro.streams.drift.ConceptScheduleStream`)
-        be applied *on top of* an imbalanced stream, so that drift positions
-        are expressed in emitted-instance coordinates.
-        """
-        if not hasattr(self._base, "set_concept"):
-            raise TypeError("wrapped stream does not support set_concept")
-        self._base.set_concept(concept)
-        self._sampler.clear_buffers()
-
-    def restart(self) -> None:
-        super().restart()
-        self._sampler.restart()
-        self._uniforms.clear()
-
-    def _snapshot_extra(self) -> dict:
-        # The sampler snapshot covers the wrapped base stream (they share the
-        # object), so the base needs no separate entry.
-        return {"sampler": self._sampler, "uniforms": self._uniforms}
-
-    def _restore_extra(self, extra: dict) -> None:
-        self._sampler.restore(extra["sampler"])
-        self._uniforms = extra["uniforms"]
-
-    def _generate_batch(self, n: int) -> tuple[np.ndarray, np.ndarray]:
-        # One uniform per emitted instance, drawn as a block; the target class
-        # comes from the inverse CDF of the position-dependent priors, so the
-        # wrapper's RNG consumption is identical for any batch split.
-        u = self._uniforms.take(n, self._rng)
-        priors = self._profile.priors_batch(self._position + np.arange(n))
-        wanted = inverse_cdf_classes(priors, u)
-        features = np.empty((n, self.n_features))
-        labels = np.empty(n, dtype=np.int64)
-        for i in range(n):
-            try:
-                x, y = self._sampler.sample(int(wanted[i]))
-            except StopIteration:
-                # Base exhausted: emit the rows already produced and keep the
-                # undecided uniforms for replay so the exhausted position's
-                # class choice stays in force (terminal stream, exact parity
-                # with the per-instance path).
-                self._uniforms.stash(u[i:])
-                return features[:i], labels[:i]
-            features[i] = x
-            labels[i] = y
-        return features, labels

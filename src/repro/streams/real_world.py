@@ -14,16 +14,15 @@ structure with localised class regions resembles most tabular sensor/activity
 data) executed by the schedule engine with the appropriate drift schedule and
 a dynamic imbalance profile reaching the dataset's reported maximum IR.  The
 engine places drifts at *emitted* stream positions, so the declared drift
-points are exact (the retired wrapper composition re-sampled on top of the
-drift schedule and let drifts surface earlier than declared).  What matters
-for the reproduction is that the surrogates exercise the identical code path
-and difficulty axes (many classes, heavy skew, drift or stationarity);
-absolute metric values differ from the paper, relative detector comparisons
-should not.
+points are exact.  What matters for the reproduction is that the surrogates
+exercise the identical code path and difficulty axes (many classes, heavy
+skew, drift or stationarity); absolute metric values differ from the paper,
+relative detector comparisons should not.
 """
 
 from __future__ import annotations
 
+import zlib
 from dataclasses import dataclass
 
 from repro.streams.base import DataStream
@@ -119,7 +118,8 @@ def real_world_stream(
         )
     if n_instances is None:
         n_instances = min(spec.instances, max_instances)
-    dataset_seed = seed + abs(hash(spec.name)) % 10_000
+    # crc32, not hash(): Python salts str hashes per process.
+    dataset_seed = seed + zlib.crc32(spec.name.encode("utf-8")) % 10_000
 
     profile: ImbalanceProfile
     if spec.drift == "yes":

@@ -1,10 +1,9 @@
-"""Shared parity-critical sampling plumbing for the re-sampling streams.
+"""Parity-critical sampling plumbing of the schedule engine.
 
-Two wrappers re-sample a base stream class-conditionally — the imbalance
-wrapper (:class:`~repro.streams.imbalance.ImbalancedStream`) and the
-schedule engine (:class:`~repro.streams.schedule.ScheduledStream`).  Both
-depend on the same two subtle invariants for the repo's chunk-exactness
-contract, so the machinery lives here exactly once:
+:class:`~repro.streams.schedule.ScheduledStream` re-samples its per-concept
+source streams class-conditionally.  The repo's chunk-exactness contract
+rests on two subtle invariants of that re-sampling, kept here apart from the
+schedule logic:
 
 * **uniform replay** — uniforms drawn for positions that could not be
   emitted (a finite source exhausted mid-batch) must be replayed before any
@@ -33,21 +32,18 @@ __all__ = [
 
 
 def inverse_cdf_classes(
-    priors: np.ndarray, u: np.ndarray, top: "np.ndarray | int | None" = None
+    priors: np.ndarray, u: np.ndarray, top: np.ndarray
 ) -> np.ndarray:
     """Row-wise inverse-CDF class choice from prior rows and one uniform each.
 
     Equivalent to ``searchsorted(cumsum(priors[i]), u[i], side="right")`` per
-    row, clipped to ``top`` (default: the last class) so floating error at
-    the top of the CDF cannot select past it.  ``top`` may be per-row — e.g.
-    the largest *active* class of a segment, so the clip can never resurrect
-    a masked-out class.  Both re-sampling engines must share this exact
-    operation order: a single ULP of divergence in the CDF comparison would
-    silently break batch/instance bit-parity.
+    row, clipped to the per-row ``top`` class (the largest *active* class of
+    a segment) so floating error at the top of the CDF can neither select
+    past the last class nor resurrect a masked-out one.  The operation order
+    is part of the seeded realization: a single ULP of divergence in the CDF
+    comparison would change which class a uniform selects.
     """
     cdf = np.cumsum(priors, axis=1)
-    if top is None:
-        top = priors.shape[1] - 1
     return np.minimum((cdf <= u[:, None]).sum(axis=1), top)
 
 
@@ -56,22 +52,19 @@ class UniformReplayBuffer(Snapshotable):
 
     ``take(n, rng)`` serves pending (previously stashed) rows first and only
     then draws fresh uniforms — the same consumption order as ``n``
-    per-instance draws.  ``stash(rows)`` returns the undecided tail of a
-    truncated batch for replay by the next call.
+    per-instance draws.  Each row holds ``columns`` uniforms.
+    ``stash(rows)`` returns the undecided tail of a truncated batch for
+    replay by the next call.
     """
 
-    def __init__(self, columns: int | None = None) -> None:
+    def __init__(self, columns: int) -> None:
         self._columns = columns
         self._pending: np.ndarray | None = None
-
-    def _empty(self) -> np.ndarray:
-        shape = (0,) if self._columns is None else (0, self._columns)
-        return np.empty(shape)
 
     def take(self, n: int, rng: np.random.Generator) -> np.ndarray:
         pending = self._pending
         if pending is None:
-            head = self._empty()
+            head = np.empty((0, self._columns))
         else:
             used = min(n, pending.shape[0])
             head = pending[:used]
@@ -79,8 +72,7 @@ class UniformReplayBuffer(Snapshotable):
         fresh = n - head.shape[0]
         if fresh == 0:
             return head
-        draw = rng.random(fresh if self._columns is None else (fresh, self._columns))
-        return np.concatenate([head, draw])
+        return np.concatenate([head, rng.random((fresh, self._columns))])
 
     def stash(self, unused: np.ndarray) -> None:
         self._pending = unused if unused.shape[0] else None
@@ -92,16 +84,15 @@ class UniformReplayBuffer(Snapshotable):
 class ClassConditionalSampler(Snapshotable):
     """Class-conditional rejection sampler over one source stream.
 
-    Draws source rows in blocks of ``block_size`` (``1`` reproduces the
-    draw-on-demand consumption of a per-instance loop; larger blocks are
-    cheaper for batch execution — block boundaries depend only on the
-    cumulative number of rows requested, never on chunking), buffers rows of
-    other classes per class, and serves requests newest-first so emitted
-    instances track the current state of the source.  When the requested
-    class does not appear within ``max_draws`` the sampler falls back
-    deterministically: pop the fullest buffer, else emit the next source row
-    as-is — the stream never aborts mid-run.  :class:`StopIteration` is
-    raised only when the source is exhausted *and* every buffer is empty.
+    Draws source rows in blocks of ``block_size`` (block boundaries depend
+    only on the cumulative number of rows requested, never on chunking),
+    buffers rows of other classes per class, and serves requests
+    newest-first so emitted instances track the current state of the
+    source.  When the requested class does not appear within ``max_draws``
+    the sampler falls back deterministically: pop the fullest buffer, else
+    emit the next source row as-is — the stream never aborts mid-run.
+    :class:`StopIteration` is raised only when the source is exhausted *and*
+    every buffer is empty.
     """
 
     __slots__ = (
@@ -115,7 +106,7 @@ class ClassConditionalSampler(Snapshotable):
         n_classes: int,
         max_buffer: int,
         max_draws: int,
-        block_size: int = 1,
+        block_size: int,
     ) -> None:
         self.stream = stream
         self.buffers: list[Deque[tuple[np.ndarray, int]]] = [
@@ -149,10 +140,6 @@ class ClassConditionalSampler(Snapshotable):
 
     def restart(self) -> None:
         self.stream.restart()
-        self.clear_buffers()
-
-    def clear_buffers(self) -> None:
-        """Drop buffered rows (and any prefetched block) from a stale concept."""
         for buffer in self.buffers:
             buffer.clear()
         self._block_x = None

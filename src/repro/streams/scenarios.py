@@ -361,9 +361,8 @@ def scenario_local_drift(
     Following the paper's drift-injection protocol for Experiment 2, the drift
     affects the ``n_drifted_classes`` *smallest* classes (largest class index
     under the geometric prior used by the imbalance profiles).  The schedule
-    engine keeps non-drifted classes on the old concept and — unlike the
-    retired wrapper composition — places the drift at the *emitted* stream
-    position, so the declared ground truth is exact.
+    engine keeps non-drifted classes on the old concept and places the drift
+    at the *emitted* stream position, so the declared ground truth is exact.
     """
     if not 1 <= n_drifted_classes <= n_classes:
         raise ValueError("n_drifted_classes must be in [1, n_classes]")

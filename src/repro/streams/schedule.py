@@ -20,10 +20,12 @@ stream.  Two invariants make it fit the repo's chunk-exactness contract:
   ``next_instance()``;
 * **emitted-coordinate ground truth** — every scheduled change happens at an
   *emitted* stream position (the engine re-samples class-conditionally from
-  per-concept sources instead of wrapping re-samplers around drift
-  wrappers), so the :class:`DriftEvent` list is exact by construction: the
-  instance at ``event.position`` is the first one generated under the new
-  configuration.
+  per-concept sources), so the :class:`DriftEvent` list is exact by
+  construction: the instance at ``event.position`` is the first one
+  generated under the new configuration.
+
+Each class carries its own concept: a local drift moves only the classes it
+names, and they stay apart from the rest until a later segment moves them.
 
 The last segment is open-ended: its configuration continues indefinitely, so
 a scheduled stream never exhausts (evaluation harnesses choose the length).
@@ -37,7 +39,6 @@ from typing import Callable, Sequence
 import numpy as np
 
 from repro.streams.base import DataStream, StreamSchema
-from repro.streams.drift import DriftingStream
 from repro.streams.imbalance import ImbalanceProfile, geometric_priors_batch
 from repro.streams.sampling import (
     ClassConditionalSampler,
@@ -101,20 +102,21 @@ class Segment:
         Number of instances in the segment (the final segment of a schedule
         is open-ended and its configuration persists past its length).
     concept:
-        Generator concept in force; ``None`` inherits the previous segment's
-        concept (the first segment defaults to concept 0).
+        Generator concept the segment moves its ``drifted_classes`` onto;
+        ``None`` leaves every class on its concept.  Every class starts on
+        concept 0.
     transition:
-        How the stream moves from the previous concept into this one:
+        How each moved class goes from its previous concept to this one:
         ``"sudden"`` (abrupt), ``"gradual"`` (probabilistic oscillation), or
         ``"incremental"`` (sigmoidal mixture progression) over ``width``
-        instances.  Ignored when the concept does not change.
+        instances.  Ignored for classes whose concept does not change.
     width:
         Transition window length (0 = abrupt).  Also the ramp length of a
         ``feature_shift`` change.
     drifted_classes:
-        Restrict the concept change to these classes (local drift): other
-        classes keep drawing from the previous concept for the whole
-        segment.  ``None`` = all classes drift.
+        Restrict the concept change to these classes (local drift): every
+        other class keeps its concept, in this segment and after it, until a
+        later segment moves it.  ``None`` = all classes move.
     imbalance_ratio:
         Per-segment static imbalance ratio override; ``None`` uses the
         schedule-level profile (or balanced priors when none is set).
@@ -244,14 +246,22 @@ class Schedule:
             cursor += segment.length
         return positions
 
-    def resolved_concepts(self) -> list[int]:
-        """Per-segment concept with ``None`` inheritance applied (first = 0)."""
-        concepts, current = [], 0
-        for segment in self.segments:
+    def class_concepts(self, n_classes: int) -> np.ndarray:
+        """Concept of every class in every segment, shape ``(segments, n_classes)``.
+
+        The concept a class holds once the segment's transition completes:
+        classes start on concept 0, a segment with a ``concept`` moves its
+        ``drifted_classes`` (all classes when ``None``) onto it, and every
+        other class keeps the concept it had.
+        """
+        table = np.zeros((len(self.segments), n_classes), dtype=np.int64)
+        current = np.zeros(n_classes, dtype=np.int64)
+        for row, segment in zip(table, self.segments):
             if segment.concept is not None:
-                current = int(segment.concept)
-            concepts.append(current)
-        return concepts
+                moved = segment.drifted_classes
+                current[slice(None) if moved is None else list(moved)] = segment.concept
+            row[:] = current
+        return table
 
     def resolved_shifts(self) -> list[float]:
         """Per-segment feature-shift magnitude with ``None`` inheritance."""
@@ -266,21 +276,32 @@ class Schedule:
     def events(self, n_classes: int | None = None) -> list[DriftEvent]:
         """Every exact ground-truth change point, in stream order.
 
-        ``n_classes`` is only needed to name the affected classes of a class
-        arrival/removal when one side of the change is "all classes".
+        A real or blip event names exactly the classes whose concept changed,
+        or ``None`` when all of them did.  ``n_classes`` names the affected
+        classes where the schedule alone cannot: a concept change that moves
+        some but not all of the classes no ``drifted_classes`` names, and a
+        class arrival/removal where one side is "all classes".  Without it,
+        such changes report ``None``.
         """
+        named = [c for s in self.segments for c in s.drifted_classes or ()]
+        # Without n_classes, one extra column stands for every unnamed class.
+        width = n_classes if n_classes is not None else max(named, default=-1) + 2
+        concepts = self.class_concepts(width)
         events: list[DriftEvent] = []
         starts = self.starts()
-        concepts = self.resolved_concepts()
         shifts = self.resolved_shifts()
         for i in range(1, len(self.segments)):
             segment, previous = self.segments[i], self.segments[i - 1]
             position = starts[i]
-            if concepts[i] != concepts[i - 1]:
+            moved = np.flatnonzero(concepts[i] != concepts[i - 1])
+            if moved.size:
                 kind = "blip" if (segment.blip or previous.blip) else "real"
-                events.append(
-                    DriftEvent(position, kind, classes=segment.drifted_classes)
-                )
+                unnamed = n_classes is None and moved[-1] == width - 1
+                if moved.size == width or unnamed:
+                    classes = None
+                else:
+                    classes = tuple(moved.tolist())
+                events.append(DriftEvent(position, kind, classes=classes))
             if shifts[i] != shifts[i - 1]:
                 events.append(DriftEvent(position, "virtual"))
             if segment.label_noise != previous.label_noise:
@@ -301,7 +322,7 @@ class Schedule:
         return [event.position for event in self.events() if event.kind == "real"]
 
 
-class ScheduledStream(DriftingStream):
+class ScheduledStream(DataStream):
     """Execute a :class:`Schedule` as one seeded batch-first stream.
 
     Parameters
@@ -334,7 +355,7 @@ class ScheduledStream(DriftingStream):
         name: str | None = None,
     ) -> None:
         self._factory = generator_factory
-        first_concept = schedule.resolved_concepts()[0]
+        first_concept = int(schedule.segments[0].concept or 0)
         probe = generator_factory(first_concept)
         if imbalance is not None and imbalance.n_classes != probe.n_classes:
             raise ValueError("imbalance profile and generator disagree on n_classes")
@@ -361,10 +382,12 @@ class ScheduledStream(DriftingStream):
         self._starts = np.asarray(schedule.starts(), dtype=np.int64)
         self._boundaries = self._starts[1:] if len(self._starts) > 1 else np.empty(0, np.int64)
         self._boundaries = np.append(self._boundaries, schedule.total_length)
-        self._concepts = schedule.resolved_concepts()
+        # Concept of each class once each segment's transition completes, and
+        # the concept it leaves at the segment's start.
+        self._concepts = schedule.class_concepts(probe.n_classes)
+        self._previous_concepts = np.vstack([self._concepts[:1], self._concepts[:-1]])
         self._shifts = schedule.resolved_shifts()
         self._events = schedule.events(probe.n_classes)
-        self._drift_points = [e.position for e in self._events if e.kind == "real"]
         # Unit direction of the deterministic feature drift; its own RNG so
         # the per-instance draw budget of the engine RNG stays fixed.
         direction_rng = np.random.default_rng(
@@ -385,6 +408,11 @@ class ScheduledStream(DriftingStream):
     def events(self) -> list[DriftEvent]:
         """Exact ground truth of the whole schedule (known upfront)."""
         return list(self._events)
+
+    @property
+    def drift_points(self) -> list[int]:
+        """Positions of the *real* (sustained, non-blip) concept drifts."""
+        return [e.position for e in self._events if e.kind == "real"]
 
     @property
     def drifted_classes(self) -> list[list[int] | None]:
@@ -445,12 +473,7 @@ class ScheduledStream(DriftingStream):
     ) -> np.ndarray:
         """P(new concept) at the given offsets into segment ``index``."""
         segment = self._schedule.segments[index]
-        if (
-            index == 0
-            or self._concepts[index] == self._concepts[index - 1]
-            or segment.transition == "sudden"
-            or segment.width == 0
-        ):
+        if segment.transition == "sudden" or segment.width == 0:
             return np.ones(offsets.shape[0])
         progress = np.minimum(offsets / segment.width, 1.0)
         if segment.transition == "incremental":
@@ -532,25 +555,21 @@ class ScheduledStream(DriftingStream):
         # Target class per instance (row-wise inverse CDF).
         wanted = inverse_cdf_classes(priors, u[:, 0], top=top_class)
 
-        # Concept per instance: mix old/new during transitions; local drifts
-        # keep non-drifted classes on the old concept for the whole segment.
-        use_new = u[:, 1] < p_new
-        for r in range(run_starts.shape[0] - 1):
-            lo, hi = int(run_starts[r]), int(run_starts[r + 1])
-            index = int(segment_index[lo])
-            drifted = segments[index].drifted_classes
-            if index and drifted is not None and self._concepts[index] != self._concepts[index - 1]:
-                use_new[lo:hi] &= np.isin(wanted[lo:hi], drifted)
+        # Concept per instance: the wanted class's previous or new concept,
+        # mixed during transitions (a class the segment does not move has
+        # the same concept on both sides).
+        concepts = np.where(
+            u[:, 1] < p_new,
+            self._concepts[segment_index, wanted],
+            self._previous_concepts[segment_index, wanted],
+        ).tolist()
 
         features = np.empty((n, self.n_features))
         labels = np.empty(n, dtype=np.int64)
         for i in range(n):
             index = int(segment_index[i])
-            concept = self._concepts[index]
-            if not use_new[i] and index:
-                concept = self._concepts[index - 1]
             try:
-                x, y = self._sampler(concept).sample(
+                x, y = self._sampler(concepts[i]).sample(
                     int(wanted[i]), allowed=segments[index].active_classes
                 )
             except StopIteration:

@@ -90,6 +90,39 @@ class TestDeterminism:
         )
         assert [(f.rule, f.line) for f in findings] == [("determinism", 3)]
 
+    def test_builtin_hash_bad_fixture(self, lint_source):
+        findings = lint_source(
+            """\
+            import builtins
+
+
+            def dataset_seed(name, seed):
+                salted = seed + hash(name) % 10_000
+                return salted, builtins.hash(name)
+            """,
+            [DeterminismRule()],
+        )
+        assert [(f.rule, f.line) for f in findings] == [
+            ("determinism", 5),
+            ("determinism", 6),
+        ]
+
+    def test_builtin_hash_good_fixture(self, lint_source):
+        """A stable digest is fine, and so is a module that rebinds ``hash``."""
+        findings = lint_source(
+            """\
+            import zlib
+            from hashlib import sha256 as hash
+
+
+            def dataset_seed(name, seed):
+                stable = seed + zlib.crc32(name.encode("utf-8")) % 10_000
+                return stable, hash(name.encode("utf-8")).hexdigest()
+            """,
+            [DeterminismRule()],
+        )
+        assert findings == []
+
 
 # -------------------------------------------------------------- strict-json
 class TestStrictJson:

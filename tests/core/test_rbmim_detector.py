@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from repro.core.detector import RBMIM, RBMIMConfig
-from repro.streams.drift import LocalDriftStream
 from repro.streams.generators import RandomRBFGenerator
+from repro.streams.schedule import Schedule, ScheduledStream, Segment
 
 
 def feed_stream(detector, stream, n):
@@ -140,12 +140,12 @@ class TestRBMIMDriftDetection:
                 n_classes=4, n_features=8, n_centroids=12, concept=concept, seed=5
             )
 
-        stream = LocalDriftStream(
-            generator_factory=factory,
-            old_concept=0,
-            new_concept=6,
-            drifted_classes=[2],
-            position=3000,
+        stream = ScheduledStream(
+            factory,
+            Schedule.of(
+                Segment(length=3000, concept=0),
+                Segment(length=3000, concept=6, drifted_classes=(2,)),
+            ),
             seed=9,
         )
         detector = make_detector(8, 4, batch_size=25)

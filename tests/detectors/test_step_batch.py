@@ -11,17 +11,27 @@ import pytest
 
 from repro.core.detector import RBMIM, RBMIMConfig
 from repro.detectors import ADWIN, DDM, DDM_OCI, EDDM, FHDDM, PerfSim, RDDM, WSTD
-from repro.streams.drift import ConceptScheduleStream
 from repro.streams.generators import RandomRBFGenerator, SEAGenerator
+from repro.streams.schedule import Schedule, ScheduledStream, Segment
 
 
 @pytest.fixture(scope="module")
 def drifting_data():
     """A stream with two sudden drifts plus a synthetic prediction stream."""
-    generator = RandomRBFGenerator(
-        n_classes=4, n_features=8, n_centroids=12, seed=3
+    def factory(concept):
+        return RandomRBFGenerator(
+            n_classes=4, n_features=8, n_centroids=12, concept=concept, seed=3
+        )
+
+    stream = ScheduledStream(
+        factory,
+        Schedule.of(
+            Segment(length=1_500, concept=0),
+            Segment(length=1_500, concept=6),
+            Segment(length=1_500, concept=2),
+        ),
+        seed=0,
     )
-    stream = ConceptScheduleStream(generator, [(0, 0), (1_500, 6), (3_000, 2)])
     features, labels = stream.generate_batch(4_500)
     rng = np.random.default_rng(0)
     predictions = np.where(

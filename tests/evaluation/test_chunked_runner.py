@@ -16,10 +16,10 @@ from repro.core.detector import RBMIM, RBMIMConfig
 from repro.detectors import DDM_OCI, FHDDM
 from repro.evaluation.grid import ExperimentGrid
 from repro.evaluation.prequential import PrequentialRunner
-from repro.streams.drift import LocalDriftStream
 from repro.streams.generators import RandomRBFGenerator
-from repro.streams.imbalance import ImbalancedStream, StaticImbalance
+from repro.streams.imbalance import StaticImbalance
 from repro.streams.scenarios import ScenarioStream, make_artificial_stream
+from repro.streams.schedule import Schedule, ScheduledStream, Segment
 
 N_INSTANCES = 4_000
 
@@ -29,26 +29,30 @@ def nb_factory(n_features, n_classes):
 
 
 def _drifting_scenario() -> ScenarioStream:
-    """Small Scenario-3 stream on which RBM-IM actually fires."""
+    """Small imbalanced stream with a sudden drift on which RBM-IM fires.
+
+    Every class drifts: on a class-3-only drift RBM-IM fired in 1 of 10
+    engine seeds at this length, too rarely to exercise drift resets.
+    """
 
     def factory(concept: int):
         return RandomRBFGenerator(
             n_classes=4, n_features=8, n_centroids=12, concept=concept, seed=3
         )
 
-    local = LocalDriftStream(
-        generator_factory=factory,
-        old_concept=0,
-        new_concept=6,
-        drifted_classes=[3],
-        position=2_000,
+    stream = ScheduledStream(
+        factory,
+        Schedule.of(
+            Segment(length=2_000, concept=0),
+            Segment(length=2_000, concept=6),
+        ),
+        imbalance=StaticImbalance(4, 10.0),
         seed=9,
     )
-    stream = ImbalancedStream(local, StaticImbalance(4, 10.0), seed=2)
     return ScenarioStream(
         stream=stream,
-        drift_points=[2_000],
-        drifted_classes=[[3]],
+        drift_points=stream.drift_points,
+        drifted_classes=stream.drifted_classes,
         name="chunked-parity-scenario",
         n_instances=N_INSTANCES,
     )

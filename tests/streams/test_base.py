@@ -59,9 +59,10 @@ class TestStreamSchema:
 class _ConstantStream(DataStream):
     """Minimal concrete stream for exercising the base-class machinery."""
 
-    def _generate(self) -> Instance:
-        value = float(self._rng.random())
-        return Instance(x=np.array([value, value]), y=self._position % 2)
+    def _generate_batch(self, n: int) -> tuple[np.ndarray, np.ndarray]:
+        values = self._rng.random(n)
+        labels = (self._position + np.arange(n)) % 2
+        return np.column_stack([values, values]), labels.astype(np.int64)
 
 
 class TestDataStream:
@@ -102,6 +103,13 @@ class TestDataStream:
         assert stream.n_features == 2
         assert stream.n_classes == 2
         assert stream.name == "const"
+
+    def test_batch_hook_is_required(self):
+        class _NoHook(DataStream):
+            pass
+
+        with pytest.raises(TypeError):
+            _NoHook(StreamSchema(n_features=2, n_classes=2))
 
 
 class TestListStream:

@@ -1,23 +1,20 @@
-"""Seeded batch/instance equivalence for every generator and wrapper.
+"""Seeded batch/instance equivalence for every generator and scheduled stream.
 
 The batch-first contract: for a fixed seed, ``generate_batch(n)`` must be
 bit-identical to ``n`` calls of ``next_instance()``, and to any split of the
 same ``n`` instances across several smaller batches.  These tests pin that
 contract for all ten generators (in noisy and noiseless configurations, and
 with the sequential-state variants like the drifting hyperplane and moving
-RBF centroids) and for the drift/imbalance/scenario wrappers.
+RBF centroids) and for the schedule engine: sudden, gradual and incremental
+transitions, concept schedules, recurring and local drift, imbalance
+profiles, every scenario family, a composed schedule, a real-world
+surrogate, and finite sources that run dry mid-transition.
 """
 
 import numpy as np
 import pytest
 
-from repro.streams.base import DataStream
-from repro.streams.drift import (
-    ConceptDriftStream,
-    ConceptScheduleStream,
-    LocalDriftStream,
-    RecurringDriftStream,
-)
+from repro.streams.base import DataStream, Instance, ListStream
 from repro.streams.generators import (
     AgrawalGenerator,
     HyperplaneGenerator,
@@ -30,11 +27,7 @@ from repro.streams.generators import (
     StaggerGenerator,
     WaveformGenerator,
 )
-from repro.streams.imbalance import (
-    DynamicImbalance,
-    ImbalancedStream,
-    RoleSwitchingImbalance,
-)
+from repro.streams.imbalance import DynamicImbalance, RoleSwitchingImbalance
 from repro.streams.real_world import real_world_stream
 from repro.streams.scenarios import (
     make_artificial_stream,
@@ -84,51 +77,62 @@ def _rbf(seed, concept=0):
     )
 
 
-WRAPPER_FACTORIES = {
-    "concept-drift-sudden": lambda seed: ConceptDriftStream(
-        SEAGenerator(n_classes=3, seed=seed),
-        SEAGenerator(n_classes=3, concept=2, seed=seed + 1),
-        position=100,
-        kind="sudden",
+def _sea_drift(seed, transition, width=0):
+    """SEA concept 0 until row 100, then concept 2 via ``transition``."""
+    return ScheduledStream(
+        lambda concept: SEAGenerator(n_classes=3, concept=concept, seed=seed + concept),
+        Schedule.of(
+            Segment(length=100, concept=0),
+            Segment(length=300, concept=2, transition=transition, width=width),
+        ),
         seed=seed + 2,
+    )
+
+
+SCHEDULED_FACTORIES = {
+    "concept-drift-sudden": lambda seed: _sea_drift(seed, "sudden"),
+    "concept-drift-gradual": lambda seed: _sea_drift(seed, "gradual", width=200),
+    "concept-drift-incremental": lambda seed: _sea_drift(
+        seed, "incremental", width=200
     ),
-    "concept-drift-gradual": lambda seed: ConceptDriftStream(
-        SEAGenerator(n_classes=3, seed=seed),
-        SEAGenerator(n_classes=3, concept=2, seed=seed + 1),
-        position=100,
-        width=200,
-        kind="gradual",
-        seed=seed + 2,
-    ),
-    "concept-drift-incremental": lambda seed: ConceptDriftStream(
-        SEAGenerator(n_classes=3, seed=seed),
-        SEAGenerator(n_classes=3, concept=2, seed=seed + 1),
-        position=100,
-        width=200,
-        kind="incremental",
-        seed=seed + 2,
-    ),
-    "schedule": lambda seed: ConceptScheduleStream(
-        _rbf(seed), [(0, 0), (150, 1), (290, 2)], seed=seed + 1
-    ),
-    "recurring": lambda seed: RecurringDriftStream(
-        _rbf(seed), [0, 1, 2], period=110, seed=seed + 1
-    ),
-    "local-drift": lambda seed: LocalDriftStream(
+    "schedule": lambda seed: ScheduledStream(
         lambda concept: _rbf(seed, concept),
-        old_concept=0,
-        new_concept=1,
-        drifted_classes=[2, 3],
-        position=80,
-        width=150,
+        Schedule.of(
+            Segment(length=150, concept=0),
+            Segment(length=140, concept=1),
+            Segment(length=110, concept=2),
+        ),
         seed=seed + 1,
     ),
-    "imbalanced-dynamic": lambda seed: ImbalancedStream(
-        _rbf(seed), DynamicImbalance(4, 2.0, 25.0, period=300), seed=seed + 1
+    "recurring": lambda seed: ScheduledStream(
+        lambda concept: _rbf(seed, concept),
+        Schedule.recurring([0, 1, 2], period=110, n_periods=4),
+        seed=seed + 1,
     ),
-    "imbalanced-roles": lambda seed: ImbalancedStream(
-        _rbf(seed),
-        RoleSwitchingImbalance(4, 2.0, 25.0, period=300, switch_period=130),
+    "local-drift": lambda seed: ScheduledStream(
+        lambda concept: _rbf(seed, concept),
+        Schedule.of(
+            Segment(length=80, concept=0),
+            Segment(
+                length=320,
+                concept=1,
+                drifted_classes=(2, 3),
+                transition="gradual",
+                width=150,
+            ),
+        ),
+        seed=seed + 1,
+    ),
+    "imbalanced-dynamic": lambda seed: ScheduledStream(
+        lambda concept: _rbf(seed, concept),
+        Schedule.of(Segment(length=N_CHECK)),
+        imbalance=DynamicImbalance(4, 2.0, 25.0, period=300),
+        seed=seed + 1,
+    ),
+    "imbalanced-roles": lambda seed: ScheduledStream(
+        lambda concept: _rbf(seed, concept),
+        Schedule.of(Segment(length=N_CHECK)),
+        imbalance=RoleSwitchingImbalance(4, 2.0, 25.0, period=300, switch_period=130),
         seed=seed + 1,
     ),
     "scenario1": lambda seed: make_artificial_stream(
@@ -174,7 +178,7 @@ WRAPPER_FACTORIES = {
     ).stream,
 }
 
-ALL_FACTORIES = {**GENERATOR_FACTORIES, **WRAPPER_FACTORIES}
+ALL_FACTORIES = {**GENERATOR_FACTORIES, **SCHEDULED_FACTORIES}
 
 
 def _materialise_instances(stream: DataStream, n: int):
@@ -228,31 +232,36 @@ class TestBatchInstanceParity:
 
 
 class TestFiniteSourceExhaustion:
-    """A finite source exhausting mid-batch must never lose drawn data."""
+    """A finite source exhausting mid-transition must never lose drawn data."""
 
     @staticmethod
     def _make(n_base, n_drift):
-        from repro.streams.base import Instance, ListStream
+        # Row i of concept c has both features 1000 * c + i and label i % 2,
+        # so every emitted row names its source and its source row.
+        sizes = {0: n_base, 1: n_drift}
 
-        base = ListStream(
-            [Instance(x=np.full(2, float(i)), y=0) for i in range(n_base)]
-        )
-        drift = ListStream(
-            [Instance(x=np.full(2, 1000.0 + i), y=1) for i in range(n_drift)]
-        )
-        return ConceptDriftStream(
-            base, drift, position=0, width=12, kind="gradual", seed=0
+        def factory(concept):
+            return ListStream(
+                [
+                    Instance(x=np.full(2, 1000.0 * concept + i), y=i % 2)
+                    for i in range(sizes[concept])
+                ]
+            )
+
+        return ScheduledStream(
+            factory,
+            Schedule.of(
+                Segment(length=1, concept=0),
+                Segment(length=60, concept=1, transition="gradual", width=12),
+            ),
+            seed=0,
         )
 
     @pytest.mark.parametrize("n_base,n_drift", [(8, 30), (3, 200), (30, 4)])
     def test_batch_matches_instances_even_when_finite(self, n_base, n_drift):
-        # Regression: a truncated batch used to (a) drop rows already drawn
-        # from the still-healthy source and (b) redraw concept-choice
-        # uniforms for already-decided positions, so the batch path emitted a
-        # different (much longer) stream than the per-instance path.
         instance_stream = self._make(n_base, n_drift)
         instances = instance_stream.take(1_000)
-        inst_x = np.vstack([i.x for i in instances]) if instances else None
+        inst_x = np.vstack([i.x for i in instances])
 
         batch_stream = self._make(n_base, n_drift)
         chunks = []
@@ -269,11 +278,17 @@ class TestFiniteSourceExhaustion:
         np.testing.assert_array_equal(
             batch_y, np.asarray([i.y for i in instances])
         )
-        # Emitted rows are gapless prefixes of each source.
-        drift_values = batch_x[batch_y == 1][:, 0]
-        np.testing.assert_array_equal(
-            drift_values, 1000.0 + np.arange(drift_values.shape[0])
-        )
+        # Every emitted row is a distinct source row under its own label.
+        concept, row = np.divmod(batch_x[:, 0].astype(np.int64), 1000)
+        np.testing.assert_array_equal(batch_y, row % 2)
+        assert len(set(zip(concept.tolist(), row.tolist()))) == batch_y.shape[0]
+        # The stream ends only once the source it needed is spent: every row
+        # of that source was emitted, none left behind in a class buffer.
+        spent = [
+            c for c, size in ((0, n_base), (1, n_drift))
+            if np.array_equal(np.sort(row[concept == c]), np.arange(size))
+        ]
+        assert spent
 
     def test_exhaustion_is_terminal_for_both_paths(self):
         stream = self._make(n_base=3, n_drift=200)

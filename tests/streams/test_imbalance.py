@@ -1,4 +1,4 @@
-"""Unit tests for imbalance profiles and the re-sampling wrapper."""
+"""Unit tests for imbalance profiles and the skew they give a scheduled stream."""
 
 import numpy as np
 import pytest
@@ -6,12 +6,12 @@ import pytest
 from repro.streams.generators import RandomRBFGenerator
 from repro.streams.imbalance import (
     DynamicImbalance,
-    ImbalancedStream,
     RoleSwitchingImbalance,
     StaticImbalance,
     geometric_priors,
     geometric_priors_batch,
 )
+from repro.streams.schedule import DriftEvent, Schedule, ScheduledStream, Segment
 
 
 class TestGeometricPriors:
@@ -100,9 +100,9 @@ class TestRoleSwitchingImbalance:
 class TestBatchPriorEvaluation:
     """The vectorized profile path must be bit-identical to the scalar one.
 
-    The schedule engine and the imbalance wrapper both evaluate profiles in
-    batch; a single ULP of divergence from the scalar path could flip an
-    inverse-CDF class choice and silently break batch/instance parity.
+    The schedule engine evaluates profiles in batch; a single ULP of
+    divergence from the scalar path could flip an inverse-CDF class choice
+    and silently break batch/instance parity.
     """
 
     PROFILES = {
@@ -137,64 +137,67 @@ class TestBatchPriorEvaluation:
             geometric_priors_batch(3, np.array([0.5]))
 
 
-class TestImbalancedStream:
-    def _base(self, seed=0):
-        return RandomRBFGenerator(n_classes=4, n_features=5, n_centroids=8, seed=seed)
+class TestScheduledImbalance:
+    @staticmethod
+    def _stream(profile, seed, schedule=None):
+        def factory(concept):
+            return RandomRBFGenerator(
+                n_classes=4, n_features=5, n_centroids=8, concept=concept, seed=0
+            )
 
-    def test_empirical_skew_tracks_profile(self):
-        profile = StaticImbalance(4, 20.0)
-        stream = ImbalancedStream(self._base(), profile, seed=1)
-        labels = np.asarray([inst.y for inst in stream.take(4000)])
-        counts = np.bincount(labels, minlength=4).astype(float)
-        # Majority (class 0) should dominate the smallest class by roughly the
-        # requested factor (allow generous tolerance for sampling noise).
-        assert counts[0] / max(counts[3], 1.0) > 5.0
+        return ScheduledStream(
+            factory,
+            schedule or Schedule.of(Segment(length=4_000)),
+            imbalance=profile,
+            seed=seed,
+        )
 
     def test_schema_preserved(self):
-        stream = ImbalancedStream(self._base(), StaticImbalance(4, 10.0), seed=0)
+        stream = self._stream(StaticImbalance(4, 10.0), seed=0)
         assert stream.n_classes == 4
         assert stream.n_features == 5
 
-    def test_profile_mismatch_rejected(self):
-        with pytest.raises(ValueError):
-            ImbalancedStream(self._base(), StaticImbalance(3, 10.0))
-
     def test_restart_reproduces_sequence(self):
-        stream = ImbalancedStream(self._base(), StaticImbalance(4, 10.0), seed=4)
-        first = [(inst.x.copy(), inst.y) for inst in stream.take(100)]
+        stream = self._stream(DynamicImbalance(4, 2.0, 30.0, period=80), seed=4)
+        first_x, first_y = stream.generate_batch(100)
         stream.restart()
-        second = [(inst.x.copy(), inst.y) for inst in stream.take(100)]
-        for (xa, ya), (xb, yb) in zip(first, second):
-            np.testing.assert_array_equal(xa, xb)
-            assert ya == yb
+        second_x, second_y = stream.generate_batch(100)
+        np.testing.assert_array_equal(first_x, second_x)
+        np.testing.assert_array_equal(first_y, second_y)
 
-    def test_propagates_drift_points(self):
-        from repro.streams.drift import ConceptScheduleStream
-
-        generator = self._base()
-        drifting = ConceptScheduleStream(generator, [(0, 0), (500, 1)])
-        stream = ImbalancedStream(drifting, StaticImbalance(4, 10.0), seed=0)
+    def test_profile_adds_no_drift_points(self):
+        schedule = Schedule.of(Segment(500, concept=0), Segment(500, concept=1))
+        stream = self._stream(
+            RoleSwitchingImbalance(4, 2.0, 20.0, period=300, switch_period=100),
+            seed=0,
+            schedule=schedule,
+        )
+        # Prior changes driven by the profile are not concept drifts.
         assert stream.drift_points == [500]
+        assert stream.events == [DriftEvent(500, "real")]
 
-    def test_finite_base_exhaustion_is_chunk_exact_and_terminal(self):
-        # Regression: a finite base exhausting mid-batch used to let
-        # StopIteration escape generate_batch, and fresh uniforms were drawn
-        # for positions whose class choice had already been decided — so the
-        # batch path diverged from per-instance iteration at the truncation.
+    def test_finite_source_exhaustion_is_chunk_exact_and_terminal(self):
+        # A finite source exhausting mid-batch must not let StopIteration
+        # escape generate_batch, nor draw fresh uniforms for positions whose
+        # class choice was already decided.
         from repro.streams.base import Instance, ListStream
 
         def make():
             rng = np.random.default_rng(7)
-            base = ListStream(
+            source = ListStream(
                 [
                     Instance(x=rng.random(3), y=int(rng.integers(3)))
                     for _ in range(60)
                 ]
             )
-            return ImbalancedStream(base, StaticImbalance(3, 8.0), seed=5)
+            return ScheduledStream(
+                lambda concept: source,
+                Schedule.of(Segment(length=100)),
+                imbalance=StaticImbalance(3, 8.0),
+                seed=5,
+            )
 
-        instance_stream = make()
-        instances = instance_stream.take(1_000)
+        instances = make().take(1_000)
         inst_x = np.vstack([i.x for i in instances])
         inst_y = np.asarray([i.y for i in instances])
 
@@ -208,6 +211,7 @@ class TestImbalancedStream:
         batch_x = np.vstack([f for f, _ in chunks])
         batch_y = np.concatenate([y for _, y in chunks])
 
+        assert 0 < batch_x.shape[0] <= 60
         assert batch_x.shape == inst_x.shape
         np.testing.assert_array_equal(batch_x, inst_x)
         np.testing.assert_array_equal(batch_y, inst_y)
@@ -215,15 +219,19 @@ class TestImbalancedStream:
         assert batch_stream.generate_batch(4)[1].shape[0] == 0
         assert batch_stream.take(4) == []
 
+    def test_empirical_skew_tracks_profile(self):
+        stream = self._stream(StaticImbalance(4, 20.0), seed=1)
+        labels = np.asarray([inst.y for inst in stream.take(4000)])
+        counts = np.bincount(labels, minlength=4).astype(float)
+        # Majority (class 0) should dominate the smallest class by roughly the
+        # requested factor (allow generous tolerance for sampling noise).
+        assert counts[0] / max(counts[3], 1.0) > 5.0
+
     def test_profile_position_identical_for_empty_and_tiny_chunks(self):
         # The profile must be evaluated at the same emitted position whatever
         # mix of empty, size-1, and larger chunks got the stream there.
         def make():
-            return ImbalancedStream(
-                self._base(),
-                DynamicImbalance(4, 2.0, 40.0, period=50),
-                seed=9,
-            )
+            return self._stream(DynamicImbalance(4, 2.0, 40.0, period=50), seed=9)
 
         reference = make()
         ref_x, ref_y = reference.generate_batch(60)
@@ -240,7 +248,7 @@ class TestImbalancedStream:
         profile = RoleSwitchingImbalance(
             4, min_ratio=5.0, max_ratio=20.0, period=4000, switch_period=1000
         )
-        stream = ImbalancedStream(self._base(), profile, seed=2)
+        stream = self._stream(profile, seed=2)
         first_block = np.bincount(
             [inst.y for inst in stream.take(900)], minlength=4
         )

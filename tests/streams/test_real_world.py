@@ -1,5 +1,10 @@
 """Unit tests for the Table I real-world surrogate streams."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from repro.streams.real_world import (
@@ -72,6 +77,31 @@ class TestSurrogateStreams:
         labels_a = [inst.y for inst in a.stream.take(200)]
         labels_b = [inst.y for inst in b.stream.take(200)]
         assert labels_a == labels_b
+
+    def test_deterministic_across_processes(self):
+        # Python salts str hashes per interpreter: two hash seeds stand in for
+        # two runs of the benchmark.
+        probe = (
+            "import hashlib\n"
+            "from repro.streams.real_world import real_world_stream\n"
+            "scenario = real_world_stream('Electricity', n_instances=200, seed=0)\n"
+            "X, y = scenario.stream.generate_batch(200)\n"
+            "print(hashlib.sha256(X.tobytes() + y.tobytes()).hexdigest())\n"
+        )
+        src = Path(__file__).resolve().parents[2] / "src"
+        digests = []
+        for hash_seed in ("1", "2"):
+            env = {**os.environ, "PYTHONHASHSEED": hash_seed, "PYTHONPATH": str(src)}
+            result = subprocess.run(
+                [sys.executable, "-c", probe],
+                env=env,
+                capture_output=True,
+                text=True,
+                timeout=120,
+                check=True,
+            )
+            digests.append(result.stdout.strip())
+        assert digests[0] == digests[1]
 
     def test_surrogate_flag_in_metadata(self):
         scenario = real_world_stream("Crimes", n_instances=500, seed=0)

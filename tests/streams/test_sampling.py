@@ -1,0 +1,191 @@
+"""Unit tests for the schedule engine's sampling plumbing.
+
+Covers the three parity-critical pieces of :mod:`repro.streams.sampling`:
+the row-wise inverse-CDF class choice, the uniform replay buffer, and the
+class-conditional rejection sampler with its deterministic fallback chain.
+"""
+
+import numpy as np
+import pytest
+
+from repro.core.snapshot import Snapshotable
+from repro.streams.base import DataStream, Instance, ListStream, StreamSchema
+from repro.streams.generators import RandomRBFGenerator
+from repro.streams.sampling import (
+    ClassConditionalSampler,
+    UniformReplayBuffer,
+    inverse_cdf_classes,
+)
+
+
+def _sampler(stream, max_buffer=32, max_draws=64, block_size=8):
+    return ClassConditionalSampler(
+        stream,
+        stream.n_classes,
+        max_buffer=max_buffer,
+        max_draws=max_draws,
+        block_size=block_size,
+    )
+
+
+def _labelled(labels, n_classes=4):
+    """Finite source whose row i has feature ``i`` and label ``labels[i]``."""
+    return ListStream(
+        [Instance(x=np.array([float(i)]), y=int(y)) for i, y in enumerate(labels)],
+        schema=StreamSchema(n_features=1, n_classes=n_classes),
+    )
+
+
+class _SingleClassSource(DataStream):
+    """Endless source that only ever emits class 0."""
+
+    def __init__(self) -> None:
+        super().__init__(StreamSchema(n_features=1, n_classes=3), seed=0)
+
+    def _generate_batch(self, n: int) -> tuple[np.ndarray, np.ndarray]:
+        rows = self._position + np.arange(n, dtype=np.float64)
+        return rows[:, None], np.zeros(n, dtype=np.int64)
+
+
+class TestInverseCdfClasses:
+    def test_matches_per_row_searchsorted(self):
+        rng = np.random.default_rng(0)
+        priors = rng.dirichlet(np.ones(5), size=200)
+        u = rng.random(200)
+        chosen = inverse_cdf_classes(priors, u, top=np.full(200, 4))
+        expected = [
+            min(int(np.searchsorted(np.cumsum(row), value, side="right")), 4)
+            for row, value in zip(priors, u)
+        ]
+        np.testing.assert_array_equal(chosen, expected)
+
+    def test_clips_to_the_top_class(self):
+        # A CDF that falls short of 1 must not select past the last class.
+        priors = np.array([[0.3, 0.3, 0.3]])
+        assert inverse_cdf_classes(priors, np.array([0.95]), np.array([2]))[0] == 2
+
+    def test_clip_never_resurrects_a_masked_class(self):
+        priors = np.array([[0.4, 0.4, 0.0], [0.4, 0.4, 0.0]])
+        chosen = inverse_cdf_classes(priors, np.array([0.9, 0.1]), np.array([1, 1]))
+        np.testing.assert_array_equal(chosen, [1, 0])
+
+
+class TestUniformReplayBuffer:
+    def test_take_draws_fresh_rows_from_the_rng(self):
+        buffer = UniformReplayBuffer(columns=4)
+        rows = buffer.take(6, np.random.default_rng(3))
+        np.testing.assert_array_equal(rows, np.random.default_rng(3).random((6, 4)))
+
+    def test_stashed_rows_replay_before_fresh_draws(self):
+        buffer = UniformReplayBuffer(columns=2)
+        rng, twin = np.random.default_rng(5), np.random.default_rng(5)
+        first = buffer.take(5, rng)
+        buffer.stash(first[2:])
+        replayed = buffer.take(4, rng)
+        # Three stashed rows, then the row a twin RNG would draw sixth.
+        np.testing.assert_array_equal(replayed, twin.random((6, 2))[2:])
+
+    def test_partial_take_keeps_the_rest_pending(self):
+        buffer = UniformReplayBuffer(columns=1)
+        stashed = np.arange(5, dtype=np.float64)[:, None]
+        buffer.stash(stashed)
+        rng = np.random.default_rng(0)
+        np.testing.assert_array_equal(buffer.take(2, rng), stashed[:2])
+        np.testing.assert_array_equal(buffer.take(3, rng), stashed[2:])
+        np.testing.assert_array_equal(
+            buffer.take(1, rng), np.random.default_rng(0).random((1, 1))
+        )
+
+    def test_empty_stash_and_clear_leave_nothing_pending(self):
+        buffer = UniformReplayBuffer(columns=3)
+        buffer.stash(np.empty((0, 3)))
+        np.testing.assert_array_equal(
+            buffer.take(2, np.random.default_rng(1)),
+            np.random.default_rng(1).random((2, 3)),
+        )
+        buffer.stash(np.ones((4, 3)))
+        buffer.clear()
+        np.testing.assert_array_equal(
+            buffer.take(2, np.random.default_rng(1)),
+            np.random.default_rng(1).random((2, 3)),
+        )
+
+    def test_snapshot_round_trips_pending_rows(self):
+        buffer = UniformReplayBuffer(columns=2)
+        buffer.stash(np.array([[0.1, 0.2], [0.3, 0.4]]))
+        clone = Snapshotable.from_snapshot(buffer.snapshot())
+        rng = np.random.default_rng(0)
+        np.testing.assert_array_equal(
+            clone.take(2, rng), np.array([[0.1, 0.2], [0.3, 0.4]])
+        )
+
+
+class TestClassConditionalSampler:
+    def test_returns_requested_class(self):
+        sampler = _sampler(RandomRBFGenerator(n_classes=4, n_features=5, seed=0))
+        for wanted in (2, 0, 3, 1, 2):
+            _, label = sampler.sample(wanted)
+            assert label == wanted
+
+    def test_buffers_other_classes_and_serves_newest_first(self):
+        sampler = _sampler(_labelled([1, 1, 0, 2]))
+        x, y = sampler.sample(0)
+        assert (float(x[0]), y) == (2.0, 0)
+        # Rows 0 and 1 were buffered on the way; the newer one comes first.
+        assert [float(sampler.sample(1)[0][0]) for _ in range(2)] == [1.0, 0.0]
+
+    def test_unreachable_class_falls_back_to_fullest_buffer(self):
+        sampler = _sampler(_labelled([1, 2, 2, 1, 2, 0] * 4), max_draws=6)
+        x, y = sampler.sample(3)
+        # Six draws buffer three rows of class 2, two of 1 and one of 0.
+        assert (float(x[0]), y) == (4.0, 2)
+
+    def test_fallback_ties_break_toward_lowest_class(self):
+        sampler = _sampler(_labelled([2, 1, 2, 1] * 4), max_draws=4)
+        _, y = sampler.sample(3)
+        assert y == 1
+
+    def test_no_draw_budget_emits_the_raw_source_row(self):
+        sampler = _sampler(_labelled([2, 1, 0, 3]), max_draws=0)
+        x, y = sampler.sample(0)
+        assert (float(x[0]), y) == (0.0, 2)
+
+    def test_allowed_classes_restrict_the_fallback(self):
+        sampler = _sampler(_labelled([0, 0, 0, 2, 0, 0, 1] * 3), max_draws=3)
+        x, y = sampler.sample(3, allowed=(1, 2))
+        # The three class-0 rows fill the fullest buffer, but class 0 is not
+        # allowed: the sampler keeps drawing until an allowed row appears.
+        assert (float(x[0]), y) == (3.0, 2)
+
+    def test_source_without_allowed_classes_fails_loudly(self):
+        sampler = _sampler(_SingleClassSource(), max_draws=4, block_size=256)
+        with pytest.raises(RuntimeError, match="active"):
+            sampler.sample(1, allowed=(1, 2))
+
+    def test_exhausted_source_serves_buffers_before_stopping(self):
+        sampler = _sampler(_labelled([1, 2, 1]), max_draws=100)
+        served = [sampler.sample(0) for _ in range(3)]
+        # Class 0 never appears: each request falls back to the fullest
+        # buffer until the source is spent and every buffer is empty.
+        assert [(float(x[0]), y) for x, y in served] == [
+            (2.0, 1), (0.0, 1), (1.0, 2)
+        ]
+        with pytest.raises(StopIteration):
+            sampler.sample(0)
+
+    def test_source_is_read_in_whole_blocks(self):
+        stream = RandomRBFGenerator(n_classes=4, n_features=5, seed=1)
+        sampler = _sampler(stream, block_size=16)
+        sampler.sample(0)
+        assert stream.position == 16
+
+    def test_restart_clears_buffers_and_rewinds_source(self):
+        sampler = _sampler(RandomRBFGenerator(n_classes=4, n_features=5, seed=2))
+        requests = [3, 3, 0, 1, 3, 2, 2, 0]
+        first = [sampler.sample(c) for c in requests]
+        sampler.restart()
+        assert not any(sampler.buffers)
+        second = [sampler.sample(c) for c in requests]
+        for (xa, ya), (xb, yb) in zip(first, second):
+            np.testing.assert_array_equal(xa, xb)
+            assert ya == yb

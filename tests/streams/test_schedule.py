@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.streams.base import DataStream, StreamSchema
 from repro.streams.generators import RandomRBFGenerator
 from repro.streams.imbalance import DynamicImbalance, StaticImbalance
 from repro.streams.schedule import (
@@ -68,7 +69,9 @@ class TestScheduleGeometry:
         schedule = Schedule.of(
             Segment(10), Segment(10, concept=2), Segment(10), Segment(10, concept=0)
         )
-        assert schedule.resolved_concepts() == [0, 2, 2, 0]
+        np.testing.assert_array_equal(
+            schedule.class_concepts(2), [[0, 0], [2, 2], [2, 2], [0, 0]]
+        )
 
     def test_feature_shift_inheritance(self):
         schedule = Schedule.of(
@@ -78,13 +81,34 @@ class TestScheduleGeometry:
 
     def test_concept_sweep_helper(self):
         schedule = Schedule.concept_sweep(3, 100, transition="gradual", width=20)
-        assert schedule.resolved_concepts() == [0, 1, 2]
+        np.testing.assert_array_equal(schedule.class_concepts(1)[:, 0], [0, 1, 2])
         assert [s.width for s in schedule.segments] == [0, 20, 20]
 
     def test_recurring_helper_cycles(self):
         schedule = Schedule.recurring([0, 1], period=50, n_periods=4)
-        assert schedule.resolved_concepts() == [0, 1, 0, 1]
+        np.testing.assert_array_equal(schedule.class_concepts(1)[:, 0], [0, 1, 0, 1])
         assert schedule.drift_points() == [50, 100, 150]
+
+    def test_recurring_rejects_empty_concepts(self):
+        with pytest.raises(ValueError, match="concepts"):
+            Schedule.recurring([], period=10, n_periods=2)
+
+    def test_recurring_rejects_non_positive_period(self):
+        with pytest.raises(ValueError, match="positive"):
+            Schedule.recurring([0, 1], period=0, n_periods=2)
+        with pytest.raises(ValueError, match="positive"):
+            Schedule.recurring([0, 1], period=10, n_periods=0)
+
+    def test_concept_sweep_rejects_no_segments(self):
+        with pytest.raises(ValueError, match="n_segments"):
+            Schedule.concept_sweep(0, 100)
+
+    def test_initial_concept_is_not_a_drift(self):
+        schedule = Schedule.of(
+            Segment(300, concept=5), Segment(300, concept=6), Segment(300, concept=7)
+        )
+        np.testing.assert_array_equal(schedule.class_concepts(2)[:, 0], [5, 6, 7])
+        assert schedule.drift_points() == [300, 600]
 
 
 class TestGroundTruth:
@@ -129,6 +153,19 @@ class TestGroundTruth:
     def test_event_kind_validation(self):
         with pytest.raises(ValueError, match="kind"):
             DriftEvent(0, "weird")
+
+    def test_spreading_local_drift_names_the_classes_that_move(self):
+        schedule = Schedule.of(
+            Segment(100, concept=0),
+            Segment(100, concept=1, drifted_classes=(3,)),
+            Segment(100, concept=1),  # the rest of the classes follow
+        )
+        assert schedule.events(n_classes=4) == [
+            DriftEvent(100, "real", classes=(3,)),
+            DriftEvent(200, "real", classes=(0, 1, 2)),
+        ]
+        # Without n_classes the classes no segment names cannot be listed.
+        assert schedule.events()[1] == DriftEvent(200, "real")
 
 
 class TestScheduledStream:
@@ -269,6 +306,31 @@ class TestScheduledStream:
                 Schedule.of(Segment(10, active_classes=(0, 9))),
             )
 
+    def test_out_of_range_drifted_classes_rejected(self):
+        with pytest.raises(ValueError, match="out of range"):
+            ScheduledStream(
+                rbf_factory(n_classes=4),
+                Schedule.of(Segment(10), Segment(10, concept=1, drifted_classes=(4,))),
+            )
+
+    def test_rows_before_a_local_drift_are_untouched_by_it(self):
+        # A drift declared far ahead must not perturb a single row before it.
+        plain = ScheduledStream(
+            rbf_factory(), Schedule.of(Segment(10_000, concept=0)), seed=1
+        )
+        drifting = ScheduledStream(
+            rbf_factory(),
+            Schedule.of(
+                Segment(10_000, concept=0),
+                Segment(10, concept=1, drifted_classes=(2,)),
+            ),
+            seed=1,
+        )
+        plain_x, plain_y = plain.generate_batch(500)
+        drifting_x, drifting_y = drifting.generate_batch(500)
+        np.testing.assert_array_equal(plain_x, drifting_x)
+        np.testing.assert_array_equal(plain_y, drifting_y)
+
     def test_position_advances_across_paths(self):
         stream = self._stream()
         stream.generate_batch(17)
@@ -346,3 +408,174 @@ class TestFiniteSourceExhaustion:
         # Terminal for both paths afterwards.
         assert batch_stream.generate_batch(5)[1].shape[0] == 0
         assert batch_stream.take(5) == []
+
+
+class _ConceptSource(DataStream):
+    """Source whose only feature is its concept index; labels cycle."""
+
+    def __init__(self, concept: int) -> None:
+        super().__init__(StreamSchema(n_features=1, n_classes=4), seed=0)
+        self._concept = concept
+
+    def _generate_batch(self, n: int) -> tuple[np.ndarray, np.ndarray]:
+        labels = (self._position + np.arange(n)) % self.n_classes
+        return np.full((n, 1), float(self._concept)), labels.astype(np.int64)
+
+
+class TestLocalDriftPersists:
+    """A local drift moves only its classes, and the others stay put after it."""
+
+    @staticmethod
+    def _assert_class_concepts(schedule, expected):
+        """Each class emits only its expected concept in each 100-row segment."""
+        np.testing.assert_array_equal(schedule.class_concepts(4), expected)
+        stream = ScheduledStream(_ConceptSource, schedule, seed=0)
+        features, labels = stream.generate_batch(300)
+        for segment, row in enumerate(expected):
+            rows = slice(100 * segment, 100 * segment + 100)
+            emitted = [
+                set(features[rows][labels[rows] == c, 0].tolist()) for c in range(4)
+            ]
+            assert emitted == [{float(concept)} for concept in row], segment
+        return stream
+
+    def test_next_segment_keeps_undrifted_classes(self):
+        schedule = Schedule.of(
+            Segment(100, concept=0),
+            Segment(100, concept=1, drifted_classes=(2, 3)),
+            Segment(100),
+        )
+        stream = self._assert_class_concepts(
+            schedule, [[0, 0, 0, 0], [0, 0, 1, 1], [0, 0, 1, 1]]
+        )
+        assert stream.events == [DriftEvent(100, "real", classes=(2, 3))]
+
+    def test_second_local_drift_names_only_its_classes(self):
+        schedule = Schedule.of(
+            Segment(100, concept=0),
+            Segment(100, concept=4, drifted_classes=(3,)),
+            Segment(100, concept=8, drifted_classes=(2, 3)),
+        )
+        stream = self._assert_class_concepts(
+            schedule, [[0, 0, 0, 0], [0, 0, 0, 4], [0, 0, 8, 8]]
+        )
+        assert stream.events == [
+            DriftEvent(100, "real", classes=(3,)),
+            DriftEvent(200, "real", classes=(2, 3)),
+        ]
+        assert stream.drifted_classes == [[3], [2, 3]]
+
+
+class _ClassZeroSource(DataStream):
+    """Endless four-class source that only ever emits class 0 at the origin."""
+
+    def __init__(self) -> None:
+        super().__init__(StreamSchema(n_features=6, n_classes=4), seed=0)
+
+    def _generate_batch(self, n: int) -> tuple[np.ndarray, np.ndarray]:
+        return np.zeros((n, 6)), np.zeros(n, dtype=np.int64)
+
+
+class TestTransitions:
+    """Emitted concept per row follows each transition's declared shape."""
+
+    WIDTH = 2_000
+
+    @classmethod
+    def _new_concept_share(cls, transition, drifted_classes=None):
+        schedule = Schedule.of(
+            Segment(100, concept=0),
+            Segment(
+                3 * cls.WIDTH,
+                concept=1,
+                transition=transition,
+                width=cls.WIDTH,
+                drifted_classes=drifted_classes,
+            ),
+        )
+        stream = ScheduledStream(_ConceptSource, schedule, seed=3)
+        features, labels = stream.generate_batch(100 + 2 * cls.WIDTH)
+        return features[:, 0], labels
+
+    @classmethod
+    def _quarter_means(cls, probability):
+        offsets = np.arange(cls.WIDTH) / cls.WIDTH
+        return probability(offsets).reshape(4, -1).mean(axis=1)
+
+    def test_sudden_switches_at_the_segment_start(self):
+        concept, _ = self._new_concept_share("sudden")
+        assert set(concept[:100].tolist()) == {0.0}
+        assert set(concept[100:].tolist()) == {1.0}
+
+    def test_gradual_share_rises_linearly(self):
+        concept, _ = self._new_concept_share("gradual")
+        window = concept[100 : 100 + self.WIDTH].reshape(4, -1).mean(axis=1)
+        np.testing.assert_allclose(
+            window, self._quarter_means(lambda p: p), atol=0.05
+        )
+        assert set(concept[:100].tolist()) == {0.0}
+        assert set(concept[100 + self.WIDTH :].tolist()) == {1.0}
+
+    def test_incremental_share_is_sigmoidal(self):
+        concept, _ = self._new_concept_share("incremental")
+        window = concept[100 : 100 + self.WIDTH].reshape(4, -1).mean(axis=1)
+        sigmoid = self._quarter_means(
+            lambda p: 1.0 / (1.0 + np.exp(-4.0 * (2.0 * p - 1.0)))
+        )
+        np.testing.assert_allclose(window, sigmoid, atol=0.05)
+        # Slower than a linear mixture at the start, faster near the end.
+        assert window[0] < 0.1 and window[3] > 0.9
+        assert set(concept[100 + self.WIDTH :].tolist()) == {1.0}
+
+    def test_transition_leaves_unmoved_classes_alone(self):
+        concept, labels = self._new_concept_share("gradual", drifted_classes=(3,))
+        assert set(concept[labels != 3].tolist()) == {0.0}
+        moved = concept[labels == 3]
+        assert {0.0, 1.0} <= set(moved.tolist())
+
+    def test_unreachable_class_in_new_concept_falls_back_without_aborting(self):
+        # The new concept cannot produce the drifted classes at all; the
+        # sampler's fallback must keep the stream going, identically on both
+        # reading paths.
+        reference = rbf_factory()
+
+        def factory(concept):
+            return reference(concept) if concept == 0 else _ClassZeroSource()
+
+        def make():
+            return ScheduledStream(
+                factory,
+                Schedule.of(
+                    Segment(5, concept=0),
+                    Segment(200, concept=1, drifted_classes=(2, 3)),
+                ),
+                seed=3,
+                max_tries_per_draw=64,
+            )
+
+        instances = make().take(120)
+        batch_x, batch_y = make().generate_batch(120)
+        assert batch_y.shape[0] == 120
+        np.testing.assert_array_equal(batch_x, np.vstack([i.x for i in instances]))
+        np.testing.assert_array_equal(batch_y, [i.y for i in instances])
+        # Requests for the drifted classes were served by the new concept.
+        assert not np.isin(batch_y[5:], [2, 3]).any()
+        assert (np.abs(batch_x[5:]).sum(axis=1) == 0).any()
+
+
+class TestRecurringDrift:
+    @pytest.mark.parametrize("chunking", [[37, 80, 1, 113, 119], [350], [1] * 350])
+    def test_cycle_boundaries_exact_across_chunkings(self, chunking):
+        # Chunks crossing a cycle boundary mid-batch must switch concept at
+        # exactly the declared row, whatever the chunking.
+        stream = ScheduledStream(
+            _ConceptSource,
+            Schedule.recurring([0, 1, 2], period=110, n_periods=4),
+            seed=0,
+        )
+        parts = [stream.generate_batch(size)[0][:, 0] for size in chunking]
+        concept = np.concatenate(parts)
+        expected = (np.arange(350) // 110) % 3
+        np.testing.assert_array_equal(concept, expected)
+        assert stream.position == 350
+        assert stream.drift_points == [110, 220, 330]

@@ -1,12 +1,12 @@
-"""Snapshot/restore round-trips for streams, wrappers, and scenarios.
+"""Snapshot/restore round-trips for streams and scenarios.
 
 Streams are restore-in-place snapshotables: a snapshot loaded (after a
 strict-JSON round-trip, exactly what a persisted checkpoint goes through)
 into an *identically configured* instance must emit the bit-identical tail —
-generator RNG bit-state, pending-uniform replay buffers, schedule cursors,
-per-class sampler buffers and drift-wrapper carries included.  The scenario
-sweep below covers every registered scenario family, hence every generator
-and wrapper the protocol composes.
+generator RNG bit-state, pending-uniform replay buffers, list cursors and
+per-class sampler buffers included.  The scenario sweep below covers every
+registered scenario family, hence every generator and schedule feature the
+protocol composes.
 """
 
 from __future__ import annotations
