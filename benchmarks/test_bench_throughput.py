@@ -147,15 +147,18 @@ def measure_throughput(
     repeats: int = 3,
 ) -> dict[str, float]:
     """Best-of-``repeats`` instances/sec for every execution mode."""
-    runner = PrequentialRunner(
-        _nb_factory, pretrain_size=200, snapshot_every=2_500
-    )
+    runners = {
+        mode: PrequentialRunner(
+            _nb_factory, pretrain_size=200, snapshot_every=2_500, **kwargs
+        )
+        for mode, kwargs in MODES.items()
+    }
     # Modes are interleaved within each repeat (not run back-to-back per
     # mode) so a drift in machine load hits every mode alike instead of
     # biasing the speedup ratios; best-of-repeats then absorbs the noise.
     throughput: dict[str, float] = {mode: 0.0 for mode in MODES}
     for _ in range(repeats):
-        for mode, kwargs in MODES.items():
+        for mode, runner in runners.items():
             stream = SEAGenerator(
                 n_classes=n_classes, n_features=n_features, seed=1
             )
@@ -163,7 +166,7 @@ def measure_throughput(
                 n_features, n_classes, RBMIMConfig(batch_size=50, seed=11)
             )
             started = time.perf_counter()
-            runner.run(stream, detector, n_instances=n_instances, **kwargs)
+            runner.run(stream, detector, n_instances=n_instances)
             elapsed = time.perf_counter() - started
             throughput[mode] = max(throughput[mode], n_instances / elapsed)
     return throughput
@@ -182,33 +185,31 @@ def measure_detector_zoo(
     processed by total wall time per mode (so slow detectors dominate, as
     they do in the real protocol grid).
     """
-    runner = PrequentialRunner(_nb_factory, pretrain_size=200, snapshot_every=10**9)
     n_classes = ZOO_STREAM_SHAPE["n_classes"]
     n_features = ZOO_STREAM_SHAPE["n_features"]
     per_detector: dict[str, dict] = {}
     total_time = {"instance": 0.0, "chunk-exact": 0.0, "batch": 0.0}
-    zoo_modes = (
-        ("instance", {}),
-        ("chunk-exact", dict(chunk_size=1024)),
-        ("batch", dict(chunk_size=1024, batch_mode=True)),
-    )
+    runners = {
+        mode: PrequentialRunner(
+            _nb_factory, pretrain_size=200, snapshot_every=10**9, **kwargs
+        )
+        for mode, kwargs in MODES.items()
+    }
     for name in detectors:
         # Interleave modes within each repeat (see measure_throughput): load
         # drifts then bias every mode alike rather than one ratio.
-        best_time = {mode: math.inf for mode, _ in zoo_modes}
+        best_time = {mode: math.inf for mode in runners}
         for _ in range(repeats):
-            for mode, kwargs in zoo_modes:
+            for mode, runner in runners.items():
                 stream = SEAGenerator(seed=1, **ZOO_STREAM_SHAPE)
                 detector = build_detector(name, n_features, n_classes)
                 started = time.perf_counter()
-                runner.run(stream, detector, n_instances=n_instances, **kwargs)
+                runner.run(stream, detector, n_instances=n_instances)
                 best_time[mode] = min(
                     best_time[mode], time.perf_counter() - started
                 )
-        throughput = {
-            mode: n_instances / best_time[mode] for mode, _ in zoo_modes
-        }
-        for mode, _ in zoo_modes:
+        throughput = {mode: n_instances / best_time[mode] for mode in runners}
+        for mode in runners:
             total_time[mode] += best_time[mode]
         per_detector[name] = {
             "instances_per_sec": {
@@ -327,7 +328,9 @@ def measure_snapshot_overhead(
       against the ``deepcopy(detector.__dict__)`` it replaced in the
       chunk-exact rollback path.
     """
-    runner = PrequentialRunner(_nb_factory, pretrain_size=200, snapshot_every=2_500)
+    runner = PrequentialRunner(
+        _nb_factory, pretrain_size=200, snapshot_every=2_500, chunk_size=chunk_size
+    )
     best_time = {"plain": math.inf, "checkpointed": math.inf}
     with tempfile.TemporaryDirectory() as scratch:
         checkpoint = {
@@ -345,13 +348,7 @@ def measure_snapshot_overhead(
                 stream = SEAGenerator(n_classes=3, n_features=3, seed=1)
                 detector = RBMIM(3, 3, RBMIMConfig(batch_size=50, seed=11))
                 started = time.perf_counter()
-                runner.run(
-                    stream,
-                    detector,
-                    n_instances=n_instances,
-                    chunk_size=chunk_size,
-                    **kwargs,
-                )
+                runner.run(stream, detector, n_instances=n_instances, **kwargs)
                 best_time[mode] = min(
                     best_time[mode], time.perf_counter() - started
                 )
@@ -684,14 +681,16 @@ def profile_slowest_workload(n_instances: int = 10_000) -> Path:
     assert slowest is not None
     _, name, mode = slowest
     shape = WORKLOADS[name]
-    runner = PrequentialRunner(_nb_factory, pretrain_size=200, snapshot_every=2_500)
+    runner = PrequentialRunner(
+        _nb_factory, pretrain_size=200, snapshot_every=2_500, **MODES[mode]
+    )
     stream = SEAGenerator(seed=1, **shape)
     detector = RBMIM(
         shape["n_features"], shape["n_classes"], RBMIMConfig(batch_size=50, seed=11)
     )
     profiler = cProfile.Profile()
     profiler.enable()
-    runner.run(stream, detector, n_instances=n_instances, **MODES[mode])
+    runner.run(stream, detector, n_instances=n_instances)
     profiler.disable()
 
     buffer = io.StringIO()

@@ -77,8 +77,10 @@ def main() -> None:
           np.bincount(labels, minlength=5).tolist())
     stream.restart()
 
-    runner = PrequentialRunner(default_classifier_factory, pretrain_size=300)
-    result = runner.run(stream, FHDDM(), n_instances=N_INSTANCES, chunk_size=512)
+    runner = PrequentialRunner(
+        default_classifier_factory, pretrain_size=300, chunk_size=512
+    )
+    result = runner.run(stream, FHDDM(), n_instances=N_INSTANCES)
     print(f"\nFHDDM over {N_INSTANCES} instances: "
           f"pmAUC={result.pmauc:.3f}, pmGM={result.pmgm:.3f}")
     print(f"Alarms at: {result.detections}")

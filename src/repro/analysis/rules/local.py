@@ -453,7 +453,7 @@ class BroadExceptRule(Rule):
 
 # ------------------------------------------------------------ pickle safety
 class PickleSafetyRule(Rule):
-    """Cell tasks cross process/cluster boundaries (PR 8): a lambda or a
+    """Cell tasks cross process boundaries (PR 8): a lambda or a
     function defined inside another function cannot be pickled, and reaches
     the pool only to kill every cell at submit time.  Payload factories must
     be module-level callables (or ``functools.partial`` over them)."""
@@ -514,7 +514,7 @@ class PickleSafetyRule(Rule):
                     ctx,
                     value,
                     f"lambda passed into {target}(): lambdas cannot cross a "
-                    "process/cluster boundary; use a module-level function "
+                    "process boundary; use a module-level function "
                     "or functools.partial",
                 )
             elif isinstance(value, ast.Name) and value.id in local_callables:
@@ -522,7 +522,7 @@ class PickleSafetyRule(Rule):
                     ctx,
                     value,
                     f"locally-defined callable {value.id!r} passed into "
-                    f"{target}(): closures cannot cross a process/cluster "
+                    f"{target}(): closures cannot cross a process "
                     "boundary; hoist it to module level",
                 )
 

@@ -11,9 +11,9 @@ and any other component that persists results follow one write discipline:
 
 These helpers used to live as private functions inside the JSON results
 store; they are hoisted here (stdlib-only, no heavy imports) so every layer
-— including :meth:`repro.evaluation.grid.GridResult.save_json` — can share
-them without importing the protocol package.  The ``durability`` rule of
-:mod:`repro.analysis` enforces the pattern: any function calling
+— including :class:`repro.evaluation.checkpoint.RunnerCheckpoint` — can
+share them without importing the protocol package.  The ``durability`` rule
+of :mod:`repro.analysis` enforces the pattern: any function calling
 ``os.replace`` must also call :func:`fsync_dir` (or delegate to
 :func:`atomic_write_text`, which does).
 """

@@ -5,12 +5,7 @@ from repro.evaluation.experiment import (
     default_classifier_factory,
     paper_detector_factories,
 )
-from repro.evaluation.grid import (
-    ExperimentGrid,
-    GridCell,
-    GridCellResult,
-    GridResult,
-)
+from repro.evaluation.grid import GridCell, GridCellResult
 from repro.evaluation.prequential import PrequentialRunner, RunResult
 from repro.evaluation.results import ResultTable, format_series_table
 from repro.evaluation.stats import (
@@ -30,10 +25,8 @@ __all__ = [
     "compare_detectors",
     "default_classifier_factory",
     "paper_detector_factories",
-    "ExperimentGrid",
     "GridCell",
     "GridCellResult",
-    "GridResult",
     "PrequentialRunner",
     "RunResult",
     "ResultTable",

@@ -44,7 +44,6 @@ it with results bit-identical to an uninterrupted run.
 
 from __future__ import annotations
 
-import copy
 import time
 from collections import deque
 from dataclasses import dataclass, field
@@ -182,8 +181,6 @@ class PrequentialRunner:
         n_instances: int | None = None,
         detector_name: str | None = None,
         drift_tolerance: int = 2_000,
-        chunk_size: int | None = None,
-        batch_mode: bool | None = None,
         checkpoint_path: "str | Path | None" = None,
         checkpoint_every: int | None = None,
     ) -> RunResult:
@@ -199,9 +196,7 @@ class PrequentialRunner:
             baseline (classifier never reset).
         n_instances:
             Number of instances to process; defaults to the scenario's
-            recommended length or 10 000.
-        chunk_size, batch_mode:
-            Per-run overrides of the constructor's execution mode.
+            recommended length or 10 000; a finite stream may end sooner.
         checkpoint_path:
             When set, a :class:`~repro.evaluation.checkpoint.RunnerCheckpoint`
             is written atomically to this path at instance boundaries (chunk
@@ -226,8 +221,12 @@ class PrequentialRunner:
             stream_name = data_stream.name
         if n_instances is None:
             n_instances = 10_000
-        chunk = self._chunk_size if chunk_size is None else chunk_size
-        batched = self._batch_mode if batch_mode is None else batch_mode
+        chunk = self._chunk_size
+        batched = self._batch_mode
+        if chunk is not None and not batched and detector is not None:
+            # Chunk-exact mode rolls the detector back through snapshot() /
+            # restore() when a drift lands mid-chunk.
+            _require_snapshotable("chunk-exact mode", "detector", detector)
 
         state = _RunState(
             classifier=self._classifier_factory(
@@ -267,28 +266,24 @@ class PrequentialRunner:
                 ("detector", detector),
                 ("classifier", state.classifier),
             ):
-                if part is not None and not isinstance(part, Snapshotable):
-                    raise TypeError(
-                        f"checkpoint_path requires a Snapshotable {role}; "
-                        f"{type(part).__name__} does not implement the "
-                        "snapshot contract (repro.core.snapshot)"
-                    )
+                if part is not None:
+                    _require_snapshotable("checkpoint_path", role, part)
             checkpointer = _Checkpointer(
                 Path(checkpoint_path), every, meta, data_stream, detector
             )
             start_at = checkpointer.resume(state)
 
         if chunk is None:
-            self._run_instance_mode(
+            produced = self._run_instance_mode(
                 data_stream, detector, n_instances, state, start_at, checkpointer
             )
         elif batched:
-            self._run_batch_mode(
+            produced = self._run_batch_mode(
                 data_stream, detector, n_instances, chunk, state, start_at,
                 checkpointer,
             )
         else:
-            self._run_chunked_exact(
+            produced = self._run_chunked_exact(
                 data_stream, detector, n_instances, chunk, state, start_at,
                 checkpointer,
             )
@@ -311,7 +306,7 @@ class PrequentialRunner:
             drift_report=drift_report,
             detector_time=state.detector_time,
             classifier_time=state.classifier_time,
-            n_instances=n_instances,
+            n_instances=produced,
             snapshots=state.evaluator.snapshots,
         )
 
@@ -324,8 +319,11 @@ class PrequentialRunner:
         state: "_RunState",
         start_at: int = 0,
         checkpointer: "_Checkpointer | None" = None,
-    ) -> None:
-        """Classic loop: one Instance object at a time (baseline path)."""
+    ) -> int:
+        """Classic loop: one Instance object at a time (baseline path).
+
+        Returns the number of rows processed, resumed rows included.
+        """
         produced = start_at
         while produced < n_instances:
             try:
@@ -338,6 +336,7 @@ class PrequentialRunner:
             produced += 1
             if checkpointer is not None:
                 checkpointer.maybe_save(produced, state)
+        return produced
 
     def _run_chunked_exact(
         self,
@@ -348,7 +347,7 @@ class PrequentialRunner:
         state: "_RunState",
         start_at: int = 0,
         checkpointer: "_Checkpointer | None" = None,
-    ) -> None:
+    ) -> int:
         """Vectorized chunk-exact mode: bit-identical to instance mode.
 
         The per-instance recurrence only matters at two points — the
@@ -369,6 +368,7 @@ class PrequentialRunner:
         back and deterministically replayed up to the drift row, after which
         execution resumes behind the rebuilt classifier.  Detections, blamed
         classes, metrics, and snapshots are all identical to instance mode.
+        Returns the number of rows processed, resumed rows included.
         """
         produced = start_at
         pretrain = self._pretrain_size
@@ -420,6 +420,7 @@ class PrequentialRunner:
             produced += n_rows
             if checkpointer is not None:
                 checkpointer.maybe_save(produced, state)
+        return produced
 
     def _advance_exact_segment(
         self,
@@ -438,25 +439,11 @@ class PrequentialRunner:
         """
         n_rows = seg_y.shape[0]
         snapshot = None
-        native = isinstance(detector, Snapshotable)
         if detector is not None and n_rows > 1:
-            if native:
-                # The versioned snapshot contract skips the detector's scratch
-                # buffers (rebuilt on restore), so the rollback checkpoint is
-                # cheaper than the ``deepcopy(detector.__dict__)`` it replaced
-                # — and it is the same state model crash-resume uses.
-                snapshot = detector.snapshot()
-            else:
-                try:
-                    snapshot = copy.deepcopy(detector.__dict__)
-                except Exception:  # lint: disable=broad-except -- deepcopy of arbitrary third-party detector state can raise anything; any failure safely routes to the exact scalar path
-                    # Unsnapshottable detector state: fall back to the scalar
-                    # per-instance recurrence for the rest of this chunk.
-                    for i in range(n_rows):
-                        self._step_one(
-                            seg_x[i], int(seg_y[i]), seg_start + i, detector, state
-                        )
-                    return -1
+            # The versioned snapshot contract skips the detector's scratch
+            # buffers (rebuilt on restore), and it is the same state model
+            # crash-resume uses.
+            snapshot = detector.snapshot()
 
         start = time.perf_counter()
         scores = state.classifier.predict_fit_interleaved(seg_x, seg_y)
@@ -481,11 +468,7 @@ class PrequentialRunner:
         # the (about to be discarded) pre-drift classifier.
         row = int(drift_rows[0])
         if row != n_rows - 1:
-            if native:
-                detector.restore(snapshot)
-            else:
-                detector.__dict__.clear()
-                detector.__dict__.update(snapshot)
+            detector.restore(snapshot)
             start = time.perf_counter()
             detector.step_batch(
                 seg_x[: row + 1], seg_y[: row + 1], predictions[: row + 1]
@@ -514,8 +497,11 @@ class PrequentialRunner:
         state: "_RunState",
         start_at: int = 0,
         checkpointer: "_Checkpointer | None" = None,
-    ) -> None:
-        """Chunk-granular test-then-train over the batch APIs."""
+    ) -> int:
+        """Chunk-granular test-then-train over the batch APIs.
+
+        Returns the number of rows processed, resumed rows included.
+        """
         produced = start_at
         while produced < n_instances:
             features, labels = data_stream.generate_batch(
@@ -596,6 +582,7 @@ class PrequentialRunner:
             produced += n_rows
             if checkpointer is not None:
                 checkpointer.maybe_save(produced, state)
+        return produced
 
     # ------------------------------------------------------------ internals
     def _step_one(
@@ -665,6 +652,16 @@ class PrequentialRunner:
         for x, y in replay:
             classifier.partial_fit(x, int(y))
         return classifier
+
+
+def _require_snapshotable(purpose: str, role: str, part: object) -> None:
+    """Refuse ``part`` up front unless it implements the snapshot contract."""
+    if not isinstance(part, Snapshotable):
+        raise TypeError(
+            f"{purpose} requires a Snapshotable {role}; "
+            f"{type(part).__name__} does not implement the "
+            "snapshot contract (repro.core.snapshot)"
+        )
 
 
 @dataclass

@@ -14,8 +14,8 @@ This package wires the repo's layers into one runnable pipeline:
   append-only per-writer segments with atomic compaction into a sqlite
   index, for runs past one-file-per-cell scale;
 * :mod:`repro.protocol.backends` — the pluggable
-  :class:`ExecutionBackend` registry (``serial`` / ``thread`` / ``process``
-  / ``cluster``) the pipeline fans cells out over;
+  :class:`ExecutionBackend` registry (``serial`` / ``thread`` / ``process``)
+  the pipeline fans cells out over;
 * :mod:`repro.protocol.pipeline` — :class:`ProtocolPipeline`, the
   run/resume/status engine over the pluggable execution backends;
 * :mod:`repro.protocol.analysis` — folds stored records into the paper's
@@ -36,7 +36,6 @@ from repro.protocol.analysis import (
     render_report,
 )
 from repro.protocol.backends import (
-    ClusterBackend,
     ExecutionBackend,
     ProcessBackend,
     SerialBackend,
@@ -56,7 +55,6 @@ from repro.protocol.spec import ProtocolCell, ProtocolSpec, benchmark_name, buil
 from repro.protocol.store import ResultsStore, ResultsStoreProtocol
 
 __all__ = [
-    "ClusterBackend",
     "ExecutionBackend",
     "ProcessBackend",
     "SerialBackend",

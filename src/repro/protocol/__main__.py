@@ -20,9 +20,9 @@ paper > my_spec.json`` and edited freely.
 Scaling knobs: ``--store-format sharded`` selects the segment+index
 :class:`~repro.protocol.sharded_store.ShardedResultsStore` (the default
 ``auto`` recognises an existing sharded store by its layout, so the flag is
-only needed on the first ``run``); ``--backend cluster`` executes cells on a
-dask-style distributed cluster (``--cluster-address``) and **degrades to
-local execution with a warning** when no cluster is reachable.
+only needed on the first ``run``); ``--backend`` picks the ``serial``,
+``thread`` or ``process`` (default) execution backend and ``--workers`` its
+worker count.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ import sys
 from pathlib import Path
 
 from repro.protocol.analysis import analyze_records, render_report
-from repro.protocol.backends import backend_names, make_backend
+from repro.protocol.backends import backend_names
 from repro.protocol.pipeline import ProtocolPipeline
 from repro.protocol.sharded_store import ShardedResultsStore
 from repro.protocol.spec import ProtocolSpec
@@ -165,12 +165,6 @@ def _open_store(args: argparse.Namespace) -> ResultsStoreProtocol:
     return ResultsStore(path)
 
 
-def _make_backend(args: argparse.Namespace):
-    if args.backend == "cluster":
-        return make_backend("cluster", address=args.cluster_address)
-    return args.backend
-
-
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="python -m repro.protocol",
@@ -188,15 +182,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "--backend",
         choices=tuple(backend_names()),
         default="process",
-        help="execution backend (default: process).  'cluster' runs cells "
-        "on a dask-style distributed cluster and degrades to local "
-        "execution, with a warning, when no cluster is reachable",
-    )
-    run.add_argument(
-        "--cluster-address",
-        default=None,
-        help="scheduler address for --backend cluster "
-        "(e.g. tcp://host:8786; default: the client library's default)",
+        help="execution backend (default: process)",
     )
     run.add_argument(
         "--max-cells",
@@ -272,7 +258,7 @@ def _command_run(args: argparse.Namespace) -> int:
 
     summary = pipeline.run(
         max_workers=args.workers,
-        backend=_make_backend(args),
+        backend=args.backend,
         progress=None if args.quiet else progress,
         retry_failed=not args.no_retry_failed,
         max_cells=args.max_cells,

@@ -1,11 +1,9 @@
 """Pluggable execution backends for fanning out grid cell tasks.
 
-:func:`repro.evaluation.grid.run_cell_tasks` used to hard-code its three
-``concurrent.futures`` strategies; this module extracts them behind one
-:class:`ExecutionBackend` contract plus a registry, so
-:meth:`ProtocolPipeline.run(backend=...) <repro.protocol.pipeline.
-ProtocolPipeline.run>` and the ``python -m repro.protocol`` CLI select the
-execution strategy declaratively:
+Each strategy sits behind one :class:`ExecutionBackend` contract plus a
+registry, so :meth:`ProtocolPipeline.run(backend=...) <repro.protocol.
+pipeline.ProtocolPipeline.run>` and the ``python -m repro.protocol`` CLI
+select the execution strategy declaratively:
 
 * ``serial``  — in-process loop; deterministic ordering, easiest to debug;
 * ``thread``  — one :class:`~concurrent.futures.ThreadPoolExecutor`;
@@ -13,25 +11,15 @@ execution strategy declaratively:
   broken-pool recovery (a worker death poisons every future sharing the
   pool; innocents are resubmitted on a fresh pool, repeat offenders last,
   up to :data:`_MAX_BROKEN_RETRIES` broken pools per cell).  Payloads that
-  cannot be pickled degrade to ``thread`` with a :class:`RuntimeWarning`;
-* ``cluster`` — the dask-style client/cluster lifecycle: explicit
-  :meth:`~ClusterBackend.connect`, a worker health check before (and during)
-  the run, per-cell retry when a worker is lost mid-cell, results gathered
-  in completion order (finished cells persist immediately instead of
-  queueing behind earlier submissions), and **graceful degradation to local
-  execution** — a warning, never a failure — when no cluster is reachable.  The real client is ``distributed.Client`` when the
-  optional ``dask.distributed`` package is importable; any object with the
-  same ``submit`` / ``scheduler_info`` / ``close`` surface works, which is
-  also how the backend is tested without a cluster.
+  cannot be pickled degrade to ``thread`` with a :class:`RuntimeWarning`.
 
 Third parties register their own strategies with :func:`register_backend`;
-``run_cell_tasks`` and the pipeline accept either a registered name or an
+the pipeline accepts either a registered name or an
 :class:`ExecutionBackend` instance.
 """
 
 from __future__ import annotations
 
-import time
 import traceback
 import warnings
 from concurrent.futures import (
@@ -43,21 +31,13 @@ from concurrent.futures import (
 )
 from typing import Callable, Protocol, Sequence, runtime_checkable
 
-from repro.evaluation.grid import (
-    _MAX_BROKEN_RETRIES,
-    CellTask,
-    GridCellResult,
-    _execute_cell,
-    tasks_picklable,
-)
+from repro.evaluation.grid import CellTask, GridCellResult, _execute_cell
 
 __all__ = [
     "ExecutionBackend",
     "SerialBackend",
     "ThreadBackend",
     "ProcessBackend",
-    "ClusterBackend",
-    "WorkerLost",
     "register_backend",
     "backend_names",
     "make_backend",
@@ -65,6 +45,12 @@ __all__ = [
 ]
 
 Progress = Callable[[GridCellResult], None]
+
+#: Times a cell may be caught in a broken pool before it is written off.
+#: A crashing worker (OOM kill, native segfault) breaks *every* future
+#: sharing the pool, so innocent queued cells legitimately see one or two
+#: broken pools before they get a clean run of their own.
+_MAX_BROKEN_RETRIES = 2
 
 
 @runtime_checkable
@@ -88,11 +74,11 @@ class ExecutionBackend(Protocol):
 
 
 # --------------------------------------------------------------- registry
-_REGISTRY: dict[str, Callable[..., ExecutionBackend]] = {}
+_REGISTRY: dict[str, Callable[[], ExecutionBackend]] = {}
 
 
-def register_backend(name: str, factory: Callable[..., ExecutionBackend]) -> None:
-    """Register ``factory`` (``**options -> backend``) under ``name``."""
+def register_backend(name: str, factory: Callable[[], ExecutionBackend]) -> None:
+    """Register ``factory`` (``() -> backend``) under ``name``."""
     _REGISTRY[name] = factory
 
 
@@ -101,7 +87,7 @@ def backend_names() -> list[str]:
     return sorted(_REGISTRY)
 
 
-def make_backend(name: str, **options) -> ExecutionBackend:
+def make_backend(name: str) -> ExecutionBackend:
     """Instantiate the backend registered under ``name``."""
     try:
         factory = _REGISTRY[name]
@@ -109,7 +95,7 @@ def make_backend(name: str, **options) -> ExecutionBackend:
         raise ValueError(
             f"unknown backend {name!r} (registered: {', '.join(backend_names())})"
         ) from None
-    return factory(**options)
+    return factory()
 
 
 def resolve_backend(backend: "str | ExecutionBackend") -> ExecutionBackend:
@@ -233,6 +219,23 @@ class ThreadBackend:
         )
 
 
+def tasks_picklable(tasks: Sequence[CellTask]) -> bool:
+    """Whether every task's **full** payload can cross a process boundary.
+
+    Probes ``task.args()`` — the exact tuple a process worker receives — not
+    just the three factories: an unpicklable value hiding inside
+    ``runner_kwargs``/``run_kwargs`` would otherwise pass the probe and then
+    fail every cell at submit time on the process backend.
+    """
+    import pickle
+
+    try:
+        pickle.dumps(tuple(task.args() for task in tasks))
+    except Exception:  # noqa: BLE001 - any pickling failure means "no"
+        return False
+    return True
+
+
 class ProcessBackend:
     """One OS process per worker (NumPy-heavy cells scale with cores)."""
 
@@ -257,237 +260,6 @@ class ProcessBackend:
         )
 
 
-# ---------------------------------------------------------------- cluster
-class WorkerLost(RuntimeError):
-    """A cluster worker died while (or before) running a cell.
-
-    Raised by client implementations to signal a *retryable* loss; dask's
-    ``distributed.KilledWorker`` is treated identically when available.
-    """
-
-
-def _lost_worker_errors() -> tuple:
-    errors: list[type] = [WorkerLost]
-    try:  # optional dependency — never required
-        from distributed import KilledWorker  # type: ignore
-
-        errors.append(KilledWorker)
-    except ImportError:
-        pass
-    return tuple(errors)
-
-
-def _default_client_factory(address: "str | None", timeout: float):
-    """Connect a real ``distributed.Client`` (import gated: dask is optional)."""
-
-    def connect():
-        from distributed import Client  # raises ImportError without dask
-
-        return Client(address=address, timeout=timeout)
-
-    return connect
-
-
-class ClusterBackend:
-    """Dask-style client/cluster execution with degradation-to-local.
-
-    Parameters
-    ----------
-    address:
-        Scheduler address (``tcp://host:port``); ``None`` asks the client
-        library for its default (environment-configured) cluster.
-    client_factory:
-        Zero-argument callable returning a connected client.  Defaults to
-        ``distributed.Client(address, timeout=...)``; inject a stand-in for
-        testing or for non-dask clusters with the same surface
-        (``submit(fn, *args) -> future``, ``scheduler_info()``, ``close()``).
-    fallback:
-        Registered backend name to degrade to when no cluster is reachable
-        (default ``"process"``).
-    connect_timeout:
-        Seconds to wait for the scheduler before degrading.
-    max_retries:
-        Per-cell resubmissions after a lost worker before the cell is
-        recorded as failed (mirrors the process pool's broken-pool budget).
-    poll_interval:
-        Seconds between ``future.done()`` sweeps while gathering results in
-        completion order.
-    """
-
-    name = "cluster"
-
-    def __init__(
-        self,
-        address: "str | None" = None,
-        client_factory: "Callable[[], object] | None" = None,
-        fallback: str = "process",
-        connect_timeout: float = 5.0,
-        max_retries: int = _MAX_BROKEN_RETRIES,
-        poll_interval: float = 0.05,
-    ) -> None:
-        self._address = address
-        self._client_factory = client_factory or _default_client_factory(
-            address, connect_timeout
-        )
-        self._fallback = fallback
-        self._max_retries = max_retries
-        self._poll_interval = poll_interval
-        self._lost_errors = _lost_worker_errors()
-        self._client: "object | None" = None
-        self._connect_error: "BaseException | None" = None
-
-    # -------------------------------------------------------- lifecycle
-    def connect(self) -> "object | None":
-        """Connect (idempotent); ``None`` when the cluster is unreachable."""
-        if self._client is not None:
-            return self._client
-        try:
-            client = self._client_factory()
-        except BaseException as error:  # noqa: BLE001 - any failure degrades
-            self._connect_error = error
-            return None
-        if not self.healthy(client):
-            self._connect_error = RuntimeError("cluster reports no workers")
-            self._close_client(client)
-            return None
-        self._client = client
-        return client
-
-    def healthy(self, client: "object | None" = None) -> bool:
-        """Whether the cluster currently reports at least one live worker."""
-        client = client if client is not None else self._client
-        if client is None:
-            return False
-        try:
-            info = client.scheduler_info()  # type: ignore[attr-defined]
-        except Exception:  # lint: disable=broad-except -- any client failure, whatever its type, means "not healthy"
-            return False
-        return bool(isinstance(info, dict) and info.get("workers"))
-
-    def close(self) -> None:
-        if self._client is not None:
-            self._close_client(self._client)
-            self._client = None
-
-    @staticmethod
-    def _close_client(client) -> None:
-        try:
-            client.close()
-        except Exception:  # lint: disable=broad-except -- best-effort close of a possibly-dead client; nothing to do on failure
-            pass
-
-    # -------------------------------------------------------------- run
-    def run(self, tasks, *, max_workers=None, progress=None):
-        client = self.connect()
-        if client is None:
-            reason = self._connect_error or "no client available"
-            warnings.warn(
-                f"cluster backend: no cluster reachable at "
-                f"{self._address or '<default>'} ({reason}); degrading to "
-                f"local {self._fallback!r} execution",
-                RuntimeWarning,
-                stacklevel=2,
-            )
-            return make_backend(self._fallback).run(
-                tasks, max_workers=max_workers, progress=progress
-            )
-        try:
-            return self._run_on_cluster(client, tasks, max_workers, progress)
-        finally:
-            self.close()
-
-    @staticmethod
-    def _future_done(future) -> bool:
-        """Non-blocking readiness poll.  Futures that cannot be polled (no
-        ``done`` method, or one that raises) are treated as ready, which
-        degrades to a blocking submission-order gather for that client."""
-        done = getattr(future, "done", None)
-        if done is None:
-            return True
-        try:
-            return bool(done())
-        except Exception:  # lint: disable=broad-except -- an unpollable future is treated as ready, degrading to a blocking gather
-            return True
-
-    def _run_on_cluster(self, client, tasks, max_workers, progress):
-        """Submit every cell; retry cells whose worker was lost mid-flight.
-
-        Results are gathered in **completion order** (polling ``done()``
-        futures), so each finished cell reaches ``progress`` — and is
-        therefore persisted by the pipeline — the moment it completes,
-        never queued behind an earlier-submitted cell still running: a kill
-        mid-run loses only cells genuinely in flight.  If the cluster loses
-        its last worker mid-run, the unfinished remainder degrades to the
-        local fallback instead of failing.
-        """
-        by_index: dict[int, GridCellResult] = {}
-        retries: dict[int, int] = {}
-
-        def submit(index: int):
-            return client.submit(_execute_cell, *tasks[index].args())
-
-        pending = {index: submit(index) for index in range(len(tasks))}
-        while pending:
-            ready = [
-                index
-                for index in sorted(pending)
-                if self._future_done(pending[index])
-            ]
-            if not ready:
-                time.sleep(self._poll_interval)
-                continue
-            unhealthy_at: "int | None" = None
-            for index in ready:
-                future = pending.pop(index)
-                try:
-                    cell_result = future.result()
-                except self._lost_errors:
-                    retries[index] = retries.get(index, 0) + 1
-                    if not self.healthy(client):
-                        # The cluster is gone; finish the remainder locally
-                        # rather than failing cells that never got to run.
-                        unhealthy_at = index
-                        break
-                    if retries[index] <= self._max_retries:
-                        # Resubmit on the (still healthy) cluster.
-                        pending[index] = submit(index)
-                        continue
-                    cell_result = GridCellResult(
-                        cell=tasks[index].cell,
-                        result=None,
-                        wall_time=float("nan"),
-                        error=traceback.format_exc(),
-                    )
-                except Exception:  # lint: disable=broad-except -- whatever the cell raised on the worker is per-cell data, not fatal
-                    cell_result = GridCellResult(
-                        cell=tasks[index].cell,
-                        result=None,
-                        wall_time=float("nan"),
-                        error=traceback.format_exc(),
-                    )
-                by_index[index] = cell_result
-                if progress is not None:
-                    progress(cell_result)
-            if unhealthy_at is not None:
-                remainder = sorted({unhealthy_at, *pending})
-                warnings.warn(
-                    f"cluster backend: cluster became unhealthy with "
-                    f"{len(remainder)} cells unfinished; degrading the "
-                    f"remainder to local {self._fallback!r} execution",
-                    RuntimeWarning,
-                    stacklevel=3,
-                )
-                local = make_backend(self._fallback).run(
-                    [tasks[i] for i in remainder],
-                    max_workers=max_workers,
-                    progress=progress,
-                )
-                by_index.update(zip(remainder, local))
-                break
-        return [by_index[index] for index in range(len(tasks))]
-
-
 register_backend("serial", SerialBackend)
 register_backend("thread", ThreadBackend)
 register_backend("process", ProcessBackend)
-register_backend("cluster", ClusterBackend)

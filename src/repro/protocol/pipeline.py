@@ -28,15 +28,9 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 from repro.evaluation.experiment import default_classifier_factory
-from repro.evaluation.grid import (
-    CellTask,
-    GridCell,
-    GridCellResult,
-    cell_record,
-    run_cell_tasks,
-)
+from repro.evaluation.grid import CellTask, GridCell, GridCellResult, cell_record
 from repro.evaluation.results import ResultTable
-from repro.protocol.backends import ExecutionBackend
+from repro.protocol.backends import ExecutionBackend, resolve_backend
 from repro.protocol.registry import detector_factory
 from repro.protocol.spec import ProtocolCell, ProtocolSpec, callable_label
 from repro.protocol.store import ResultsStore, ResultsStoreProtocol
@@ -203,7 +197,7 @@ class ProtocolPipeline:
         Completed cells (a readable stored record without an error) are
         **never recomputed**; re-invoking after an interruption finishes only
         the remainder.  ``backend`` is a registered backend name (``serial``
-        / ``thread`` / ``process`` / ``cluster``) or an
+        / ``thread`` / ``process``) or an
         :class:`~repro.protocol.backends.ExecutionBackend` instance;
         ``max_cells`` caps how many pending cells this invocation takes on
         (useful for incremental/smoke runs).  ``checkpoint_every`` makes
@@ -257,8 +251,8 @@ class ProtocolPipeline:
                 progress(cell_result)
 
         tasks = [self.task_for(cell, checkpoint_every) for cell, _ in todo]
-        results = run_cell_tasks(
-            tasks, backend=backend, max_workers=max_workers, progress=persist
+        results = resolve_backend(backend).run(
+            tasks, max_workers=max_workers, progress=persist
         )
         n_failed = sum(1 for cell_result in results if not cell_result.ok)
         return ProtocolRunSummary(

@@ -176,7 +176,7 @@ class ProtocolSpec:
     max_imbalance_ratio: float = 100.0
     window_size: int = 1_000
     pretrain_size: int = 200
-    chunk_size: int = 512
+    chunk_size: int | None = 512
     batch_mode: bool = False
     drift_tolerance: int = 2_000
 
@@ -208,6 +208,17 @@ class ProtocolSpec:
             raise ValueError("n_instances must be >= 1 and n_drifts >= 0")
         if min(self.class_counts) < 2:
             raise ValueError("class_counts must all be >= 2")
+        # The bounds PrequentialRunner, the pmAUC window and the drift
+        # matcher enforce, checked here so a bad spec fails before any cell
+        # runs instead of storing one failure record per cell.
+        if self.chunk_size is not None and self.chunk_size < 1:
+            raise ValueError("chunk_size must be >= 1 or None")
+        if self.pretrain_size < 0:
+            raise ValueError("pretrain_size must be >= 0")
+        if self.window_size < 10:
+            raise ValueError("window_size must be >= 10")
+        if self.drift_tolerance < 0:
+            raise ValueError("drift_tolerance must be >= 0")
 
     # ------------------------------------------------------------ expansion
     def expand(self) -> list[ProtocolCell]:

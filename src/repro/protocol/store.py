@@ -89,10 +89,10 @@ def _discard_checkpoint(root: Path, key: str) -> bool:
     return True
 
 
-# Hoisted to repro.core.durability so stdlib-only layers (e.g. the grid's
-# save_json) share the same tmp-write + fsync + replace + dir-fsync
-# discipline; re-exported under the historical private names because
-# ShardedResultsStore imports them from here.
+# Hoisted to repro.core.durability so every on-disk sink shares the same
+# tmp-write + fsync + replace + dir-fsync discipline; re-exported under the
+# historical private names because ShardedResultsStore imports them from
+# here.
 
 
 @runtime_checkable

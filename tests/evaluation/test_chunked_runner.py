@@ -13,8 +13,7 @@ import pytest
 
 from repro.classifiers import GaussianNaiveBayes
 from repro.core.detector import RBMIM, RBMIMConfig
-from repro.detectors import DDM_OCI, FHDDM
-from repro.evaluation.grid import ExperimentGrid
+from repro.detectors import DDM_OCI
 from repro.evaluation.prequential import PrequentialRunner
 from repro.streams.generators import RandomRBFGenerator
 from repro.streams.imbalance import StaticImbalance
@@ -109,12 +108,34 @@ class TestChunkedExactMode:
         )
         runner = PrequentialRunner(nb_factory, pretrain_size=150)
         reference = runner.run(scenario_a, DDM_OCI(n_classes=4), n_instances=3_000)
-        chunked = runner.run(
-            scenario_b, DDM_OCI(n_classes=4), n_instances=3_000, chunk_size=256
+        chunked_runner = PrequentialRunner(
+            nb_factory, pretrain_size=150, chunk_size=256
+        )
+        chunked = chunked_runner.run(
+            scenario_b, DDM_OCI(n_classes=4), n_instances=3_000
         )
         assert chunked.detections == reference.detections
         assert chunked.pmauc == reference.pmauc
         assert chunked.pmgm == reference.pmgm
+
+
+    def test_refuses_detector_outside_snapshot_contract(self):
+        class DuckDetector:
+            """Detector-shaped, but rollback has no snapshot() to call."""
+
+            drifted_classes = None
+
+            def warm_start(self, features, labels):
+                pass
+
+            def step_batch(self, features, labels, predictions):
+                return np.zeros(labels.shape[0], dtype=bool)
+
+        stream = RandomRBFGenerator(n_classes=3, n_features=4, seed=0)
+        runner = PrequentialRunner(nb_factory, pretrain_size=50, chunk_size=64)
+        with pytest.raises(TypeError, match="Snapshotable detector"):
+            runner.run(stream, DuckDetector(), n_instances=500)
+        assert stream.position == 0  # refused before reading a row
 
 
 class TestChunkedBatchMode:
@@ -150,98 +171,3 @@ class TestChunkedBatchMode:
         result = runner.run(scenario, None, n_instances=2_000)
         assert result.detections == []
         assert 0.0 <= result.pmauc <= 1.0
-
-
-# ------------------------------------------------------------------ grid ----
-def _grid_stream(seed: int) -> ScenarioStream:
-    return make_artificial_stream(
-        "rbf", 4, n_instances=1_200, max_imbalance_ratio=10.0, seed=seed
-    )
-
-
-def _grid_fhddm(n_features, n_classes):
-    return FHDDM()
-
-
-def _grid_ddm_oci(n_features, n_classes):
-    return DDM_OCI(n_classes=n_classes)
-
-
-class TestExperimentGrid:
-    def _grid(self, **kwargs):
-        return ExperimentGrid(
-            streams={"rbf4": _grid_stream},
-            detectors={"FHDDM": _grid_fhddm, "DDM-OCI": _grid_ddm_oci},
-            seeds=[0, 1],
-            classifier_factory=nb_factory,
-            pretrain_size=150,
-            chunk_size=256,
-            **kwargs,
-        )
-
-    def test_cells_cross_product(self):
-        grid = self._grid()
-        assert len(grid) == 4
-        cells = grid.cells()
-        assert len({(c.stream, c.detector, c.seed) for c in cells}) == 4
-
-    def test_serial_backend(self):
-        result = self._grid().run(backend="serial")
-        assert len(result.successes) == 4
-        assert not result.failures
-        table = result.table("pmauc", scale=100.0)
-        assert table.datasets == ["rbf4"]
-        assert set(table.methods) == {"FHDDM", "DDM-OCI"}
-        assert 0.0 <= table.value("rbf4", "FHDDM") <= 100.0
-
-    def test_process_backend_matches_serial(self):
-        serial = self._grid().run(backend="serial")
-        parallel = self._grid().run(backend="process", max_workers=2)
-        key = lambda c: (c.cell.stream, c.cell.detector, c.cell.seed)  # noqa: E731
-        serial_values = [
-            (key(c), c.result.pmauc, tuple(c.result.detections))
-            for c in sorted(serial.successes, key=key)
-        ]
-        parallel_values = [
-            (key(c), c.result.pmauc, tuple(c.result.detections))
-            for c in sorted(parallel.successes, key=key)
-        ]
-        assert serial_values == parallel_values
-
-    def test_unpicklable_factories_fall_back(self):
-        grid = ExperimentGrid(
-            streams={"rbf4": lambda seed: _grid_stream(seed)},
-            detectors={"FHDDM": lambda f, c: FHDDM()},
-            seeds=[0],
-            classifier_factory=nb_factory,
-            pretrain_size=150,
-            chunk_size=256,
-        )
-        result = grid.run(backend="process")
-        assert len(result.successes) == 1
-
-    def test_failures_are_captured(self):
-        def broken_stream(seed):
-            raise RuntimeError("boom")
-
-        grid = ExperimentGrid(
-            streams={"ok": _grid_stream, "broken": broken_stream},
-            detectors={"FHDDM": _grid_fhddm},
-            seeds=[0],
-            classifier_factory=nb_factory,
-            pretrain_size=150,
-        )
-        result = grid.run(backend="serial")
-        assert len(result.successes) == 1
-        assert len(result.failures) == 1
-        assert "boom" in result.failures[0].error
-
-    def test_records_roundtrip(self, tmp_path):
-        result = self._grid().run(backend="thread", max_workers=2)
-        path = tmp_path / "grid.json"
-        result.save_json(str(path))
-        import json
-
-        records = json.loads(path.read_text())
-        assert len(records) == 4
-        assert {record["detector"] for record in records} == {"FHDDM", "DDM-OCI"}

@@ -1,4 +1,4 @@
-"""Broken-process-pool recovery in :func:`repro.evaluation.grid.run_cell_tasks`.
+"""Broken-process-pool recovery in :class:`repro.protocol.backends.ProcessBackend`.
 
 A worker that dies abruptly (OOM kill, native segfault — simulated here with
 ``os._exit``) breaks the whole :class:`~concurrent.futures.ProcessPoolExecutor`:
@@ -15,7 +15,8 @@ from functools import partial
 
 from repro.classifiers import GaussianNaiveBayes
 from repro.detectors import FHDDM
-from repro.evaluation.grid import CellTask, GridCell, run_cell_tasks
+from repro.evaluation.grid import CellTask, GridCell
+from repro.protocol.backends import ProcessBackend
 from repro.streams.scenarios import make_artificial_stream
 
 N_INSTANCES = 400
@@ -69,7 +70,7 @@ class TestBrokenPoolRecovery:
         marker = str(tmp_path / "killed.marker")
         tasks = [_task("killer", partial(_kill_once_stream, marker))]
         tasks += [_task(f"ok{i}", _tiny_stream, seed=i) for i in range(4)]
-        results = run_cell_tasks(tasks, backend="process", max_workers=2)
+        results = ProcessBackend().run(tasks, max_workers=2)
         assert os.path.exists(marker), "the killer cell never ran"
         assert len(results) == len(tasks)
         # Input order is preserved and nothing was written off.
@@ -85,6 +86,19 @@ class TestBrokenPoolRecovery:
         """
         tasks = [_task(f"ok{i}", _tiny_stream, seed=i) for i in range(3)]
         tasks += [_task("killer", _kill_always_stream)]
-        results = run_cell_tasks(tasks, backend="process", max_workers=1)
+        results = ProcessBackend().run(tasks, max_workers=1)
         assert [r.ok for r in results] == [True, True, True, False]
         assert "Broken" in results[-1].error
+
+    def test_written_off_crasher_reaches_progress(self):
+        """The failure recorded for a crasher goes through ``progress`` like
+        any finished cell, so the pipeline persists it instead of losing it."""
+        seen = []
+        tasks = [_task("ok", _tiny_stream), _task("killer", _kill_always_stream)]
+        results = ProcessBackend().run(
+            tasks,
+            max_workers=1,
+            progress=lambda r: seen.append((r.cell.stream, r.ok)),
+        )
+        assert sorted(seen) == [("killer", False), ("ok", True)]
+        assert [r.ok for r in results] == [True, False]

@@ -97,10 +97,17 @@ class TestPrequentialRunner:
         assert len(result.snapshots) >= 4
 
     def test_finite_stream_ends_early(self, tiny_list_stream):
-        runner = PrequentialRunner(perceptron_factory, pretrain_size=10)
-        result = runner.run(tiny_list_stream, DDM(), n_instances=10_000)
-        assert result.n_instances == 10_000  # requested, but stream ends sooner
-        assert result.snapshots == [] or result.snapshots[-1].position <= 60
+        # n_instances counts the rows processed, not the rows requested.
+        for mode in (
+            {},
+            {"chunk_size": 16},
+            {"chunk_size": 16, "batch_mode": True},
+        ):
+            tiny_list_stream.restart()
+            runner = PrequentialRunner(perceptron_factory, pretrain_size=10, **mode)
+            result = runner.run(tiny_list_stream, DDM(), n_instances=10_000)
+            assert result.n_instances == len(tiny_list_stream), mode
+            assert result.snapshots == [] or result.snapshots[-1].position <= 60
 
     def test_invalid_construction(self):
         with pytest.raises(ValueError):

@@ -1,36 +1,34 @@
-"""The pluggable execution-backend layer: registry, fallbacks, cluster.
+"""The pluggable execution-backend layer: registry, fallbacks, equivalence.
 
-The cluster backend is exercised without a real cluster: any object with the
-``submit`` / ``scheduler_info`` / ``close`` surface is a valid client, so
-fakes drive the lifecycle paths — explicit connect, worker health checks,
-per-cell retry on lost workers, and graceful degradation-to-local both when
-no cluster is reachable and when the cluster dies mid-run.
+Every built-in backend runs the same :class:`CellTask` list to the same
+results in input order; a raising cell becomes a failed result, never an
+exception.  Broken-process-pool recovery has its own module
+(``tests/evaluation/test_grid_broken_pool.py``).
 """
 
 from __future__ import annotations
 
-import warnings
+import json
+import multiprocessing
+import threading
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
 from repro.classifiers import GaussianNaiveBayes
-from repro.detectors import FHDDM
-from repro.evaluation.grid import (
-    CellTask,
-    GridCell,
-    cell_record,
-    run_cell_tasks,
-    tasks_picklable,
-)
+from repro.detectors import DDM_OCI, FHDDM
+from repro.evaluation.grid import CellTask, GridCell, cell_record
 from repro.protocol.backends import (
-    ClusterBackend,
     ExecutionBackend,
+    ProcessBackend,
     SerialBackend,
-    WorkerLost,
+    ThreadBackend,
+    _run_on_pool,
     backend_names,
     make_backend,
     register_backend,
     resolve_backend,
+    tasks_picklable,
 )
 from repro.streams.scenarios import make_artificial_stream
 
@@ -43,6 +41,10 @@ def nb_factory(n_features, n_classes):
 
 def fhddm_factory(n_features, n_classes):
     return FHDDM()
+
+
+def ddm_oci_factory(n_features, n_classes):
+    return DDM_OCI(n_classes=n_classes)
 
 
 def tiny_stream(seed: int):
@@ -64,14 +66,14 @@ def _task(name: str, seed: int = 0, **kwargs) -> CellTask:
 
 # ---------------------------------------------------------------- registry
 def test_builtin_backends_are_registered():
-    assert backend_names() == ["cluster", "process", "serial", "thread"]
+    assert backend_names() == ["process", "serial", "thread"]
 
 
 def test_unknown_backend_is_a_value_error():
     with pytest.raises(ValueError, match="unknown backend"):
         make_backend("bogus")
     with pytest.raises(ValueError, match="unknown backend"):
-        run_cell_tasks([_task("a")], backend="bogus")
+        resolve_backend("bogus")
 
 
 def test_resolve_accepts_instances_and_rejects_junk():
@@ -95,7 +97,7 @@ def test_third_party_backends_register_and_run():
     try:
         assert "counting" in backend_names()
         assert isinstance(make_backend("counting"), ExecutionBackend)
-        results = run_cell_tasks([_task("a")], backend="counting")
+        results = resolve_backend("counting").run([_task("a")])
         assert CountingBackend.calls == 1
         assert results[0].ok
     finally:
@@ -127,15 +129,17 @@ def test_process_backend_warns_when_degrading_to_threads():
     closure_seed = 0
     tasks = [_task("a", stream_factory=lambda seed: tiny_stream(closure_seed))]
     with pytest.warns(RuntimeWarning, match="degrading to the thread backend"):
-        results = run_cell_tasks(tasks, backend="process", max_workers=1)
+        results = ProcessBackend().run(tasks, max_workers=1)
     assert results[0].ok
 
 
 # ---------------------------------------------------------- strict records
+def _reject_constant(token):
+    raise AssertionError(f"non-strict constant {token!r}")
+
+
 def test_cell_record_replaces_nonfinite_floats():
     """A broken-pool cell's nan wall_time must serialise as null, not NaN."""
-    import json
-
     from repro.evaluation.grid import GridCellResult
 
     failed = GridCellResult(
@@ -146,165 +150,159 @@ def test_cell_record_replaces_nonfinite_floats():
     )
     record = cell_record(failed)
     assert record["wall_time"] is None
-
-    def reject(token):
-        raise AssertionError(f"non-strict constant {token!r}")
-
-    json.loads(json.dumps(record), parse_constant=reject)
+    json.loads(json.dumps(record), parse_constant=_reject_constant)
 
 
-# ------------------------------------------------------------ fake clusters
-class FakeFuture:
-    def __init__(self, compute):
-        self._compute = compute
-
-    def result(self):
-        return self._compute()
-
-
-class FakeClient:
-    """Duck-typed distributed.Client: runs submissions inline on result()."""
-
-    def __init__(self, n_workers=2, fail_plan=None):
-        self.n_workers = n_workers
-        self.fail_plan = dict(fail_plan or {})  # cell stream -> failures left
-        self.submissions = 0
-        self.closed = False
-
-    def submit(self, fn, *args):
-        self.submissions += 1
-        cell = args[0]
-
-        def compute():
-            if self.fail_plan.get(cell.stream, 0) > 0:
-                self.fail_plan[cell.stream] -= 1
-                raise WorkerLost(f"worker running {cell.stream} died")
-            return fn(*args)
-
-        return FakeFuture(compute)
-
-    def scheduler_info(self):
-        return {"workers": {f"w{i}": {} for i in range(self.n_workers)}}
-
-    def close(self):
-        self.closed = True
-
-
-def test_cluster_runs_cells_and_closes_client():
-    client = FakeClient()
-    backend = ClusterBackend(client_factory=lambda: client)
-    results = backend.run([_task("a"), _task("b", seed=1)])
-    assert [r.ok for r in results] == [True, True]
-    assert client.submissions == 2
-    assert client.closed
-
-
-def test_cluster_retries_cells_on_lost_workers():
-    client = FakeClient(fail_plan={"flaky": 1})
-    backend = ClusterBackend(client_factory=lambda: client)
-    results = backend.run([_task("flaky"), _task("ok", seed=1)])
-    assert [r.ok for r in results] == [True, True]
-    assert client.submissions == 3  # the lost cell was resubmitted once
-
-
-def test_cluster_writes_off_repeat_offenders_only():
-    client = FakeClient(fail_plan={"doomed": 99})
-    backend = ClusterBackend(client_factory=lambda: client, max_retries=2)
-    results = backend.run([_task("doomed"), _task("ok", seed=1)])
-    by_stream = {r.cell.stream: r for r in results}
-    assert by_stream["ok"].ok
-    assert not by_stream["doomed"].ok
-    assert "worker running doomed died" in by_stream["doomed"].error
-
-
-def test_cluster_degrades_to_local_when_unreachable():
-    def no_cluster():
-        raise ConnectionRefusedError("nothing listening")
-
-    backend = ClusterBackend(
-        client_factory=no_cluster, fallback="serial", address="tcp://nowhere:1"
+def test_cell_record_of_a_finished_cell_round_trips():
+    """A finished cell's record survives strict JSON unchanged and carries
+    the cell coordinates, the run's metrics and its drift report."""
+    (cell_result,) = SerialBackend().run([_task("rbf4", seed=3)])
+    run = cell_result.result
+    record = cell_record(cell_result)
+    loaded = json.loads(json.dumps(record), parse_constant=_reject_constant)
+    assert loaded == record
+    assert (loaded["stream"], loaded["detector"], loaded["seed"]) == (
+        "rbf4",
+        "FHDDM",
+        3,
     )
-    with pytest.warns(RuntimeWarning, match="no cluster reachable"):
-        results = backend.run([_task("a")])
-    assert results[0].ok
+    assert loaded["error"] is None
+    assert loaded["pmauc"] == run.pmauc
+    assert loaded["detections"] == list(run.detections)
+    assert loaded["n_instances"] == N_INSTANCES
+    assert loaded["drift_report"]["n_detections"] == len(run.detections)
 
 
-def test_cluster_degrades_when_scheduler_has_no_workers():
-    client = FakeClient(n_workers=0)
-    backend = ClusterBackend(client_factory=lambda: client, fallback="serial")
-    with pytest.warns(RuntimeWarning, match="no cluster reachable"):
-        results = backend.run([_task("a")])
-    assert results[0].ok
-    assert client.closed  # the useless client was not leaked
+# ------------------------------------------------------- backend behaviour
+def test_backends_agree_in_input_order():
+    """serial, thread and process return identical pmAUC and detections for
+    the same cell tasks, each list in input order."""
+    tasks = [
+        CellTask(
+            cell=GridCell(stream="rbf4", detector=name, seed=seed),
+            stream_factory=tiny_stream,
+            detector_factory=factory,
+            classifier_factory=nb_factory,
+            runner_kwargs={"pretrain_size": 50, "chunk_size": 64},
+            run_kwargs={"n_instances": N_INSTANCES},
+        )
+        for name, factory in (("FHDDM", fhddm_factory), ("DDM-OCI", ddm_oci_factory))
+        for seed in (0, 1)
+    ]
+    outcomes = {}
+    for name in backend_names():
+        results = make_backend(name).run(tasks, max_workers=2)
+        assert [r.cell for r in results] == [t.cell for t in tasks]
+        assert all(r.ok for r in results), [r.error for r in results]
+        outcomes[name] = [
+            (r.result.pmauc, tuple(r.result.detections)) for r in results
+        ]
+    assert any(detections for _, detections in outcomes["serial"])
+    assert outcomes["thread"] == outcomes["serial"]
+    assert outcomes["process"] == outcomes["serial"]
 
 
-def test_cluster_degrades_remainder_when_cluster_dies_mid_run():
-    class DyingClient(FakeClient):
-        def scheduler_info(self):
-            # Healthy at connect time, gone by the first health re-check.
-            self.n_workers -= 1
-            return super().scheduler_info()
-
-    client = DyingClient(n_workers=2, fail_plan={"flaky": 1})
-    backend = ClusterBackend(client_factory=lambda: client, fallback="serial")
-    with pytest.warns(RuntimeWarning, match="became unhealthy"):
-        results = backend.run([_task("flaky"), _task("ok", seed=1)])
-    assert [r.ok for r in results] == [True, True]
+def _raising_stream(seed: int):
+    raise RuntimeError("boom")
 
 
-def test_cluster_gathers_in_completion_order():
-    """A finished cell must reach progress (and thus be persisted) the
-    moment it completes, not wait behind an earlier-submitted cell still
-    running — otherwise a kill loses completed-but-ungathered results."""
+def test_raising_cell_becomes_a_failed_result():
+    results = SerialBackend().run(
+        [_task("broken", stream_factory=_raising_stream), _task("ok")]
+    )
+    broken, ok = results
+    assert not broken.ok
+    assert broken.result is None
+    assert "Traceback" in broken.error and "boom" in broken.error
+    assert ok.ok
 
-    class ReorderingClient(FakeClient):
-        def __init__(self):
-            super().__init__()
-            self.gathered = []
 
-        def submit(self, fn, *args):
-            self.submissions += 1
-            cell = args[0]
-            client = self
+@pytest.mark.parametrize("name", ["thread", "process"])
+def test_pool_backends_capture_raising_cells(name):
+    """On the pool backends too a raising cell is a failed result, its
+    traceback survives the trip back from the worker, and progress sees
+    every cell exactly once."""
+    seen = []
+    results = make_backend(name).run(
+        [_task("broken", stream_factory=_raising_stream), _task("ok")],
+        max_workers=2,
+        progress=lambda cell_result: seen.append(cell_result.cell.stream),
+    )
+    broken, ok = results
+    assert not broken.ok
+    assert broken.result is None
+    assert "Traceback" in broken.error and "boom" in broken.error
+    assert ok.ok
+    assert sorted(seen) == ["broken", "ok"]
 
-            class PollableFuture:
-                def done(self):
-                    if cell.stream == "slow":
-                        # "slow" only finishes after "fast" was gathered.
-                        return "fast" in client.gathered
-                    return True
 
-                def result(self):
-                    client.gathered.append(cell.stream)
-                    return fn(*args)
+def test_pool_backends_report_cells_in_completion_order():
+    """A finished cell reaches progress (and thus is persisted) the moment
+    it completes, not behind an earlier-submitted cell still running; the
+    returned list is still in input order."""
+    fast_reported = threading.Event()
 
-            return PollableFuture()
+    def slow_stream(seed):
+        # Finishes only once "fast" was reported; the timeout turns an
+        # in-order regression into a failure instead of a hang.
+        fast_reported.wait(timeout=10)
+        return tiny_stream(seed)
 
-    client = ReorderingClient()
-    backend = ClusterBackend(client_factory=lambda: client, poll_interval=0.001)
     finished = []
-    results = backend.run(
-        [_task("slow"), _task("fast", seed=1)],
-        progress=lambda r: finished.append(r.cell.stream),
+
+    def progress(cell_result):
+        finished.append(cell_result.cell.stream)
+        if cell_result.cell.stream == "fast":
+            fast_reported.set()
+
+    results = ThreadBackend().run(
+        [_task("slow", stream_factory=slow_stream), _task("fast", seed=1)],
+        max_workers=2,
+        progress=progress,
     )
-    assert finished == ["fast", "slow"]  # completion order, not submission
-    assert [r.cell.stream for r in results] == ["slow", "fast"]  # input order
+    assert finished == ["fast", "slow"]
+    assert [r.cell.stream for r in results] == ["slow", "fast"]
     assert all(r.ok for r in results)
 
 
-def test_cluster_default_factory_degrades_without_dask():
-    """No dask in the environment: the real default path must warn + run."""
-    pytest.importorskip  # (dask is deliberately NOT importable here)
-    try:
-        import distributed  # noqa: F401
+def test_raising_progress_drops_queued_cells():
+    """An exception from progress (a Ctrl-C, a failing store write) reaches
+    the caller without draining the queue: the cell in flight may finish,
+    queued cells never start."""
+    started = []
 
-        pytest.skip("dask.distributed installed; default factory would connect")
-    except ImportError:
-        pass
-    backend = ClusterBackend(fallback="serial")
-    with pytest.warns(RuntimeWarning, match="degrading to local 'serial'"):
-        results = backend.run([_task("a")])
-    assert results[0].ok
+    def counting_stream(seed):
+        started.append(seed)
+        return tiny_stream(seed)
+
+    def interrupt(cell_result):
+        raise KeyboardInterrupt("simulated kill")
+
+    executors = []
+
+    def make_executor():
+        executors.append(ThreadPoolExecutor(max_workers=1))
+        return executors[-1]
+
+    tasks = [_task("c", seed=s, stream_factory=counting_stream) for s in range(8)]
+    with pytest.raises(KeyboardInterrupt):
+        _run_on_pool(tasks, make_executor, interrupt)
+    for executor in executors:
+        executor.shutdown(wait=True)  # let the in-flight cell finish
+    assert 1 <= len(started) < len(tasks)
+
+
+@pytest.mark.parametrize("name", ["thread", "process"])
+def test_pool_backends_leave_no_workers_behind(name):
+    """Once run returns, the pool's worker threads or processes are gone."""
+    threads_before = set(threading.enumerate())
+    children_before = set(multiprocessing.active_children())
+    results = make_backend(name).run(
+        [_task("a"), _task("b", seed=1)], max_workers=2
+    )
+    assert all(r.ok for r in results)
+    assert set(threading.enumerate()) - threads_before == set()
+    assert set(multiprocessing.active_children()) - children_before == set()
 
 
 def test_pipeline_accepts_backend_instances(tmp_path):
@@ -317,12 +315,21 @@ def test_pipeline_accepts_backend_instances(tmp_path):
     spec.pretrain_size = 50
     spec.drift_tolerance = 200
     spec.__post_init__()
-    client = FakeClient()
-    backend = ClusterBackend(client_factory=lambda: client)
+
+    class RecordingBackend(SerialBackend):
+        name = "recording"
+
+        def __init__(self):
+            self.cells = []
+
+        def run(self, tasks, *, max_workers=None, progress=None):
+            self.cells.extend(task.cell for task in tasks)
+            return super().run(tasks, max_workers=max_workers, progress=progress)
+
+    backend = RecordingBackend()
     pipeline = ProtocolPipeline(spec, str(tmp_path / "results"))
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")  # a healthy fake cluster never warns
-        summary = pipeline.run(backend=backend)
+    summary = pipeline.run(backend=backend)
+    assert len(backend.cells) == 2
     assert summary.n_executed == 2
     assert summary.n_failed == 0
     assert pipeline.status().done

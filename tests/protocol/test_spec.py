@@ -97,6 +97,22 @@ class TestValidation:
         with pytest.raises(ValueError):
             ProtocolSpec(seeds=())
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("chunk_size", 0),
+            ("pretrain_size", -1),
+            ("window_size", 9),
+            ("drift_tolerance", -1),
+        ],
+    )
+    def test_run_parameters_the_runner_refuses_are_rejected(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            ProtocolSpec(**{field: value})
+
+    def test_instance_mode_chunk_size_accepted(self):
+        assert ProtocolSpec(chunk_size=None).chunk_size is None
+
     def test_unknown_scenario_in_builder(self):
         with pytest.raises(ValueError, match="unknown scenario"):
             build_scenario(
