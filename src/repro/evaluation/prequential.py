@@ -8,32 +8,36 @@ short buffer of the most recent instances (the usual warning-window protocol).
 The runner also records where the detector fired, per-component timings, and
 the drift-detection report against the stream's ground truth.
 
-Three execution modes are provided:
+Two loops serve three execution modes:
 
-* **instance mode** (``chunk_size=None``) — the classic loop, one
-  :class:`~repro.streams.base.Instance` at a time;
-* **chunked exact mode** (``chunk_size=c``) — bit-identical results to
-  instance mode at chunk speed: the stream is pulled in vectorized chunks of
-  ``c`` via :meth:`DataStream.generate_batch` (bit-identical to per-instance
-  generation), the classifier chain runs through the bit-exact
-  ``predict_fit_interleaved`` kernel, the detector consumes chunks through
-  its chunk-exact ``step_batch``, and metrics fold in via ``update_batch``.
-  Chunks execute optimistically; a mid-chunk drift rolls the detector back
-  to a checkpoint and deterministically replays up to the drift row so the
-  rebuilt classifier scores the remaining rows, exactly like the instance
-  loop;
-* **chunked batch mode** (``chunk_size=c, batch_mode=True``) — test-then-train
-  at chunk granularity: the whole chunk is scored with
-  ``predict_proba_batch``, stepped through ``step_batch``, and trained with
-  ``partial_fit_batch``.  Every registry detector's ``step_batch`` is a
-  NumPy-native kernel that is *chunk-exact* (bit-identical detections to
-  per-instance stepping for the same prediction stream), so detection
-  *positions* stay instance-granular.  A drift inside a chunk rebuilds the
-  classifier before the post-drift rows are trained, but rows after a drift
-  within the same chunk were already scored by the pre-drift classifier —
-  the standard interleaved-chunks trade-off.  This is the fast path used by
-  the throughput benchmarks; detectors that ignore the prediction stream
-  (e.g. RBM-IM) produce identical detections in every mode.
+* **instance mode** (``chunk_size=None``) — the scalar loop, one
+  :class:`~repro.streams.base.Instance` at a time; the reference oracle the
+  chunked modes are tested against;
+* **the chunk driver** (``chunk_size=c``) pulls the stream in vectorized
+  chunks of ``c`` via :meth:`DataStream.generate_batch` (bit-identical to
+  per-instance generation), trains on the pretrain rows, warm-starts the
+  detector, and hands each post-pretrain segment to one segment step:
+
+  - **exact** (the default) — bit-identical results to instance mode at chunk
+    speed: the classifier chain runs through the bit-exact
+    ``predict_fit_interleaved`` kernel, the detector consumes the segment
+    through its chunk-exact ``step_batch``, and metrics fold in via
+    ``update_batch``.  Segments execute optimistically; a mid-segment drift
+    rolls the detector back to a snapshot and deterministically replays up
+    to the drift row, so the rebuilt classifier scores the remaining rows,
+    exactly like the instance loop;
+  - **batch** (``batch_mode=True``, which requires ``chunk_size``) —
+    test-then-train at chunk granularity: the whole segment is scored with
+    ``predict_proba_batch``, stepped through ``step_batch``, and trained with
+    ``partial_fit_batch``.  Every registry detector's ``step_batch`` is a
+    NumPy-native kernel that is *chunk-exact* (bit-identical detections to
+    per-instance stepping for the same prediction stream), so detection
+    *positions* stay instance-granular.  A drift inside a chunk rebuilds the
+    classifier before the post-drift rows are trained, but rows after a drift
+    within the same chunk were already scored by the pre-drift classifier —
+    the standard interleaved-chunks trade-off.  This is the fast path used by
+    the throughput benchmarks; detectors that ignore the prediction stream
+    (e.g. RBM-IM) produce identical detections in every mode.
 
 Every mode is **checkpointable**: passing ``checkpoint_path`` to :meth:`run`
 persists a :class:`~repro.evaluation.checkpoint.RunnerCheckpoint` (stream +
@@ -147,8 +151,8 @@ class PrequentialRunner:
         of this size (see module docstring); ``None`` keeps the classic
         per-instance loop.
     batch_mode:
-        With a chunk size, also batch the classifier/detector calls
-        (test-then-train at chunk granularity) for maximum throughput.
+        Batch the classifier/detector calls too (test-then-train at chunk
+        granularity) for maximum throughput.  Requires ``chunk_size``.
     """
 
     def __init__(
@@ -165,6 +169,8 @@ class PrequentialRunner:
             raise ValueError("pretrain_size and rebuild_buffer must be >= 0")
         if chunk_size is not None and chunk_size < 1:
             raise ValueError("chunk_size must be >= 1 or None")
+        if batch_mode and chunk_size is None:
+            raise ValueError("batch_mode requires chunk_size")
         self._classifier_factory = classifier_factory
         self._window_size = window_size
         self._pretrain_size = pretrain_size
@@ -277,13 +283,8 @@ class PrequentialRunner:
             produced = self._run_instance_mode(
                 data_stream, detector, n_instances, state, start_at, checkpointer
             )
-        elif batched:
-            produced = self._run_batch_mode(
-                data_stream, detector, n_instances, chunk, state, start_at,
-                checkpointer,
-            )
         else:
-            produced = self._run_chunked_exact(
+            produced = self._run_chunked(
                 data_stream, detector, n_instances, chunk, state, start_at,
                 checkpointer,
             )
@@ -320,7 +321,7 @@ class PrequentialRunner:
         start_at: int = 0,
         checkpointer: "_Checkpointer | None" = None,
     ) -> int:
-        """Classic loop: one Instance object at a time (baseline path).
+        """The scalar loop: one Instance at a time (the reference oracle).
 
         Returns the number of rows processed, resumed rows included.
         """
@@ -338,7 +339,7 @@ class PrequentialRunner:
                 checkpointer.maybe_save(produced, state)
         return produced
 
-    def _run_chunked_exact(
+    def _run_chunked(
         self,
         data_stream: DataStream,
         detector: DriftDetector | None,
@@ -348,28 +349,19 @@ class PrequentialRunner:
         start_at: int = 0,
         checkpointer: "_Checkpointer | None" = None,
     ) -> int:
-        """Vectorized chunk-exact mode: bit-identical to instance mode.
+        """The chunk driver shared by chunk-exact and batch mode.
 
-        The per-instance recurrence only matters at two points — the
-        classifier's test-then-train chain and the detector's sequential
-        state — so everything else runs on whole chunks: the stream is pulled
-        via ``generate_batch`` (bit-identical to repeated ``next_instance``),
-        the classifier chain runs through ``predict_fit_interleaved`` (whose
-        contract is bit-equality with the per-row loop), the detector consumes
-        the chunk through its chunk-exact ``step_batch`` kernel, and the
-        metrics fold in via ``update_batch``.
-
-        Drift-triggered classifier rebuilds are the one interaction that can
-        invalidate a chunk mid-flight (rows after the drift must be rescored
-        by the rebuilt classifier, and the detector must see those new
-        predictions).  Chunks are therefore executed *optimistically*: the
-        detector state is checkpointed, the whole remaining chunk is scored
-        and stepped, and on the (rare) first drift flag the detector is rolled
-        back and deterministically replayed up to the drift row, after which
-        execution resumes behind the rebuilt classifier.  Detections, blamed
-        classes, metrics, and snapshots are all identical to instance mode.
-        Returns the number of rows processed, resumed rows included.
+        Trains on the pretrain rows, warm-starts the detector right before
+        the first post-pretrain row, and hands each post-pretrain segment to
+        the mode's segment step.  A step returns the in-segment row of the
+        drift it handled (the rest of the chunk becomes the next segment) or
+        ``-1`` once the segment is consumed.  Returns the number of rows
+        processed, resumed rows included.
         """
+        batched = self._batch_mode
+        advance = (
+            self._advance_batch_segment if batched else self._advance_exact_segment
+        )
         produced = start_at
         pretrain = self._pretrain_size
         while produced < n_instances:
@@ -382,36 +374,29 @@ class PrequentialRunner:
 
             offset = 0
             if produced < pretrain:
-                # Pretrain rows never touch the detector or the metrics; the
-                # classifier chain stays scalar so its state is bit-identical.
+                # Pretrain rows never touch the detector or the metrics.
                 offset = min(pretrain - produced, n_rows)
-                classifier = state.classifier
                 start = time.perf_counter()
-                for i in range(offset):
-                    classifier.partial_fit(features[i], int(labels[i]))
+                if batched:
+                    state.classifier.partial_fit_batch(
+                        features[:offset], labels[:offset]
+                    )
+                else:
+                    # Exact mode keeps the classifier chain scalar so its
+                    # state is bit-identical to the instance loop.
+                    classifier = state.classifier
+                    for i in range(offset):
+                        classifier.partial_fit(features[i], int(labels[i]))
                 state.classifier_time += time.perf_counter() - start
                 state.warm_x.append(features[:offset])
                 state.warm_y.append(labels[:offset])
                 _extend_replay(state.replay, features[:offset], labels[:offset])
-            if (
-                produced + offset == pretrain
-                and offset < n_rows
-                and detector is not None
-                and not state.warm_started
-                and state.warm_x
-            ):
-                # Fires while processing the row at the pretrain boundary,
-                # exactly like the instance loop.
-                start = time.perf_counter()
-                detector.warm_start(
-                    np.vstack(state.warm_x), np.concatenate(state.warm_y)
-                )
-                state.detector_time += time.perf_counter() - start
-                state.warm_started = True
+            if produced + offset == pretrain and offset < n_rows:
+                _warm_start(detector, state)
 
             seg = offset
             while seg < n_rows:
-                drift_row = self._advance_exact_segment(
+                drift_row = advance(
                     features[seg:], labels[seg:], produced + seg, detector, state
                 )
                 if drift_row < 0:
@@ -430,7 +415,13 @@ class PrequentialRunner:
         detector: DriftDetector | None,
         state: "_RunState",
     ) -> int:
-        """Optimistically run one post-pretrain segment of a chunk.
+        """Exact mode's segment step: bit-identical to the instance loop.
+
+        The segment runs *optimistically*: the detector is snapshotted, and
+        the whole segment is scored, stepped and folded into the metrics.
+        Only a drift can invalidate that, because the rows after it must be
+        rescored by the rebuilt classifier, so on the first drift flag the
+        detector is rolled back and replayed up to the drift row.
 
         Returns the in-segment row index of the first drift (after fully
         handling it: detector replay, metrics, classifier rebuild, and the
@@ -488,101 +479,58 @@ class PrequentialRunner:
         state.classifier_time += time.perf_counter() - start
         return row
 
-    def _run_batch_mode(
+    def _advance_batch_segment(
         self,
-        data_stream: DataStream,
+        seg_x: np.ndarray,
+        seg_y: np.ndarray,
+        seg_start: int,
         detector: DriftDetector | None,
-        n_instances: int,
-        chunk: int,
         state: "_RunState",
-        start_at: int = 0,
-        checkpointer: "_Checkpointer | None" = None,
     ) -> int:
-        """Chunk-granular test-then-train over the batch APIs.
+        """Batch mode's segment step: test-then-train at chunk granularity.
 
-        Returns the number of rows processed, resumed rows included.
+        The whole segment is scored with ``predict_proba_batch``, stepped
+        through ``step_batch`` and trained with ``partial_fit_batch``.  After
+        the segment's last drift the classifier is rebuilt and trained only
+        on the rows that follow it.  Always returns ``-1``: the segment is
+        consumed whole.
         """
-        produced = start_at
-        while produced < n_instances:
-            features, labels = data_stream.generate_batch(
-                min(chunk, n_instances - produced)
-            )
-            n_rows = int(labels.shape[0])
-            if n_rows == 0:
-                break
-            offset = 0
-            if produced < self._pretrain_size:
-                offset = min(self._pretrain_size - produced, n_rows)
-                start = time.perf_counter()
-                state.classifier.partial_fit_batch(
-                    features[:offset], labels[:offset]
-                )
-                state.classifier_time += time.perf_counter() - start
-                state.warm_x.append(features[:offset])
-                state.warm_y.append(labels[:offset])
-                _extend_replay(state.replay, features[:offset], labels[:offset])
-            if (
-                produced + offset >= self._pretrain_size
-                and detector is not None
-                and not state.warm_started
-                and state.warm_x
-            ):
-                start = time.perf_counter()
-                detector.warm_start(
-                    np.vstack(state.warm_x), np.concatenate(state.warm_y)
-                )
-                state.detector_time += time.perf_counter() - start
-                state.warm_started = True
-            if offset >= n_rows:
-                produced += n_rows
-                if checkpointer is not None:
-                    checkpointer.maybe_save(produced, state)
-                continue
+        start = time.perf_counter()
+        scores = state.classifier.predict_proba_batch(seg_x)
+        state.classifier_time += time.perf_counter() - start
+        predictions = np.argmax(scores, axis=1).astype(np.int64)
+        state.evaluator.update_batch(scores, seg_y, predictions)
 
-            chunk_x = features[offset:]
-            chunk_y = labels[offset:]
+        last_drift_row = -1
+        if detector is not None:
             start = time.perf_counter()
-            scores = state.classifier.predict_proba_batch(chunk_x)
+            flags = detector.step_batch(seg_x, seg_y, predictions)
+            state.detector_time += time.perf_counter() - start
+            drift_rows = np.flatnonzero(flags)
+            if drift_rows.shape[0]:
+                blamed = detector.detection_classes[-drift_rows.shape[0] :]
+                for row, classes in zip(drift_rows, blamed):
+                    state.detections.append(seg_start + int(row))
+                    state.detected_classes.append(set(classes or set()))
+                last_drift_row = int(drift_rows[-1])
+
+        if last_drift_row >= 0:
+            _extend_replay(
+                state.replay,
+                seg_x[: last_drift_row + 1],
+                seg_y[: last_drift_row + 1],
+            )
+            state.classifier = self._rebuild_classifier(
+                seg_x.shape[1], state.evaluator.n_classes, state.replay
+            )
+            seg_x = seg_x[last_drift_row + 1 :]
+            seg_y = seg_y[last_drift_row + 1 :]
+        if seg_y.shape[0]:
+            start = time.perf_counter()
+            state.classifier.partial_fit_batch(seg_x, seg_y)
             state.classifier_time += time.perf_counter() - start
-            predictions = np.argmax(scores, axis=1).astype(np.int64)
-            state.evaluator.update_batch(scores, chunk_y, predictions)
-
-            last_drift_row = -1
-            if detector is not None:
-                start = time.perf_counter()
-                flags = detector.step_batch(chunk_x, chunk_y, predictions)
-                state.detector_time += time.perf_counter() - start
-                drift_rows = np.flatnonzero(flags)
-                if drift_rows.shape[0]:
-                    blamed = detector.detection_classes[-drift_rows.shape[0] :]
-                    for row, classes in zip(drift_rows, blamed):
-                        state.detections.append(produced + offset + int(row))
-                        state.detected_classes.append(set(classes or set()))
-                    last_drift_row = int(drift_rows[-1])
-
-            if last_drift_row >= 0:
-                _extend_replay(
-                    state.replay,
-                    chunk_x[: last_drift_row + 1],
-                    chunk_y[: last_drift_row + 1],
-                )
-                state.classifier = self._rebuild_classifier(
-                    data_stream.n_features, data_stream.n_classes, state.replay
-                )
-                train_x = chunk_x[last_drift_row + 1 :]
-                train_y = chunk_y[last_drift_row + 1 :]
-            else:
-                train_x = chunk_x
-                train_y = chunk_y
-            if train_y.shape[0]:
-                start = time.perf_counter()
-                state.classifier.partial_fit_batch(train_x, train_y)
-                state.classifier_time += time.perf_counter() - start
-                _extend_replay(state.replay, train_x, train_y)
-            produced += n_rows
-            if checkpointer is not None:
-                checkpointer.maybe_save(produced, state)
-        return produced
+            _extend_replay(state.replay, seg_x, seg_y)
+        return -1
 
     # ------------------------------------------------------------ internals
     def _step_one(
@@ -593,7 +541,7 @@ class PrequentialRunner:
         detector: DriftDetector | None,
         state: "_RunState",
     ) -> None:
-        """One test-then-train step shared by instance and exact modes."""
+        """One test-then-train step of the scalar instance loop."""
         state.replay.append((x, y_true))
 
         if position < self._pretrain_size:
@@ -603,16 +551,8 @@ class PrequentialRunner:
             state.warm_x.append(x)
             state.warm_y.append(y_true)
             return
-        if (
-            position == self._pretrain_size
-            and detector is not None
-            and not state.warm_started
-            and state.warm_x
-        ):
-            start = time.perf_counter()
-            detector.warm_start(np.vstack(state.warm_x), np.asarray(state.warm_y))
-            state.detector_time += time.perf_counter() - start
-            state.warm_started = True
+        if position == self._pretrain_size:
+            _warm_start(detector, state)
 
         # ---- test
         start = time.perf_counter()
@@ -654,6 +594,21 @@ class PrequentialRunner:
         return classifier
 
 
+def _warm_start(detector: DriftDetector | None, state: "_RunState") -> None:
+    """Warm the detector up on the pretrain rows, once.
+
+    Every mode calls this right before its first post-pretrain row, so a run
+    without pretrain rows, or one that ends at the pretrain boundary, never
+    warm-starts.  ``np.hstack`` flattens both layouts of ``warm_y``.
+    """
+    if detector is None or state.warm_started or not state.warm_x:
+        return
+    start = time.perf_counter()
+    detector.warm_start(np.vstack(state.warm_x), np.hstack(state.warm_y))
+    state.detector_time += time.perf_counter() - start
+    state.warm_started = True
+
+
 def _require_snapshotable(purpose: str, role: str, part: object) -> None:
     """Refuse ``part`` up front unless it implements the snapshot contract."""
     if not isinstance(part, Snapshotable):
@@ -666,7 +621,11 @@ def _require_snapshotable(purpose: str, role: str, part: object) -> None:
 
 @dataclass
 class _RunState:
-    """Mutable accumulators shared by the execution modes."""
+    """Mutable accumulators shared by the instance loop and the chunk driver.
+
+    ``warm_x``/``warm_y`` hold the pretrain rows, one row per entry in the
+    instance loop and one chunk slice per entry in the chunk driver.
+    """
 
     classifier: StreamClassifier
     evaluator: PrequentialEvaluator

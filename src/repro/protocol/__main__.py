@@ -91,9 +91,11 @@ def _load_spec_with_overrides(args: argparse.Namespace) -> ProtocolSpec:
     spec = _load_spec(args)
     if args.chunk_size is not None:
         spec.chunk_size = args.chunk_size
-        spec.__post_init__()
     if args.batch_mode is not None:
         spec.batch_mode = args.batch_mode
+    # The overrides bypass the constructor's checks; re-run them so a bad
+    # combination fails here, before any store is opened.
+    spec.__post_init__()
     return spec
 
 

@@ -213,6 +213,8 @@ class ProtocolSpec:
         # runs instead of storing one failure record per cell.
         if self.chunk_size is not None and self.chunk_size < 1:
             raise ValueError("chunk_size must be >= 1 or None")
+        if self.batch_mode and self.chunk_size is None:
+            raise ValueError("batch_mode requires chunk_size")
         if self.pretrain_size < 0:
             raise ValueError("pretrain_size must be >= 0")
         if self.window_size < 10:

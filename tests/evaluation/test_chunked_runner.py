@@ -13,8 +13,9 @@ import pytest
 
 from repro.classifiers import GaussianNaiveBayes
 from repro.core.detector import RBMIM, RBMIMConfig
-from repro.detectors import DDM_OCI
+from repro.detectors import DDM, DDM_OCI
 from repro.evaluation.prequential import PrequentialRunner
+from repro.streams.base import ListStream
 from repro.streams.generators import RandomRBFGenerator
 from repro.streams.imbalance import StaticImbalance
 from repro.streams.scenarios import ScenarioStream, make_artificial_stream
@@ -171,3 +172,55 @@ class TestChunkedBatchMode:
         result = runner.run(scenario, None, n_instances=2_000)
         assert result.detections == []
         assert 0.0 <= result.pmauc <= 1.0
+
+
+class _WarmStartRecorder(DDM):
+    """A DDM that records every ``warm_start`` call."""
+
+    def __init__(self):
+        super().__init__()
+        self.warm_calls = []
+
+    def warm_start(self, X, y):
+        self.warm_calls.append((np.array(X), np.array(y), self.n_observations))
+        super().warm_start(X, y)
+
+
+# name: (pretrain_size, chunk_size, rows in a finite stream or None, calls)
+WARM_START_CASES = {
+    "chunk equals pretrain": (64, 64, None, 1),
+    "pretrain ends mid-chunk": (100, 64, None, 1),
+    "no pretrain": (0, 64, None, 0),
+    "stream ends at the pretrain boundary": (64, 64, 64, 0),
+}
+
+
+class TestWarmStart:
+    @pytest.mark.parametrize("case", WARM_START_CASES)
+    def test_once_right_before_the_first_post_pretrain_row(self, case):
+        pretrain, chunk, finite_rows, expected = WARM_START_CASES[case]
+        modes = {
+            "instance": {},
+            "exact": {"chunk_size": chunk},
+            "batch": {"chunk_size": chunk, "batch_mode": True},
+        }
+        calls = {}
+        for mode, options in modes.items():
+            stream = RandomRBFGenerator(n_classes=3, n_features=4, seed=0)
+            if finite_rows is not None:
+                stream = ListStream(stream.take(finite_rows))
+            detector = _WarmStartRecorder()
+            runner = PrequentialRunner(nb_factory, pretrain_size=pretrain, **options)
+            runner.run(stream, detector, n_instances=500)
+            calls[mode] = detector.warm_calls
+        assert {mode: len(c) for mode, c in calls.items()} == dict.fromkeys(
+            modes, expected
+        )
+        if expected:
+            rows, labels = RandomRBFGenerator(
+                n_classes=3, n_features=4, seed=0
+            ).generate_batch(pretrain)
+            for [(X, y, stepped_before)] in calls.values():
+                np.testing.assert_array_equal(X, rows)
+                np.testing.assert_array_equal(y, labels)
+                assert stepped_before == 0

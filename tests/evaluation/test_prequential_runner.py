@@ -113,6 +113,11 @@ class TestPrequentialRunner:
         with pytest.raises(ValueError):
             PrequentialRunner(perceptron_factory, pretrain_size=-1)
 
+    def test_batch_mode_requires_chunk_size(self):
+        # Without a chunk size, batch_mode used to run instance mode silently.
+        with pytest.raises(ValueError, match="batch_mode requires chunk_size"):
+            PrequentialRunner(perceptron_factory, batch_mode=True)
+
 
 class TestExperimentOrchestration:
     def test_paper_detector_factories_names(self):

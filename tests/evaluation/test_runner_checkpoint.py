@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.core.snapshot import decode_state
 from repro.evaluation.checkpoint import RunnerCheckpoint
 from repro.evaluation.experiment import default_classifier_factory
 from repro.evaluation.prequential import PrequentialRunner
@@ -35,7 +36,7 @@ def _make_stream():
     return make_artificial_stream("rbf", n_classes=3, n_instances=N_INSTANCES, seed=9)
 
 
-def _make_runner(mode: str) -> PrequentialRunner:
+def _make_runner(mode: str, pretrain_size: int) -> PrequentialRunner:
     chunked = {
         "instance": dict(chunk_size=None),
         "chunked": dict(chunk_size=CHUNK),
@@ -44,15 +45,15 @@ def _make_runner(mode: str) -> PrequentialRunner:
     return PrequentialRunner(
         classifier_factory=default_classifier_factory,
         window_size=500,
-        pretrain_size=100,
+        pretrain_size=pretrain_size,
         rebuild_buffer=100,
         snapshot_every=250,
         **chunked,
     )
 
 
-def _run(mode: str, detector_name: "str | None", **kwargs):
-    runner = _make_runner(mode)
+def _run(mode: str, detector_name: "str | None", pretrain_size=100, **kwargs):
+    runner = _make_runner(mode, pretrain_size)
     stream = _make_stream()
     detector = (
         None
@@ -81,32 +82,58 @@ def _assert_identical(resumed, reference) -> None:
     ]
 
 
-@pytest.mark.parametrize("mode", ["instance", "chunked", "batch"])
-@pytest.mark.parametrize("detector_name", ["RBM-IM", "ADWIN", None])
-def test_killed_run_resumes_bit_identical(tmp_path, monkeypatch, mode, detector_name):
-    reference = _run(mode, detector_name)
-
-    path = tmp_path / "checkpoint.json"
+def _kill_after_save(monkeypatch, n_saves: int, path, mode, detector_name, **kwargs):
+    """Run with checkpoints to ``path`` and "kill" it after ``n_saves`` writes."""
     real_save = RunnerCheckpoint.save
     saves = {"count": 0}
 
     def dying_save(self, target):
         real_save(self, target)
         saves["count"] += 1
-        if saves["count"] == 3:
+        if saves["count"] == n_saves:
             raise _Killed()
 
     monkeypatch.setattr(RunnerCheckpoint, "save", dying_save)
     with pytest.raises(_Killed):
-        _run(mode, detector_name, checkpoint_path=path, checkpoint_every=CHUNK)
+        _run(
+            mode, detector_name, checkpoint_path=path, checkpoint_every=CHUNK,
+            **kwargs,
+        )
     monkeypatch.undo()
     assert path.is_file()  # the cut written just before the "kill" survived
 
+
+@pytest.mark.parametrize("mode", ["instance", "chunked", "batch"])
+@pytest.mark.parametrize("detector_name", ["RBM-IM", "ADWIN", None])
+def test_killed_run_resumes_bit_identical(tmp_path, monkeypatch, mode, detector_name):
+    reference = _run(mode, detector_name)
+
+    path = tmp_path / "checkpoint.json"
+    _kill_after_save(monkeypatch, 3, path, mode, detector_name)
     killed_at = RunnerCheckpoint.load(path)
     assert killed_at is not None
     assert 0 < killed_at.produced < N_INSTANCES  # genuinely mid-run
 
     resumed = _run(mode, detector_name, checkpoint_path=path, checkpoint_every=CHUNK)
+    _assert_identical(resumed, reference)
+
+
+@pytest.mark.parametrize("mode", ["chunked", "batch"])
+def test_resume_from_a_cut_at_the_pretrain_boundary(tmp_path, monkeypatch, mode):
+    """The cut lands after the last pretrain row but before the warm-start,
+    which fires in the resumed run (RBM-IM's warm-start trains its RBM)."""
+    reference = _run(mode, "RBM-IM", pretrain_size=CHUNK)
+
+    path = tmp_path / "checkpoint.json"
+    _kill_after_save(monkeypatch, 1, path, mode, "RBM-IM", pretrain_size=CHUNK)
+    killed_at = RunnerCheckpoint.load(path)
+    assert killed_at.produced == CHUNK
+    assert decode_state(killed_at.progress)["warm_started"] is False
+
+    resumed = _run(
+        mode, "RBM-IM", pretrain_size=CHUNK, checkpoint_path=path,
+        checkpoint_every=CHUNK,
+    )
     _assert_identical(resumed, reference)
 
 
@@ -125,17 +152,7 @@ def test_checkpointing_itself_changes_nothing(tmp_path):
 def test_mismatched_checkpoint_is_ignored(tmp_path, monkeypatch):
     """A checkpoint from a different run configuration must not be applied."""
     path = tmp_path / "checkpoint.json"
-    real_save = RunnerCheckpoint.save
-
-    def dying_save(self, target):
-        real_save(self, target)
-        raise _Killed()
-
-    monkeypatch.setattr(RunnerCheckpoint, "save", dying_save)
-    with pytest.raises(_Killed):
-        _run("chunked", "DDM", checkpoint_path=path, checkpoint_every=CHUNK)
-    monkeypatch.undo()
-    assert path.is_file()
+    _kill_after_save(monkeypatch, 1, path, "chunked", "DDM")
 
     # Same path, different detector: the checkpoint's meta does not match,
     # so the run starts fresh and equals the uncheckpointed reference.

@@ -112,6 +112,21 @@ def test_invalid_chunk_size_override_stores_nothing(tmp_path):
     assert not store.exists()  # refused before the store was opened
 
 
+def test_batch_mode_override_without_chunk_size_stores_nothing(tmp_path):
+    spec = json.loads(run_cli("spec", "--preset", "quick").stdout)
+    spec["chunk_size"] = None
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_text(json.dumps(spec), encoding="utf-8")
+    store = tmp_path / "results"
+    out = run_cli(
+        "run", "--spec", str(spec_path), "--store", str(store),
+        "--backend", "serial", "--batch-mode", check=False,
+    )
+    assert out.returncode == 1
+    assert "batch_mode requires chunk_size" in out.stderr
+    assert not store.exists()  # refused before the store was opened
+
+
 def test_batch_mode_is_a_two_way_override(tmp_path):
     out = run_cli("run", "--help")
     assert "--no-batch-mode" in out.stdout

@@ -113,6 +113,10 @@ class TestValidation:
     def test_instance_mode_chunk_size_accepted(self):
         assert ProtocolSpec(chunk_size=None).chunk_size is None
 
+    def test_batch_mode_without_chunk_size_rejected(self):
+        with pytest.raises(ValueError, match="batch_mode requires chunk_size"):
+            ProtocolSpec(chunk_size=None, batch_mode=True)
+
     def test_unknown_scenario_in_builder(self):
         with pytest.raises(ValueError, match="unknown scenario"):
             build_scenario(
