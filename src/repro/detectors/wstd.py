@@ -28,7 +28,7 @@ from __future__ import annotations
 from functools import lru_cache
 
 import numpy as np
-from scipy import special, stats
+from scipy import special
 
 from repro.core.windows import RingWindow
 from repro.detectors.base import ErrorRateDetector
@@ -42,8 +42,11 @@ def _rank_sum_p_value(n_old: int, ones_old: int, n_recent: int, ones_recent: int
 
     The scipy reference for :func:`_rank_sum_p_values`: the samples are
     reconstructed from their counts and handed to scipy.  No detector path
-    calls it.
+    calls it, so ``scipy.stats`` (a large import) is loaded here, not with
+    the module.
     """
+    from scipy import stats
+
     old = np.concatenate(
         [np.ones(ones_old), np.zeros(n_old - ones_old)]
     )

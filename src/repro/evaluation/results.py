@@ -84,7 +84,7 @@ class ResultTable:
         """Render the table (plus an average-rank footer) as aligned text."""
         methods = self.methods
         width = max([len(self.metric_name)] + [len(name) for name in self.datasets]) + 2
-        column_width = max(8, max(len(name) for name in methods) + 2)
+        column_width = max([8] + [len(name) + 2 for name in methods])
         lines = [
             self.metric_name.ljust(width)
             + "".join(name.rjust(column_width) for name in methods)
@@ -122,8 +122,8 @@ def format_series_table(
     for name, values in series.items():
         if len(values) != len(x_values):
             raise ValueError(f"series {name!r} length does not match x_values")
-    width = max(len(x_label), max(len(str(x)) for x in x_values)) + 2
-    column_width = max(8, max(len(name) for name in methods) + 2)
+    width = max([len(x_label)] + [len(str(x)) for x in x_values]) + 2
+    column_width = max([8] + [len(name) + 2 for name in methods])
     lines = [x_label.ljust(width) + "".join(name.rjust(column_width) for name in methods)]
     for index, x in enumerate(x_values):
         row = str(x).ljust(width)

@@ -6,6 +6,11 @@
 * Bayesian signed test (Benavoli et al., 2017) for the pairwise probability
   that one method is practically better / equivalent / worse than another
   (Figs. 6-7).
+
+``scipy.stats`` is imported inside the two functions that need it
+(:func:`friedman_test`, :func:`bonferroni_dunn_critical_distance`), not at
+module level: it is a large import, and the run path (including the rank
+tables of ``ProtocolPipeline.table``) never calls either function.
 """
 
 from __future__ import annotations
@@ -13,7 +18,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats
+
+from repro.metrics.pmauc import midranks
 
 __all__ = [
     "average_ranks",
@@ -32,12 +38,19 @@ def average_ranks(scores: np.ndarray, higher_is_better: bool = True) -> np.ndarr
     """Average rank of each method (columns) over the datasets (rows).
 
     Rank 1 is the best method; ties receive midranks, following Demsar (2006).
+    A row holding a NaN ranks as all-NaN, so every method's average is NaN
+    (``scipy.stats.rankdata``'s rule).
     """
     scores = np.asarray(scores, dtype=np.float64)
-    if scores.ndim != 2:
-        raise ValueError("scores must be a (datasets x methods) matrix")
+    if scores.ndim != 2 or scores.shape[0] == 0:
+        raise ValueError(
+            "scores must be a (datasets x methods) matrix with at least one dataset"
+        )
     data = -scores if higher_is_better else scores
-    ranks = np.apply_along_axis(stats.rankdata, 1, data)
+    ranks = np.full(data.shape, np.nan)
+    for i, row in enumerate(data):
+        if not np.isnan(row).any():
+            ranks[i] = midranks(row)
     return ranks.mean(axis=0)
 
 
@@ -63,6 +76,8 @@ def friedman_test(scores: np.ndarray, higher_is_better: bool = True) -> Friedman
         raise ValueError("need a matrix with at least 3 methods (columns)")
     if scores.shape[0] < 2:
         raise ValueError("need at least 2 datasets (rows)")
+    from scipy import stats
+
     statistic, p_value = stats.friedmanchisquare(*scores.T)
     return FriedmanResult(
         statistic=float(statistic),
@@ -83,6 +98,8 @@ def bonferroni_dunn_critical_distance(
     """
     if n_methods < 2 or n_datasets < 2:
         raise ValueError("need at least 2 methods and 2 datasets")
+    from scipy import stats
+
     q_alpha = stats.norm.ppf(1.0 - alpha / (2.0 * (n_methods - 1)))
     return float(q_alpha * np.sqrt(n_methods * (n_methods + 1) / (6.0 * n_datasets)))
 

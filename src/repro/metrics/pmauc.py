@@ -13,7 +13,28 @@ import numpy as np
 
 from repro.core.snapshot import Snapshotable
 
-__all__ = ["auc_from_scores", "PrequentialMultiClassAUC"]
+__all__ = ["auc_from_scores", "midranks", "PrequentialMultiClassAUC"]
+
+
+def midranks(values: np.ndarray) -> np.ndarray:
+    """1-based ranks of a 1-D float64 array, ties sharing their mean rank.
+
+    A tied run spanning sorted positions ``[start, end]`` gets
+    ``(start + end + 2) / 2``.  Every rank is an exact half-integer, so the
+    result equals ``scipy.stats.rankdata(values)`` bit for bit on NaN-free
+    input (``-0.0`` and ``0.0`` tie, as they compare equal).  The rank tables
+    (:func:`repro.evaluation.stats.average_ranks`) use it too.
+    """
+    order = np.argsort(values, kind="mergesort")
+    sorted_values = values[order]
+    n = sorted_values.shape[0]
+    run_starts = np.flatnonzero(
+        np.concatenate(([True], sorted_values[1:] != sorted_values[:-1]))
+    )
+    run_lengths = np.diff(np.concatenate((run_starts, [n])))
+    ranks = np.empty(n, dtype=np.float64)
+    ranks[order] = np.repeat((2 * run_starts + run_lengths + 1) / 2.0, run_lengths)
+    return ranks
 
 
 def auc_from_scores(scores: np.ndarray, is_positive: np.ndarray) -> float:
@@ -28,19 +49,7 @@ def auc_from_scores(scores: np.ndarray, is_positive: np.ndarray) -> float:
     n_negative = int((~is_positive).sum())
     if n_positive == 0 or n_negative == 0:
         return float("nan")
-    order = np.argsort(scores, kind="mergesort")
-    ranks = np.empty_like(scores)
-    sorted_scores = scores[order]
-    # Midranks for ties, vectorized: tied runs share the mean of the 1-based
-    # ranks they span ((start + end + 2) / 2 for a run [start, end]).
-    n = sorted_scores.shape[0]
-    run_starts = np.flatnonzero(
-        np.concatenate(([True], sorted_scores[1:] != sorted_scores[:-1]))
-    )
-    run_lengths = np.diff(np.concatenate((run_starts, [n])))
-    midranks = (2 * run_starts + run_lengths + 1) / 2.0
-    ranks[order] = np.repeat(midranks, run_lengths)
-    rank_sum_positive = float(ranks[is_positive].sum())
+    rank_sum_positive = float(midranks(scores)[is_positive].sum())
     u_statistic = rank_sum_positive - n_positive * (n_positive + 1) / 2.0
     return float(u_statistic / (n_positive * n_negative))
 

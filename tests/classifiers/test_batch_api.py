@@ -51,6 +51,56 @@ def test_default_adapter_identical_to_loop(factory, data):
     np.testing.assert_array_equal(batch_scores, loop_scores)
 
 
+#: One factory per classifier: GNB has a native ``predict_fit_interleaved``
+#: kernel, the other four run the base-class row loop.
+INTERLEAVED_FACTORIES = {
+    "gnb": lambda: GaussianNaiveBayes(6, 4),
+    "perceptron": lambda: OnlinePerceptron(6, 4, seed=3),
+    **dict(zip(("majority", "no-change", "tree"), DEFAULT_ADAPTER_FACTORIES)),
+}
+
+
+class TestPredictFitInterleaved:
+    """The chunk-exact contract: any chunking equals the per-row loop bit for bit."""
+
+    @pytest.mark.parametrize("chunk", [1, 7, 64, None], ids=str)
+    @pytest.mark.parametrize("name", sorted(INTERLEAVED_FACTORIES))
+    def test_equals_row_loop_bitwise(self, name, chunk, data):
+        features, labels = data
+        n = labels.shape[0]
+        loop_model = INTERLEAVED_FACTORIES[name]()
+        expected = np.empty((n, 4))
+        for i in range(n):
+            expected[i] = loop_model.predict_proba(features[i])
+            loop_model.partial_fit(features[i], int(labels[i]))
+        model = INTERLEAVED_FACTORIES[name]()
+        step = chunk or n
+        scores = np.vstack(
+            [
+                model.predict_fit_interleaved(
+                    features[start : start + step], labels[start : start + step]
+                )
+                for start in range(0, n, step)
+            ]
+        )
+        np.testing.assert_array_equal(
+            scores.view(np.uint64), expected.view(np.uint64)
+        )
+        assert model.snapshot() == loop_model.snapshot()
+
+    @pytest.mark.parametrize("name", sorted(INTERLEAVED_FACTORIES))
+    def test_empty_chunk(self, name, data):
+        features, labels = data
+        model = INTERLEAVED_FACTORIES[name]()
+        model.partial_fit_batch(features[:50], labels[:50])
+        before = model.snapshot()
+        scores = model.predict_fit_interleaved(
+            np.empty((0, 6)), np.empty(0, dtype=np.int64)
+        )
+        assert scores.shape == (0, 4)
+        assert model.snapshot() == before
+
+
 def test_predict_batch_matches_argmax(data):
     features, labels = data
     model = GaussianNaiveBayes(6, 4)

@@ -32,6 +32,32 @@ class TestAverageRanks:
     def test_requires_matrix(self):
         with pytest.raises(ValueError):
             average_ranks(np.array([1.0, 2.0]))
+        with pytest.raises(ValueError):
+            average_ranks(np.empty((0, 3)))
+
+    @pytest.mark.parametrize("higher_is_better", [True, False])
+    def test_equals_mean_of_scipy_rankdata_rows(self, higher_is_better):
+        """Exactly scipy's per-row ranks, averaged: ties, signed zeros, NaN rows."""
+        from scipy import stats
+
+        rng = np.random.default_rng(2024)
+        levels = np.array([-1.0, -0.0, 0.0, 0.25, 0.5, 1.0])
+        n_nan_results = 0
+        for case in range(300):
+            shape = (int(rng.integers(1, 8)), int(rng.integers(1, 10)))
+            if case % 2:
+                scores = rng.choice(levels, size=shape)
+            else:
+                scores = np.round(rng.random(shape), int(rng.integers(1, 4)))
+            if case % 3 == 0:
+                scores[rng.integers(shape[0]), rng.integers(shape[1])] = np.nan
+            oriented = -scores if higher_is_better else scores
+            expected = np.apply_along_axis(stats.rankdata, 1, oriented).mean(axis=0)
+            np.testing.assert_array_equal(
+                average_ranks(scores, higher_is_better), expected
+            )
+            n_nan_results += bool(np.isnan(expected).all())
+        assert n_nan_results == 100
 
 
 class TestFriedman:

@@ -132,6 +132,11 @@ class TestResultTable:
         table.add("stream1", "A", 0.95, overwrite=True)
         assert table.value("stream1", "A") == pytest.approx(0.95)
 
+    def test_empty_table_renders_header_and_empty_ranks_row(self):
+        # A protocol table before any cell has finished has no methods.
+        text = ResultTable(metric_name="pmAUC").to_text()
+        assert [line.rstrip() for line in text.splitlines()] == ["pmAUC", "ranks"]
+
 
 class TestFormatSeriesTable:
     def test_renders_rows_per_x_value(self):
@@ -146,3 +151,9 @@ class TestFormatSeriesTable:
     def test_length_mismatch_rejected(self):
         with pytest.raises(ValueError):
             format_series_table("x", [1, 2], {"A": [0.1]})
+
+    def test_empty_series_and_empty_x_values_render(self):
+        no_series = format_series_table("classes", [1, 2], {})
+        assert [line.rstrip() for line in no_series.splitlines()] == ["classes", "1", "2"]
+        no_rows = format_series_table("classes", [], {"RBM-IM": []})
+        assert no_rows.split() == ["classes", "RBM-IM"]

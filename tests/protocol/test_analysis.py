@@ -112,6 +112,22 @@ class TestAnalyzeRecords:
         assert item.bonferroni_dunn is None
         assert any("Friedman test skipped" in note for note in item.notes)
 
+    def test_all_detectors_tied_notes_a_degenerate_friedman_test(self):
+        records = [
+            make_record(f"bench{b}", detector, pmauc=0.7)
+            for b in range(3)
+            for detector in ("DDM", "ADWIN", "RBM-IM")
+        ]
+        item = analyze_records(records, metrics=("pmauc",), control=None).metrics[
+            "pmauc"
+        ]
+        assert item.friedman is None
+        assert (
+            "Friedman test degenerate: every detector tied on every benchmark"
+            in item.notes
+        )
+        assert item.ranks == {"DDM": 2.0, "ADWIN": 2.0, "RBM-IM": 2.0}
+
     def test_missing_control_noted(self):
         analysis = analyze_records(
             self._records(detectors=("DDM", "ADWIN", "WSTD")),
