@@ -1,8 +1,13 @@
 """Shared infrastructure for the benchmark harnesses.
 
 Every table and figure of the paper's evaluation has a dedicated
-``test_bench_*.py`` harness in this directory; they all build on the helpers
-here.  Stream lengths and the number of benchmark streams are scaled down by
+``test_bench_*.py`` harness in this directory.  Each runs its grid as
+:class:`~repro.evaluation.grid.CellTask`\\ s on the serial backend, the path
+:class:`~repro.protocol.pipeline.ProtocolPipeline` uses: a cell builds its
+stream from ``(factory, seed)`` and its detector from
+:mod:`repro.protocol.registry`, the one copy of the paper's settings.
+
+Stream lengths and the number of benchmark streams are scaled down by
 default so the full suite runs in a few minutes on a laptop; set the
 environment variable ``REPRO_BENCH_SCALE=full`` for longer streams (closer to
 the paper's setup, at a correspondingly higher runtime).
@@ -16,23 +21,18 @@ to local drifts and rising imbalance), not the absolute values.
 from __future__ import annotations
 
 import os
-from functools import lru_cache
+from typing import Callable, Mapping, Sequence
 
 from repro.classifiers import GaussianNaiveBayes
-from repro.core.detector import RBMIM, RBMIMConfig
-from repro.detectors import DDM_OCI, FHDDM, PerfSim, RDDM, WSTD
-from repro.evaluation.experiment import compare_detectors
-from repro.evaluation.prequential import RunResult
-from repro.evaluation.results import ResultTable
+from repro.evaluation.grid import CellTask, GridCell, StreamFactory, cell_record
+from repro.protocol.analysis import records_to_table
+from repro.protocol.backends import SerialBackend
+from repro.protocol.registry import PAPER_DETECTORS, detector_factory
 from repro.streams.real_world import real_world_stream
-from repro.streams.scenarios import (
-    ScenarioStream,
-    make_artificial_stream,
-    scenario_local_drift,
-)
+from repro.streams.scenarios import ScenarioStream, make_artificial_stream
 
-#: Detector names in the order used throughout the paper's tables/figures.
-DETECTOR_ORDER = ["WSTD", "RDDM", "FHDDM", "PerfSim", "DDM-OCI", "RBM-IM"]
+#: Prequential settings shared by every paper harness.
+RUNNER_KWARGS = {"window_size": 1_000, "pretrain_size": 200, "chunk_size": 512}
 
 
 def bench_scale() -> str:
@@ -43,21 +43,6 @@ def bench_scale() -> str:
 def stream_length(small: int, full: int) -> int:
     """Pick a stream length according to the configured scale."""
     return full if bench_scale() == "full" else small
-
-
-def bench_detector_factories(batch_size: int = 50, seed: int = 11):
-    """The paper's six detectors with benchmark-friendly settings."""
-
-    return {
-        "WSTD": lambda f, c: WSTD(window_size=75, drift_significance=0.003),
-        "RDDM": lambda f, c: RDDM(),
-        "FHDDM": lambda f, c: FHDDM(window_size=100, delta=1e-6),
-        "PerfSim": lambda f, c: PerfSim(n_classes=c, batch_size=10 * batch_size),
-        "DDM-OCI": lambda f, c: DDM_OCI(n_classes=c),
-        "RBM-IM": lambda f, c: RBMIM(
-            f, c, RBMIMConfig(batch_size=batch_size, seed=seed)
-        ),
-    }
 
 
 def bench_classifier_factory(n_features: int, n_classes: int):
@@ -71,13 +56,73 @@ def bench_classifier_factory(n_features: int, n_classes: int):
     return GaussianNaiveBayes(n_features, n_classes)
 
 
-def table_i_benchmark_streams(seed: int = 0) -> list[ScenarioStream]:
+def seeded(build: Callable[..., ScenarioStream], *args, **kwargs) -> StreamFactory:
+    """A stream factory calling ``build(*args, **kwargs)`` with ``seed=seed``."""
+    return lambda seed: build(*args, seed=seed, **kwargs)
+
+
+def detector_tasks(
+    stream: str,
+    stream_factory: StreamFactory,
+    seed: int,
+    detectors: "Mapping[str, Callable] | None" = None,
+) -> list[CellTask]:
+    """One cell per detector (default: the paper line-up) on one stream."""
+    if detectors is None:
+        detectors = {name: detector_factory(name) for name in PAPER_DETECTORS}
+    return [
+        CellTask(
+            cell=GridCell(stream=stream, detector=name, seed=seed),
+            stream_factory=stream_factory,
+            detector_factory=factory,
+            classifier_factory=bench_classifier_factory,
+            runner_kwargs=RUNNER_KWARGS,
+        )
+        for name, factory in detectors.items()
+    ]
+
+
+def run_cells(tasks: Sequence[CellTask]) -> list[dict]:
+    """Run ``tasks`` on the serial backend: one record per cell, in order.
+
+    Raises on a failed cell, because :func:`records_to_table` skips records
+    that carry an error and a failure would otherwise vanish from a table.
+    """
+    results = SerialBackend().run(tasks)
+    for cell_result in results:
+        if not cell_result.ok:
+            raise RuntimeError(
+                f"benchmark cell {cell_result.cell} failed:\n{cell_result.error}"
+            )
+    return [cell_record(cell_result) for cell_result in results]
+
+
+def pmauc_series(
+    streams: "Mapping[object, StreamFactory]", seed: int
+) -> dict[str, list[float]]:
+    """pmAUC [%] of the paper's detectors per x value of a figure (Figs. 8-9).
+
+    ``streams`` maps each x value to its stream factory, in plot order.
+    """
+    tasks = [
+        task
+        for x, factory in streams.items()
+        for task in detector_tasks(str(x), factory, seed)
+    ]
+    table = records_to_table(run_cells(tasks), "pmauc", scale=100.0)
+    return {
+        method: [table.value(str(x), method) for x in streams]
+        for method in table.methods
+    }
+
+
+def table_i_benchmark_streams() -> list[tuple[str, StreamFactory]]:
     """The 24-stream benchmark of Table I (subset at small scale).
 
     At ``small`` scale a representative subset is used: six real-world
     surrogates spanning few/many classes and low/high imbalance, plus six
     artificial streams (one per family and class count mix).  At ``full``
-    scale all 24 streams are built.
+    scale all 24 streams are built.  Each entry is ``(name, factory)``.
     """
     if bench_scale() == "full":
         real_names = [
@@ -101,111 +146,17 @@ def table_i_benchmark_streams(seed: int = 0) -> list[ScenarioStream]:
         n_instances = 3_000
         max_real = 3_000
 
-    streams: list[ScenarioStream] = []
-    for name in real_names:
-        streams.append(real_world_stream(name, max_instances=max_real, seed=seed))
+    streams = [
+        (name, seeded(real_world_stream, name, max_instances=max_real))
+        for name in real_names
+    ]
     for family, n_classes in artificial:
-        streams.append(
-            make_artificial_stream(
-                family,
-                n_classes,
-                n_instances=n_instances,
-                max_imbalance_ratio=50.0,
-                seed=seed,
-            )
-        )
-    return streams
-
-
-@lru_cache(maxsize=1)
-def run_table3_experiment(seed: int = 0) -> dict[str, dict[str, RunResult]]:
-    """Run the Experiment-1 grid once per session and cache the results.
-
-    Returns ``{stream_name: {detector_name: RunResult}}``.  Both the Table III
-    harness and the Fig. 4-7 statistical harnesses consume this cache so the
-    expensive prequential runs happen only once per pytest session.
-    """
-    results: dict[str, dict[str, RunResult]] = {}
-    for scenario in table_i_benchmark_streams(seed=seed):
-        results[scenario.name] = compare_detectors(
-            scenario,
-            detector_factories=bench_detector_factories(),
-            classifier_factory=bench_classifier_factory,
-            n_instances=scenario.n_instances,
-            pretrain_size=200,
-        )
-    return results
-
-
-def results_to_tables(
-    results: dict[str, dict[str, RunResult]]
-) -> tuple[ResultTable, ResultTable]:
-    """Convert cached Experiment-1 results into pmAUC and pmGM tables."""
-    pmauc = ResultTable(metric_name="pmAUC")
-    pmgm = ResultTable(metric_name="pmGM")
-    for stream_name, per_detector in results.items():
-        for detector in DETECTOR_ORDER:
-            run = per_detector[detector]
-            pmauc.add(stream_name, detector, 100.0 * run.pmauc)
-            pmgm.add(stream_name, detector, 100.0 * run.pmgm)
-    return pmauc, pmgm
-
-
-def run_local_drift_curve(
-    family: str,
-    n_classes: int,
-    drifted_class_counts: list[int],
-    seed: int = 1,
-) -> dict[str, list[float]]:
-    """pmAUC of every detector as the number of drifted classes varies (Fig. 8)."""
-    n_instances = stream_length(2_500, 20_000)
-    series: dict[str, list[float]] = {name: [] for name in DETECTOR_ORDER}
-    for k in drifted_class_counts:
-        scenario = scenario_local_drift(
-            family,
-            n_classes=n_classes,
-            n_drifted_classes=k,
-            n_instances=n_instances,
-            max_imbalance_ratio=25.0,
-            role_switching=True,
-            seed=seed,
-        )
-        results = compare_detectors(
-            scenario,
-            detector_factories=bench_detector_factories(batch_size=25),
-            classifier_factory=bench_classifier_factory,
-            n_instances=n_instances,
-            pretrain_size=200,
-        )
-        for name in DETECTOR_ORDER:
-            series[name].append(100.0 * results[name].pmauc)
-    return series
-
-
-def run_imbalance_curve(
-    family: str,
-    n_classes: int,
-    imbalance_ratios: list[float],
-    seed: int = 2,
-) -> dict[str, list[float]]:
-    """pmAUC of every detector as the maximum imbalance ratio rises (Fig. 9)."""
-    n_instances = stream_length(2_500, 20_000)
-    series: dict[str, list[float]] = {name: [] for name in DETECTOR_ORDER}
-    for ratio in imbalance_ratios:
-        scenario = make_artificial_stream(
+        stream = seeded(
+            make_artificial_stream,
             family,
             n_classes,
             n_instances=n_instances,
-            max_imbalance_ratio=ratio,
-            seed=seed,
+            max_imbalance_ratio=50.0,
         )
-        results = compare_detectors(
-            scenario,
-            detector_factories=bench_detector_factories(batch_size=25),
-            classifier_factory=bench_classifier_factory,
-            n_instances=n_instances,
-            pretrain_size=200,
-        )
-        for name in DETECTOR_ORDER:
-            series[name].append(100.0 * results[name].pmauc)
-    return series
+        streams.append((f"{family.capitalize()}{n_classes}", stream))
+    return streams

@@ -1,19 +1,19 @@
 """Ablation study of RBM-IM's design choices (extension beyond the paper).
 
-DESIGN.md calls out the components whose contribution is worth isolating:
-the class-balanced (skew-insensitive) loss, the Granger-causality decision
-rule, and the mini-batch size.  This harness measures pmAUC and detection
-counts on a Scenario-3 style stream for each ablated variant, so the cost of
-removing each ingredient is visible.
+The components whose contribution is worth isolating are the class-balanced
+(skew-insensitive) loss, the Granger-causality decision rule, the
+confirmation step and the mini-batch size.  This harness measures pmAUC and
+detection counts on a Scenario-3 style stream for each ablated variant, so
+the cost of removing each ingredient is visible.  The variants are custom
+detector factories run as cells on the same path as the paper's line-up.
 """
 
 from __future__ import annotations
 
 import pytest
 
-from bench_common import bench_classifier_factory, stream_length
+from bench_common import detector_tasks, run_cells, seeded, stream_length
 from repro.core.detector import RBMIM, RBMIMConfig
-from repro.evaluation.experiment import compare_detectors
 from repro.streams.scenarios import scenario_local_drift
 
 _VARIANTS = {
@@ -25,33 +25,26 @@ _VARIANTS = {
 }
 
 
+def _make_variant(overrides):
+    def factory(n_features, n_classes):
+        kwargs = {"batch_size": 25, "seed": 4, **overrides}
+        return RBMIM(n_features, n_classes, RBMIMConfig(**kwargs))
+
+    return factory
+
+
 def _run_ablation():
-    n_instances = stream_length(2_500, 20_000)
-    scenario = scenario_local_drift(
+    stream = seeded(
+        scenario_local_drift,
         "rbf",
         n_classes=5,
         n_drifted_classes=2,
-        n_instances=n_instances,
+        n_instances=stream_length(2_500, 20_000),
         max_imbalance_ratio=25.0,
-        seed=4,
     )
-
-    def make_factory(overrides):
-        def factory(n_features, n_classes):
-            kwargs = {"batch_size": 25, "seed": 4, **overrides}
-            return RBMIM(n_features, n_classes, RBMIMConfig(**kwargs))
-
-        return factory
-
-    factories = {name: make_factory(overrides) for name, overrides in _VARIANTS.items()}
-    results = compare_detectors(
-        scenario,
-        detector_factories=factories,
-        classifier_factory=bench_classifier_factory,
-        n_instances=n_instances,
-        pretrain_size=200,
-    )
-    return results
+    variants = {name: _make_variant(overrides) for name, overrides in _VARIANTS.items()}
+    tasks = detector_tasks("scenario3-Rbf5-k2", stream, seed=4, detectors=variants)
+    return {record["detector"]: record for record in run_cells(tasks)}
 
 
 @pytest.mark.benchmark(group="ablation")
@@ -61,15 +54,15 @@ def test_bench_rbm_im_ablation(benchmark):
 
     print("\n=== RBM-IM ablation (Scenario 3, local drift on 2 minority classes) ===")
     print(f"{'variant':28s} {'pmAUC':>8s} {'pmGM':>8s} {'#alarms':>8s}")
-    for name, result in results.items():
+    for name, record in results.items():
         print(
-            f"{name:28s} {100 * result.pmauc:8.2f} {100 * result.pmgm:8.2f} "
-            f"{len(result.detections):8d}"
+            f"{name:28s} {100 * record['pmauc']:8.2f} {100 * record['pmgm']:8.2f} "
+            f"{len(record['detections']):8d}"
         )
 
-    for result in results.values():
-        assert 0.0 <= result.pmauc <= 1.0
+    for record in results.values():
+        assert 0.0 <= record["pmauc"] <= 1.0
     # Removing the confirmation step may only increase the number of alarms.
-    assert len(results["no confirmation"].detections) >= len(
-        results["RBM-IM (full)"].detections
+    assert len(results["no confirmation"]["detections"]) >= len(
+        results["RBM-IM (full)"]["detections"]
     )

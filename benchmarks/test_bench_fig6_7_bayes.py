@@ -12,16 +12,16 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from bench_common import results_to_tables, run_table3_experiment
 from repro.evaluation.stats import bayesian_signed_test
+from repro.protocol.analysis import records_to_table
 
 _BASELINES = ["PerfSim", "DDM-OCI"]
 
 
-def _bayes_analysis():
-    pmauc, pmgm = results_to_tables(run_table3_experiment())
+def _bayes_analysis(records):
     analysis = {}
-    for metric_name, table in (("pmAUC", pmauc), ("pmGM", pmgm)):
+    for metric_name, metric in (("pmAUC", "pmauc"), ("pmGM", "pmgm")):
+        table = records_to_table(records, metric, scale=100.0)
         matrix = table.to_matrix()
         methods = table.methods
         rbm = matrix[:, methods.index("RBM-IM")]
@@ -35,9 +35,11 @@ def _bayes_analysis():
 
 
 @pytest.mark.benchmark(group="fig6-7")
-def test_bench_fig6_7_bayesian_signed_test(benchmark):
+def test_bench_fig6_7_bayesian_signed_test(benchmark, table3_records):
     """Reproduce Fig. 6 (vs PerfSim) and Fig. 7 (vs DDM-OCI)."""
-    analysis = benchmark.pedantic(_bayes_analysis, rounds=1, iterations=1)
+    analysis = benchmark.pedantic(
+        _bayes_analysis, args=(table3_records,), rounds=1, iterations=1
+    )
 
     for (metric_name, baseline), result in analysis.items():
         figure = "6" if baseline == "PerfSim" else "7"

@@ -12,8 +12,10 @@ from __future__ import annotations
 
 import pytest
 
-from bench_common import DETECTOR_ORDER, bench_scale, run_local_drift_curve
+from bench_common import bench_scale, pmauc_series, seeded, stream_length
 from repro.evaluation.results import format_series_table
+from repro.protocol.registry import PAPER_DETECTORS
+from repro.streams.scenarios import scenario_local_drift
 
 # (family, n_classes, drifted-class counts swept)
 _SMALL_GRID = [
@@ -35,24 +37,32 @@ def _grid():
 @pytest.mark.parametrize("family,n_classes,counts", _grid())
 def test_bench_fig8_local_drift(benchmark, family, n_classes, counts):
     """Reproduce one panel of Fig. 8 (pmAUC vs #classes with drift)."""
-    series = benchmark.pedantic(
-        run_local_drift_curve,
-        args=(family, n_classes, counts),
-        rounds=1,
-        iterations=1,
-    )
+    n_instances = stream_length(2_500, 20_000)
+    streams = {
+        k: seeded(
+            scenario_local_drift,
+            family,
+            n_classes=n_classes,
+            n_drifted_classes=k,
+            n_instances=n_instances,
+            max_imbalance_ratio=25.0,
+            role_switching=True,
+        )
+        for k in counts
+    }
+    series = benchmark.pedantic(pmauc_series, args=(streams, 1), rounds=1, iterations=1)
 
     print(f"\n=== Fig. 8 panel: {family.capitalize()}{n_classes} ===")
     print(format_series_table("classes_with_drift", counts, series))
 
-    for name in DETECTOR_ORDER:
+    for name in PAPER_DETECTORS:
         assert len(series[name]) == len(counts)
         assert all(0.0 <= value <= 100.0 for value in series[name])
 
     # Report the paper's headline comparison for the hardest case (one drifted
     # class); asserted only loosely because the scaled-down streams favour
-    # frequently-resetting detectors (see EXPERIMENTS.md).
-    hardest = {name: series[name][0] for name in DETECTOR_ORDER}
+    # frequently-resetting detectors.
+    hardest = {name: series[name][0] for name in PAPER_DETECTORS}
     best_baseline = max(value for name, value in hardest.items() if name != "RBM-IM")
     print(
         f"\nHardest case (1 drifted class): RBM-IM = {hardest['RBM-IM']:.1f}, "

@@ -11,8 +11,10 @@ from __future__ import annotations
 
 import pytest
 
-from bench_common import DETECTOR_ORDER, bench_scale, run_imbalance_curve
+from bench_common import bench_scale, pmauc_series, seeded, stream_length
 from repro.evaluation.results import format_series_table
+from repro.protocol.registry import PAPER_DETECTORS
+from repro.streams.scenarios import make_artificial_stream
 
 _SMALL_GRID = [
     ("rbf", 5, [50.0, 200.0, 500.0]),
@@ -33,24 +35,30 @@ def _grid():
 @pytest.mark.parametrize("family,n_classes,ratios", _grid())
 def test_bench_fig9_imbalance_robustness(benchmark, family, n_classes, ratios):
     """Reproduce one panel of Fig. 9 (pmAUC vs imbalance ratio)."""
-    series = benchmark.pedantic(
-        run_imbalance_curve,
-        args=(family, n_classes, ratios),
-        rounds=1,
-        iterations=1,
-    )
+    n_instances = stream_length(2_500, 20_000)
+    streams = {
+        ratio: seeded(
+            make_artificial_stream,
+            family,
+            n_classes,
+            n_instances=n_instances,
+            max_imbalance_ratio=ratio,
+        )
+        for ratio in ratios
+    }
+    series = benchmark.pedantic(pmauc_series, args=(streams, 2), rounds=1, iterations=1)
 
     print(f"\n=== Fig. 9 panel: {family.capitalize()}{n_classes} ===")
     print(format_series_table("imbalance_ratio", [int(r) for r in ratios], series))
 
-    for name in DETECTOR_ORDER:
+    for name in PAPER_DETECTORS:
         assert len(series[name]) == len(ratios)
         assert all(0.0 <= value <= 100.0 for value in series[name])
 
     # Report the paper's headline comparison at the most extreme imbalance
     # ratio; asserted only loosely because the scaled-down streams favour
-    # frequently-resetting detectors (see EXPERIMENTS.md).
-    extreme = {name: series[name][-1] for name in DETECTOR_ORDER}
+    # frequently-resetting detectors.
+    extreme = {name: series[name][-1] for name in PAPER_DETECTORS}
     best_standard = max(extreme["WSTD"], extreme["RDDM"], extreme["FHDDM"])
     print(
         f"\nExtreme imbalance (IR={int(ratios[-1])}): RBM-IM = {extreme['RBM-IM']:.1f}, "

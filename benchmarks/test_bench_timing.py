@@ -12,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from bench_common import bench_detector_factories
+from repro.protocol.registry import PAPER_DETECTORS, detector_factory
 from repro.streams.scenarios import make_artificial_stream
 
 _N_WARMUP = 200
@@ -31,11 +31,11 @@ def timing_stream():
 
 
 @pytest.mark.benchmark(group="timing")
-@pytest.mark.parametrize("detector_name", sorted(bench_detector_factories()))
+@pytest.mark.parametrize("detector_name", sorted(PAPER_DETECTORS))
 def test_bench_detector_update_throughput(benchmark, timing_stream, detector_name):
     """Time the per-instance update cost of one detector."""
     scenario, X, y = timing_stream
-    factory = bench_detector_factories(batch_size=50)[detector_name]
+    factory = detector_factory(detector_name)
 
     def run_updates():
         detector = factory(scenario.n_features, scenario.n_classes)

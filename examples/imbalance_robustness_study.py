@@ -6,6 +6,11 @@ baselines survive moderate ratios, and RBM-IM stays robust.  This example runs
 a scaled-down version of that sweep on a single artificial stream family and
 prints the pmAUC series per detector, plus the Friedman ranks over the sweep.
 
+Each imbalance ratio is one :class:`~repro.protocol.spec.ProtocolSpec` over
+the paper's detector line-up, with each detector's settings taken from the
+registry, run through :class:`~repro.protocol.pipeline.ProtocolPipeline`
+into a temporary results store.
+
 Run with::
 
     python examples/imbalance_robustness_study.py
@@ -13,26 +18,16 @@ Run with::
 
 from __future__ import annotations
 
+import tempfile
+
 import numpy as np
 
 from repro.classifiers import GaussianNaiveBayes
-from repro.core import RBMIM, RBMIMConfig
-from repro.detectors import DDM_OCI, FHDDM, PerfSim, WSTD
-from repro.evaluation import compare_detectors, format_series_table, friedman_test
-from repro.streams import make_artificial_stream
+from repro.evaluation import format_series_table, friedman_test
+from repro.protocol import PAPER_DETECTORS, ProtocolPipeline, ProtocolSpec
 
 IMBALANCE_RATIOS = [25.0, 100.0, 300.0, 500.0]
 N_INSTANCES = 3_000
-
-
-def detector_factories():
-    return {
-        "WSTD": lambda f, c: WSTD(),
-        "FHDDM": lambda f, c: FHDDM(),
-        "PerfSim": lambda f, c: PerfSim(n_classes=c, batch_size=500),
-        "DDM-OCI": lambda f, c: DDM_OCI(n_classes=c),
-        "RBM-IM": lambda f, c: RBMIM(f, c, RBMIMConfig(batch_size=25, seed=3)),
-    }
 
 
 def classifier_factory(n_features: int, n_classes: int) -> GaussianNaiveBayes:
@@ -40,25 +35,25 @@ def classifier_factory(n_features: int, n_classes: int) -> GaussianNaiveBayes:
 
 
 def main() -> None:
-    series: dict[str, list[float]] = {name: [] for name in detector_factories()}
-    for ratio in IMBALANCE_RATIOS:
-        scenario = make_artificial_stream(
-            family="rbf",
-            n_classes=5,
-            n_instances=N_INSTANCES,
-            max_imbalance_ratio=ratio,
-            seed=11,
-        )
-        results = compare_detectors(
-            scenario,
-            detector_factories=detector_factories(),
-            classifier_factory=classifier_factory,
-            n_instances=N_INSTANCES,
-            pretrain_size=200,
-        )
-        for name, result in results.items():
-            series[name].append(100.0 * result.pmauc)
-        print(f"finished imbalance ratio {ratio:.0f}")
+    series: dict[str, list[float]] = {name: [] for name in PAPER_DETECTORS}
+    with tempfile.TemporaryDirectory() as store:
+        for ratio in IMBALANCE_RATIOS:
+            spec = ProtocolSpec(
+                name=f"imbalance-{ratio:g}",
+                families=("rbf",),
+                class_counts=(5,),
+                scenarios=(1,),
+                seeds=(11,),
+                n_instances=N_INSTANCES,
+                max_imbalance_ratio=ratio,
+            )
+            pipeline = ProtocolPipeline(spec, store, classifier_factory)
+            pipeline.run(backend="serial")
+            table = pipeline.table("pmauc", scale=100.0)
+            (benchmark,) = table.datasets
+            for name in series:
+                series[name].append(table.value(benchmark, name))
+            print(f"finished imbalance ratio {ratio:.0f}")
 
     print("\npmAUC [%] as the maximum imbalance ratio grows:")
     print(format_series_table("imbalance_ratio", [int(r) for r in IMBALANCE_RATIOS], series))

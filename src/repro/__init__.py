@@ -9,8 +9,9 @@ The package provides:
 * :mod:`repro.classifiers` — streaming classifiers, including the paper's
   cost-sensitive perceptron tree;
 * :mod:`repro.metrics` — prequential multi-class AUC / G-mean and drift scoring;
-* :mod:`repro.evaluation` — the prequential harness, experiment orchestration,
-  statistical tests, and online hyper-parameter tuning;
+* :mod:`repro.evaluation` — the prequential harness, grid cell tasks, the
+  paper's default classifier, statistical tests, and online hyper-parameter
+  tuning;
 * :mod:`repro.protocol` — the end-to-end, resumable reproduction of the
   paper's protocol (``python -m repro.protocol run``);
 * :mod:`repro.analysis` — the stdlib-only invariant linter that enforces the
@@ -48,7 +49,6 @@ _LAZY_EXPORTS = {
     "RBMIMConfig": "repro.core",
     "SkewInsensitiveRBM": "repro.core",
     "PrequentialRunner": "repro.evaluation",
-    "compare_detectors": "repro.evaluation",
     "make_artificial_stream": "repro.streams",
     "real_world_stream": "repro.streams",
     "scenario_global_drift": "repro.streams",

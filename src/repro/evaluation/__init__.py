@@ -1,10 +1,6 @@
-"""Evaluation harness: prequential runner, experiments, statistics, tuning."""
+"""Evaluation harness: prequential runner, grid cells, statistics, tuning."""
 
-from repro.evaluation.experiment import (
-    compare_detectors,
-    default_classifier_factory,
-    paper_detector_factories,
-)
+from repro.evaluation.experiment import default_classifier_factory
 from repro.evaluation.grid import GridCell, GridCellResult
 from repro.evaluation.prequential import PrequentialRunner, RunResult
 from repro.evaluation.results import ResultTable, format_series_table
@@ -22,9 +18,7 @@ from repro.evaluation.stats import (
 from repro.evaluation.tuning import NelderMeadTuner, ParameterSpace, tune_on_stream
 
 __all__ = [
-    "compare_detectors",
     "default_classifier_factory",
-    "paper_detector_factories",
     "GridCell",
     "GridCellResult",
     "PrequentialRunner",

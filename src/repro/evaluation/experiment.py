@@ -1,38 +1,23 @@
-"""Experiment orchestration: the paper's detector line-up on arbitrary streams.
+"""The paper's default base classifier.
 
-Provides factories for the six detectors compared in the paper (WSTD, RDDM,
-FHDDM, PerfSim, DDM-OCI, RBM-IM), the default base classifier (cost-sensitive
-perceptron tree), and :func:`compare_detectors`, which runs every detector on
-a scenario through the prequential harness and returns one
-:class:`~repro.evaluation.prequential.RunResult` per detector.  The benchmark
-harnesses under ``benchmarks/`` are thin wrappers over this module.
+:func:`default_classifier_factory` builds the cost-sensitive perceptron tree
+every protocol cell pairs with its detector unless a caller passes another
+classifier.  The detector line-up and each detector's settings live in
+:mod:`repro.protocol.registry`; comparisons run as
+:class:`~repro.evaluation.grid.CellTask`\\ s on an
+:class:`~repro.protocol.backends.ExecutionBackend`.
+
+The factory stays in this module because its dotted path is part of every
+cell key: :data:`repro.protocol.spec.DEFAULT_CLASSIFIER_LABEL` names it, and
+moving it would orphan every stored record.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Mapping
-
 from repro.classifiers.base import StreamClassifier
 from repro.classifiers.perceptron_tree import CostSensitivePerceptronTree
-from repro.core.detector import RBMIM, RBMIMConfig
-from repro.detectors.base import DriftDetector
-from repro.detectors.ddm_oci import DDM_OCI
-from repro.detectors.fhddm import FHDDM
-from repro.detectors.perfsim import PerfSim
-from repro.detectors.rddm import RDDM
-from repro.detectors.wstd import WSTD
-from repro.evaluation.prequential import PrequentialRunner, RunResult
-from repro.streams.scenarios import ScenarioStream
 
-__all__ = [
-    "DetectorFactory",
-    "default_classifier_factory",
-    "paper_detector_factories",
-    "compare_detectors",
-]
-
-#: A detector factory receives (n_features, n_classes) and builds a detector.
-DetectorFactory = Callable[[int, int], DriftDetector]
+__all__ = ["default_classifier_factory"]
 
 
 def default_classifier_factory(n_features: int, n_classes: int) -> StreamClassifier:
@@ -45,80 +30,3 @@ def default_classifier_factory(n_features: int, n_classes: int) -> StreamClassif
         cost_sensitive=True,
         seed=7,
     )
-
-
-def paper_detector_factories(
-    batch_size: int = 50, seed: int = 11
-) -> dict[str, DetectorFactory]:
-    """Factories for the six drift detectors compared in the paper.
-
-    The returned mapping preserves the paper's naming: three standard
-    detectors (WSTD, RDDM, FHDDM), two imbalance-aware baselines (PerfSim,
-    DDM-OCI), and RBM-IM.
-    """
-
-    def make_wstd(n_features: int, n_classes: int) -> DriftDetector:
-        return WSTD(window_size=75, drift_significance=0.003)
-
-    def make_rddm(n_features: int, n_classes: int) -> DriftDetector:
-        return RDDM()
-
-    def make_fhddm(n_features: int, n_classes: int) -> DriftDetector:
-        return FHDDM(window_size=100, delta=1e-6)
-
-    def make_perfsim(n_features: int, n_classes: int) -> DriftDetector:
-        return PerfSim(n_classes=n_classes, batch_size=10 * batch_size, lambda_=0.2)
-
-    def make_ddm_oci(n_features: int, n_classes: int) -> DriftDetector:
-        return DDM_OCI(n_classes=n_classes)
-
-    def make_rbm_im(n_features: int, n_classes: int) -> DriftDetector:
-        config = RBMIMConfig(batch_size=batch_size, seed=seed)
-        return RBMIM(n_features=n_features, n_classes=n_classes, config=config)
-
-    return {
-        "WSTD": make_wstd,
-        "RDDM": make_rddm,
-        "FHDDM": make_fhddm,
-        "PerfSim": make_perfsim,
-        "DDM-OCI": make_ddm_oci,
-        "RBM-IM": make_rbm_im,
-    }
-
-
-def compare_detectors(
-    scenario: ScenarioStream,
-    detector_factories: Mapping[str, DetectorFactory] | None = None,
-    classifier_factory: Callable[[int, int], StreamClassifier] | None = None,
-    n_instances: int | None = None,
-    window_size: int = 1000,
-    pretrain_size: int = 200,
-    chunk_size: int | None = 512,
-) -> dict[str, RunResult]:
-    """Run every detector on (a restarted copy of) the same scenario stream.
-
-    The stream is restarted before each detector so that all detectors see an
-    identical instance sequence, mirroring the paper's protocol of pairing
-    every detector with the same base classifier and stream.  Instances are
-    pulled through the chunked-exact runner mode by default — vectorized
-    stream generation with results identical to the per-instance loop.
-    """
-    factories = dict(detector_factories or paper_detector_factories())
-    classifier_factory = classifier_factory or default_classifier_factory
-    runner = PrequentialRunner(
-        classifier_factory=classifier_factory,
-        window_size=window_size,
-        pretrain_size=pretrain_size,
-        chunk_size=chunk_size,
-    )
-    results: dict[str, RunResult] = {}
-    for name, factory in factories.items():
-        scenario.stream.restart()
-        detector = factory(scenario.n_features, scenario.n_classes)
-        results[name] = runner.run(
-            scenario,
-            detector,
-            n_instances=n_instances,
-            detector_name=name,
-        )
-    return results

@@ -6,7 +6,8 @@ This package wires the repo's layers into one runnable pipeline:
   description of Section IV/V (benchmarks x scenarios x detectors x seeds)
   that expands into content-hash-keyed cells;
 * :mod:`repro.protocol.registry` — named, picklable factories for the full
-  detector zoo;
+  detector zoo, the one copy of each detector's settings, and the paper's
+  line-up (:data:`PAPER_DETECTORS`);
 * :mod:`repro.protocol.store` — :class:`ResultsStore`, one atomic JSON
   record per cell, which makes interrupted runs resumable and repeated runs
   cached; both stores share :class:`ResultsStoreProtocol`;
@@ -49,7 +50,12 @@ from repro.protocol.pipeline import (
     ProtocolRunSummary,
     ProtocolStatus,
 )
-from repro.protocol.registry import DETECTOR_NAMES, build_detector, detector_factory
+from repro.protocol.registry import (
+    DETECTOR_NAMES,
+    PAPER_DETECTORS,
+    build_detector,
+    detector_factory,
+)
 from repro.protocol.sharded_store import ShardedResultsStore
 from repro.protocol.spec import ProtocolCell, ProtocolSpec, benchmark_name, build_scenario
 from repro.protocol.store import ResultsStore, ResultsStoreProtocol
@@ -73,6 +79,7 @@ __all__ = [
     "ProtocolRunSummary",
     "ProtocolStatus",
     "DETECTOR_NAMES",
+    "PAPER_DETECTORS",
     "build_detector",
     "detector_factory",
     "ProtocolCell",

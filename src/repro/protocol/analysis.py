@@ -49,7 +49,9 @@ def records_to_table(
 
     ``metric`` is either a top-level record field (``pmauc``, ``kappa``, ...)
     or a ``drift_report`` field (``detection_recall``, ``mean_delay``,
-    ``n_false_alarms``).  Records without the metric are skipped.
+    ``n_false_alarms``).  Records without the metric, or whose value is
+    ``null`` or NaN (a cell with no matched detection stores its
+    ``mean_delay`` as ``null``), are skipped.
     """
     values: dict[tuple[str, str], list[float]] = {}
     for record in records:
@@ -60,6 +62,8 @@ def records_to_table(
         elif metric in (record.get("drift_report") or {}):
             value = record["drift_report"][metric]
         else:
+            continue
+        if value is None:
             continue
         value = float(value)
         if np.isnan(value):

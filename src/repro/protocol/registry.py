@@ -9,9 +9,10 @@ module-level builder ``(n_features, n_classes) -> DriftDetector``.
 
 The registry covers the full zoo: the ten standard error-rate detectors, the
 two imbalance-aware baselines, the paper's RBM-IM, and the ``"none"``
-detector-less baseline.  Default hyper-parameters follow
-:func:`repro.evaluation.experiment.paper_detector_factories` where the two
-overlap and each detector's published defaults otherwise.
+detector-less baseline.  It is the one place where a compared detector is
+configured: the protocol, the benchmark harnesses, the integration tests and
+the examples all build their detectors here, so a settings fix is one edit
+in this module.  :data:`PAPER_DETECTORS` names the paper's line-up.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ from repro.detectors import (
     DriftDetector,
 )
 
-__all__ = ["DETECTOR_NAMES", "detector_factory", "build_detector"]
+__all__ = ["DETECTOR_NAMES", "PAPER_DETECTORS", "detector_factory", "build_detector"]
 
 #: A detector builder receives (n_features, n_classes).
 DetectorBuilder = Callable[[int, int], "DriftDetector | None"]
@@ -113,6 +114,17 @@ _REGISTRY: dict[str, DetectorBuilder | None] = {
 
 #: All registered detector names, in registry order ("none" last).
 DETECTOR_NAMES: tuple[str, ...] = tuple(_REGISTRY)
+
+#: The six detectors the paper compares, in its order: three standard
+#: detectors, the two imbalance-aware baselines, and RBM-IM.
+PAPER_DETECTORS: tuple[str, ...] = (
+    "WSTD",
+    "RDDM",
+    "FHDDM",
+    "PerfSim",
+    "DDM-OCI",
+    "RBM-IM",
+)
 
 
 def detector_factory(name: str) -> DetectorBuilder | None:

@@ -38,7 +38,7 @@ from repro.streams.scenarios import (
     build_scenario_stream,
 )
 
-from repro.protocol.registry import DETECTOR_NAMES
+from repro.protocol.registry import DETECTOR_NAMES, PAPER_DETECTORS
 
 __all__ = [
     "KEY_VERSION",
@@ -162,14 +162,7 @@ class ProtocolSpec:
     families: tuple[str, ...] = ("agrawal", "hyperplane", "rbf", "randomtree")
     class_counts: tuple[int, ...] = (5, 10, 20)
     scenarios: tuple[int, ...] = (1, 2, 3)
-    detectors: tuple[str, ...] = (
-        "WSTD",
-        "RDDM",
-        "FHDDM",
-        "PerfSim",
-        "DDM-OCI",
-        "RBM-IM",
-    )
+    detectors: tuple[str, ...] = PAPER_DETECTORS
     seeds: tuple[int, ...] = (0, 1, 2, 3, 4)
     n_instances: int = 20_000
     n_drifts: int = 3

@@ -1,10 +1,10 @@
 """Helpers for the linter's own test suite.
 
-Deliberately *not* a ``conftest.py``: the repo's root ``tests/conftest.py``
-is imported by sibling suites as the top-level module ``conftest`` (e.g.
-``from conftest import feed_errors``), and a second file of that name here
-would shadow it in ``sys.modules``.  Test modules import this the same way
-pytest resolves those: the test file's own directory is on ``sys.path``.
+Deliberately *not* a ``conftest.py``: every ``conftest.py`` outside a
+package is imported as the top-level module ``conftest``, so helpers imported
+by name from one would resolve to whichever conftest pytest loaded last.
+Test modules import this by name: the test file's own directory is on
+``sys.path``.
 
 Every rule test follows the same shape: write a small fixture module into
 ``tmp_path``, lint it with exactly one rule, and assert on ``(rule, line)``

@@ -2,7 +2,7 @@
 
 import pytest
 
-from conftest import feed_errors, make_error_stream
+from error_streams import feed_errors, make_error_stream
 from repro.detectors import DDM, EDDM, RDDM
 
 

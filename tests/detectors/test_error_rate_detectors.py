@@ -8,7 +8,7 @@ prefix and (ii) fire within a reasonable delay after the change.
 import numpy as np
 import pytest
 
-from conftest import feed_errors, make_error_stream
+from error_streams import feed_errors, make_error_stream
 from repro.detectors import (
     DDM,
     ECDDWT,

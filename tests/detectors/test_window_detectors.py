@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from conftest import feed_errors, make_error_stream
+from error_streams import feed_errors, make_error_stream
 from repro.detectors import ECDDWT, FHDDM, HDDM_A, HDDM_W, PageHinkley, WSTD
 from repro.detectors.wstd import _rank_sum_p_value, _rank_sum_p_values
 

@@ -1,4 +1,4 @@
-"""Unit and integration tests for the prequential runner and experiments."""
+"""Unit and integration tests for the prequential runner and the default classifier."""
 
 import numpy as np
 import pytest
@@ -7,14 +7,10 @@ from repro.classifiers import GaussianNaiveBayes, OnlinePerceptron
 from repro.core.detector import RBMIM, RBMIMConfig
 from repro.detectors import DDM
 from repro.detectors.base import ErrorRateDetector
-from repro.evaluation.experiment import (
-    compare_detectors,
-    default_classifier_factory,
-    paper_detector_factories,
-)
+from repro.evaluation.experiment import default_classifier_factory
 from repro.evaluation.prequential import PrequentialRunner
 from repro.streams.generators import RandomRBFGenerator
-from repro.streams.scenarios import make_artificial_stream, scenario_local_drift
+from repro.streams.scenarios import make_artificial_stream
 
 
 def perceptron_factory(n_features, n_classes):
@@ -120,46 +116,7 @@ class TestPrequentialRunner:
 
 
 class TestExperimentOrchestration:
-    def test_paper_detector_factories_names(self):
-        factories = paper_detector_factories()
-        assert set(factories) == {
-            "WSTD",
-            "RDDM",
-            "FHDDM",
-            "PerfSim",
-            "DDM-OCI",
-            "RBM-IM",
-        }
-        for factory in factories.values():
-            detector = factory(10, 4)
-            assert hasattr(detector, "step")
-
     def test_default_classifier_factory(self):
         classifier = default_classifier_factory(8, 5)
         assert classifier.n_features == 8
         assert classifier.n_classes == 5
-
-    def test_compare_detectors_runs_all(self):
-        scenario = scenario_local_drift(
-            "rbf",
-            n_classes=4,
-            n_drifted_classes=1,
-            n_instances=1200,
-            max_imbalance_ratio=10,
-            seed=2,
-        )
-        factories = {
-            "DDM": lambda f, c: DDM(),
-            "RBM-IM": lambda f, c: RBMIM(f, c, RBMIMConfig(batch_size=25, seed=1)),
-        }
-        results = compare_detectors(
-            scenario,
-            detector_factories=factories,
-            classifier_factory=nb_factory,
-            n_instances=1200,
-            pretrain_size=100,
-        )
-        assert set(results) == {"DDM", "RBM-IM"}
-        for result in results.values():
-            assert 0.0 <= result.pmauc <= 1.0
-            assert result.n_instances == 1200

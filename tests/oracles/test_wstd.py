@@ -19,7 +19,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from conftest import feed_errors, make_error_stream
+from error_streams import feed_errors, make_error_stream
 from repro.protocol.registry import build_detector
 
 N_TRIALS = 10

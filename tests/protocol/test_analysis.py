@@ -71,6 +71,18 @@ class TestRecordsToTable:
         table = records_to_table([record], "mean_delay")
         assert table.datasets == []
 
+    def test_null_values_skipped(self):
+        # cell_record stores a NaN mean_delay (no matched detection) as null.
+        record = make_record("bench", "DDM")
+        record["drift_report"]["mean_delay"] = None
+        table = records_to_table([record, make_record("bench", "ADWIN")], "mean_delay")
+        assert table.methods == ["ADWIN"]
+        analysis = analyze_records(
+            [record], metrics=("mean_delay", "n_false_alarms"), control="DDM"
+        )
+        assert analysis.metrics["mean_delay"].table.datasets == []
+        assert analysis.metrics["n_false_alarms"].table.value("bench", "DDM") == 0.0
+
     def test_scale(self):
         table = records_to_table([make_record("bench", "DDM", pmauc=0.8)], "pmauc", scale=100.0)
         assert table.value("bench", "DDM") == pytest.approx(80.0)

@@ -5,8 +5,21 @@ from __future__ import annotations
 import pytest
 
 from repro.detectors.base import DriftDetector
-from repro.protocol.registry import DETECTOR_NAMES, build_detector, detector_factory
-from repro.protocol.spec import ProtocolCell, ProtocolSpec, benchmark_name, build_scenario
+from repro.evaluation.experiment import default_classifier_factory
+from repro.protocol.registry import (
+    DETECTOR_NAMES,
+    PAPER_DETECTORS,
+    build_detector,
+    detector_factory,
+)
+from repro.protocol.spec import (
+    DEFAULT_CLASSIFIER_LABEL,
+    ProtocolCell,
+    ProtocolSpec,
+    benchmark_name,
+    build_scenario,
+    callable_label,
+)
 from repro.streams.scenarios import ScenarioStream
 
 
@@ -180,6 +193,20 @@ class TestSerialisation:
         key = spec.cell_key(cell)
         assert key.startswith("scenario1-Rbf5.DDM.s0.")
 
+    def test_default_classifier_label_names_the_default_factory(self):
+        # The label is hashed into every cell key; a moved or renamed
+        # factory would silently orphan every stored record.
+        assert callable_label(default_classifier_factory) == DEFAULT_CLASSIFIER_LABEL
+
+    def test_quick_keys_are_pinned(self):
+        # Stored records are found by these keys: a refactor that changes
+        # them makes every stored record unreachable.
+        spec = ProtocolSpec.quick()
+        assert [spec.cell_key(cell) for cell in spec.expand()] == [
+            "scenario1-Rbf5.DDM.s0.93cae0cb55b55f8d",
+            "scenario1-Rbf5.RBM-IM.s0.dfc0acaa89cc1608",
+        ]
+
 
 class TestRegistry:
     def test_full_zoo_is_registered(self):
@@ -187,6 +214,14 @@ class TestRegistry:
         assert len([n for n in DETECTOR_NAMES if n != "none"]) >= 11
         assert "RBM-IM" in DETECTOR_NAMES
         assert "none" in DETECTOR_NAMES
+
+    def test_paper_line_up_is_the_spec_default(self):
+        assert PAPER_DETECTORS == ProtocolSpec().detectors
+        assert PAPER_DETECTORS == (
+            "WSTD", "RDDM", "FHDDM", "PerfSim", "DDM-OCI", "RBM-IM",
+        )
+        for name in PAPER_DETECTORS:
+            assert isinstance(build_detector(name, 10, 4), DriftDetector)
 
     @pytest.mark.parametrize("name", [n for n in DETECTOR_NAMES if n != "none"])
     def test_every_builder_constructs(self, name):
