@@ -6,10 +6,13 @@ multi-class AUC metric.  ``reset()`` rebuilds the model from scratch and is
 called by the harness when a drift detector signals a change.
 
 The interface is batch-first: the chunked prequential runner calls
-``partial_fit_batch`` / ``predict_proba_batch``, which default to per-instance
-loops so every classifier works unchanged; models with a natural vectorized
-formulation (naive Bayes, perceptron) override them with native NumPy batch
-paths.
+``partial_fit_batch`` / ``predict_proba_batch`` (batch mode) and
+``predict_fit_interleaved`` (chunk-exact mode), which default to per-instance
+loops so every classifier works unchanged.  Naive Bayes and the perceptron
+override the batch pair with native NumPy paths; naive Bayes, the perceptron
+and the perceptron tree override ``predict_fit_interleaved`` with bit-exact
+kernels.  Every entry point that takes labels checks them against the feature
+rows first (:meth:`StreamClassifier._checked_batch`).
 """
 
 from __future__ import annotations
@@ -55,6 +58,40 @@ class StreamClassifier(Snapshotable, abc.ABC):
         return int(np.argmax(self.predict_proba(x)))
 
     # --------------------------------------------------------- batch interface
+    def _checked_batch(
+        self,
+        features: np.ndarray,
+        labels: np.ndarray,
+        weights: np.ndarray | None = None,
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
+        """Coerce a labelled batch; refuse one that is not one feature row
+        (and, when given, one weight) per label.
+
+        Every batch entry point that takes labels calls this first.  Past
+        it, a count mismatch would be padded with uninitialised score rows,
+        cut short, or learned against the wrong labels, depending on the
+        classifier.
+        """
+        features = np.atleast_2d(np.asarray(features, dtype=np.float64))
+        labels = np.asarray(labels, dtype=np.int64)
+        if (
+            features.ndim != 2
+            or labels.ndim != 1
+            or features.shape[0] != labels.shape[0]
+        ):
+            raise ValueError(
+                "need one 2-D feature row per label, got features of shape "
+                f"{features.shape} and labels of shape {labels.shape}"
+            )
+        if weights is not None:
+            weights = np.asarray(weights, dtype=np.float64)
+            if weights.shape != labels.shape:
+                raise ValueError(
+                    "need one weight per label, got weights of shape "
+                    f"{weights.shape} and labels of shape {labels.shape}"
+                )
+        return features, labels, weights
+
     def partial_fit_batch(
         self,
         features: np.ndarray,
@@ -68,8 +105,7 @@ class StreamClassifier(Snapshotable, abc.ABC):
         learning.  Native overrides may use mini-batch semantics (one update
         from the whole batch); they document any such deviation.
         """
-        features = np.atleast_2d(np.asarray(features, dtype=np.float64))
-        labels = np.asarray(labels, dtype=np.int64)
+        features, labels, weights = self._checked_batch(features, labels, weights)
         if weights is None:
             for i in range(labels.shape[0]):
                 self.partial_fit(features[i], int(labels[i]))
@@ -104,9 +140,8 @@ class StreamClassifier(Snapshotable, abc.ABC):
         overrides must preserve that contract exactly (it is what lets the
         chunk-exact evaluation mode batch the classifier work).
         """
-        features = np.atleast_2d(np.asarray(features, dtype=np.float64))
-        labels = np.asarray(labels, dtype=np.int64)
-        scores = np.empty((features.shape[0], self._n_classes))
+        features, labels, _ = self._checked_batch(features, labels)
+        scores = np.empty((labels.shape[0], self._n_classes))
         for i in range(labels.shape[0]):
             scores[i] = self.predict_proba(features[i])
             self.partial_fit(features[i], int(labels[i]))

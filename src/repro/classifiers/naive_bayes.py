@@ -56,10 +56,7 @@ class GaussianNaiveBayes(StreamClassifier):
         (per-class moments are independent of the interleaving) up to float
         rounding.
         """
-        features = np.atleast_2d(np.asarray(features, dtype=np.float64))
-        labels = np.asarray(labels, dtype=np.int64)
-        if weights is not None:
-            weights = np.asarray(weights, dtype=np.float64)
+        features, labels, weights = self._checked_batch(features, labels, weights)
         for label in np.unique(labels):
             mask = labels == label
             class_rows = features[mask]
@@ -133,8 +130,7 @@ class GaussianNaiveBayes(StreamClassifier):
         reductions are bitwise shape-independent, so the scores and the final
         moments are identical to the instance loop down to the last bit.
         """
-        features = np.atleast_2d(np.asarray(features, dtype=np.float64))
-        labels = np.asarray(labels, dtype=np.int64)
+        features, labels, _ = self._checked_batch(features, labels)
         n = labels.shape[0]
         n_classes = self._n_classes
         if n == 0:

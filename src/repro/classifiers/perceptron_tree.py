@@ -11,6 +11,11 @@ intentionally dependent on an external drift detector for adaptation: the
 prequential harness calls :meth:`reset` (or the detector-driven
 :class:`~repro.evaluation.prequential.PrequentialRunner` rebuilds it) when a
 drift is signalled, exactly as in the paper's experimental protocol.
+
+Chunk-exact evaluation runs the tree's ``predict_fit_interleaved`` kernel,
+which routes each row once and hands it to its leaf perceptron's fused
+test-then-train row step.  It is bit-identical to ``predict_proba`` followed
+by ``partial_fit`` per row, which stay the reference.
 """
 
 from __future__ import annotations
@@ -20,7 +25,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.classifiers.base import StreamClassifier
-from repro.classifiers.perceptron import OnlinePerceptron
+from repro.classifiers.perceptron import OnlinePerceptron, _FitMemo, _RowScratch
+from repro.core.hotpath import hot_path
 from repro.core.snapshot import register_dataclass
 
 __all__ = ["CostSensitivePerceptronTree"]
@@ -70,6 +76,18 @@ class _TreeNode:
     @property
     def is_leaf(self) -> bool:
         return self.model is not None
+
+
+class _LeafMemo(_FitMemo):
+    """A leaf's call-local memo: its perceptron's, plus ``stats.total()``
+    kept as a running total (exact: the counts are whole numbers)."""
+
+    __slots__ = ("stats_total",)
+
+    def __init__(self, leaf: _TreeNode, scratch: _RowScratch) -> None:
+        assert leaf.model is not None and leaf.stats is not None
+        super().__init__(leaf.model, scratch)
+        self.stats_total = leaf.stats.total()
 
 
 class CostSensitivePerceptronTree(StreamClassifier):
@@ -226,3 +244,58 @@ class CostSensitivePerceptronTree(StreamClassifier):
         leaf = self._route(x)
         assert leaf.model is not None
         return leaf.model.predict_proba(x)
+
+    # ------------------------------------------------------- exact chunk kernel
+    @hot_path
+    def predict_fit_interleaved(
+        self, features: np.ndarray, labels: np.ndarray
+    ) -> np.ndarray:
+        """Bit-exact test-then-train over a chunk.
+
+        Per row: route once (on ``tolist()`` rows), let the leaf perceptron
+        score and learn the row in one fused step
+        (:meth:`OnlinePerceptron._predict_fit_row`), update the leaf's split
+        statistics with the float operations of :meth:`_LeafStats.update`,
+        and attempt a split exactly when :meth:`partial_fit` would.  Memos
+        are keyed by node id: a split node stays in the tree (never routed
+        to again), while its dropped model's id may be reused.
+        """
+        features, labels, _ = self._checked_batch(features, labels)
+        scores = np.empty((labels.shape[0], self._n_classes))
+        scratch = _RowScratch(self._n_features, self._n_classes)
+        delta, term = scratch.delta, scratch.term
+        memos: dict[int, _LeafMemo] = {}
+        for i, (row, y) in enumerate(zip(features.tolist(), labels.tolist())):
+            node = self._root
+            while node.model is None:
+                if row[node.feature] <= node.threshold:
+                    node = node.left
+                else:
+                    node = node.right
+            memo = memos.get(id(node))
+            if memo is None:
+                memo = memos[id(node)] = _LeafMemo(node, scratch)
+            x = features[i]
+            node.model._predict_fit_row(x, y, scores[i], scratch, memo)
+
+            # _LeafStats.update(x, y), through the scratch buffers.
+            stats = node.stats
+            count = float(stats.counts[y]) + 1.0
+            stats.counts[y] = count
+            mean = stats.means[y]
+            np.subtract(x, mean, out=delta)
+            np.divide(delta, count, out=term)
+            np.add(mean, term, out=mean)
+            np.subtract(x, mean, out=term)
+            np.multiply(delta, term, out=term)
+            m2 = stats.m2[y]
+            np.add(m2, term, out=m2)
+            memo.stats_total += 1.0
+            total = memo.stats_total
+            if (
+                node.depth < self._max_depth
+                and total >= self._grace_period
+                and total % self._grace_period == 0
+            ):
+                self._attempt_split(node)
+        return scores

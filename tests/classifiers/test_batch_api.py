@@ -3,7 +3,8 @@
 The default adapters must be exactly equivalent to per-instance calls; the
 native vectorized paths (naive Bayes, perceptron) must agree with the
 sequential semantics they document (moment merging for NB, mini-batch SGD for
-the perceptron).
+the perceptron); the native ``predict_fit_interleaved`` kernels (naive Bayes,
+perceptron, perceptron tree) must equal the scalar row loop bit for bit.
 """
 
 import numpy as np
@@ -51,19 +52,29 @@ def test_default_adapter_identical_to_loop(factory, data):
     np.testing.assert_array_equal(batch_scores, loop_scores)
 
 
-#: One factory per classifier: GNB has a native ``predict_fit_interleaved``
-#: kernel, the other four run the base-class row loop.
+#: One factory per classifier: GNB, the perceptron and both trees have a
+#: native ``predict_fit_interleaved`` kernel, the two baselines run the
+#: base-class row loop.  Both trees split at rows 49, 147 and 153.
 INTERLEAVED_FACTORIES = {
     "gnb": lambda: GaussianNaiveBayes(6, 4),
     "perceptron": lambda: OnlinePerceptron(6, 4, seed=3),
     **dict(zip(("majority", "no-change", "tree"), DEFAULT_ADAPTER_FACTORIES)),
+    "tree-plain": lambda: CostSensitivePerceptronTree(
+        n_features=6,
+        n_classes=4,
+        grace_period=50,
+        max_depth=2,
+        cost_sensitive=False,
+        seed=1,
+    ),
 }
 
 
 class TestPredictFitInterleaved:
     """The chunk-exact contract: any chunking equals the per-row loop bit for bit."""
 
-    @pytest.mark.parametrize("chunk", [1, 7, 64, None], ids=str)
+    # Chunk 50 ends a chunk on the first split row.
+    @pytest.mark.parametrize("chunk", [1, 7, 50, 64, None], ids=str)
     @pytest.mark.parametrize("name", sorted(INTERLEAVED_FACTORIES))
     def test_equals_row_loop_bitwise(self, name, chunk, data):
         features, labels = data
@@ -73,6 +84,9 @@ class TestPredictFitInterleaved:
         for i in range(n):
             expected[i] = loop_model.predict_proba(features[i])
             loop_model.partial_fit(features[i], int(labels[i]))
+        if isinstance(loop_model, CostSensitivePerceptronTree):
+            # Without a split the tree kernel's split path goes untested.
+            assert loop_model.n_splits >= 1
         model = INTERLEAVED_FACTORIES[name]()
         step = chunk or n
         scores = np.vstack(
@@ -99,6 +113,27 @@ class TestPredictFitInterleaved:
         )
         assert scores.shape == (0, 4)
         assert model.snapshot() == before
+
+
+@pytest.mark.parametrize("method", ["partial_fit_batch", "predict_fit_interleaved"])
+@pytest.mark.parametrize("name", sorted(INTERLEAVED_FACTORIES))
+def test_refuses_row_label_count_mismatch(name, method, data):
+    features, labels = data
+    model = INTERLEAVED_FACTORIES[name]()
+    before = model.snapshot()
+    with pytest.raises(ValueError, match="one 2-D feature row per label"):
+        getattr(model, method)(features[:3], labels[:1])
+    assert model.snapshot() == before
+
+
+@pytest.mark.parametrize("name", sorted(INTERLEAVED_FACTORIES))
+def test_partial_fit_batch_refuses_weight_count_mismatch(name, data):
+    features, labels = data
+    model = INTERLEAVED_FACTORIES[name]()
+    before = model.snapshot()
+    with pytest.raises(ValueError, match="one weight per label"):
+        model.partial_fit_batch(features[:3], labels[:3], weights=np.ones(2))
+    assert model.snapshot() == before
 
 
 def test_predict_batch_matches_argmax(data):

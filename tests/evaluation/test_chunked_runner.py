@@ -11,9 +11,10 @@ ordering for throughput; for detectors that ignore the prediction stream
 import numpy as np
 import pytest
 
-from repro.classifiers import GaussianNaiveBayes
+from repro.classifiers import CostSensitivePerceptronTree, GaussianNaiveBayes
 from repro.core.detector import RBMIM, RBMIMConfig
 from repro.detectors import DDM, DDM_OCI
+from repro.evaluation.experiment import default_classifier_factory
 from repro.evaluation.prequential import PrequentialRunner
 from repro.streams.base import ListStream
 from repro.streams.generators import RandomRBFGenerator
@@ -66,22 +67,41 @@ def _rbmim(scenario: ScenarioStream) -> RBMIM:
     )
 
 
+def _instance_mode_run(factory):
+    scenario = _drifting_scenario()
+    runner = PrequentialRunner(factory, pretrain_size=200)
+    return runner.run(scenario, _rbmim(scenario), n_instances=N_INSTANCES)
+
+
 @pytest.fixture(scope="module")
 def instance_mode_result():
-    scenario = _drifting_scenario()
-    runner = PrequentialRunner(nb_factory, pretrain_size=200)
-    return runner.run(scenario, _rbmim(scenario), n_instances=N_INSTANCES)
+    return _instance_mode_run(nb_factory)
+
+
+@pytest.fixture(scope="module")
+def tree_instance_mode_result():
+    return _instance_mode_run(default_classifier_factory)
+
+
+#: Classifier under test -> (factory, fixture holding its instance-mode run).
+#: GNB and the paper's perceptron tree both score chunks with a native kernel.
+PARITY_CLASSIFIERS = {
+    "gnb": (nb_factory, "instance_mode_result"),
+    "tree": (default_classifier_factory, "tree_instance_mode_result"),
+}
 
 
 class TestChunkedExactMode:
     @pytest.mark.parametrize("chunk_size", [1, 64, 500, 10_000])
-    def test_identical_to_instance_mode(self, instance_mode_result, chunk_size):
+    @pytest.mark.parametrize("classifier", sorted(PARITY_CLASSIFIERS))
+    def test_identical_to_instance_mode(self, request, classifier, chunk_size):
+        factory, reference_fixture = PARITY_CLASSIFIERS[classifier]
         scenario = _drifting_scenario()
         runner = PrequentialRunner(
-            nb_factory, pretrain_size=200, chunk_size=chunk_size
+            factory, pretrain_size=200, chunk_size=chunk_size
         )
         result = runner.run(scenario, _rbmim(scenario), n_instances=N_INSTANCES)
-        reference = instance_mode_result
+        reference = request.getfixturevalue(reference_fixture)
         assert result.detections == reference.detections
         assert result.detected_classes == reference.detected_classes
         assert result.pmauc == reference.pmauc
@@ -95,10 +115,33 @@ class TestChunkedExactMode:
             for snap in reference.snapshots
         ]
 
-    def test_detections_fired(self, instance_mode_result):
+    @pytest.mark.parametrize("classifier", sorted(PARITY_CLASSIFIERS))
+    def test_detections_fired(self, request, classifier):
         # The parity assertions above are only meaningful if drifts and
         # drift-triggered classifier resets actually happened.
-        assert instance_mode_result.detections
+        _, reference_fixture = PARITY_CLASSIFIERS[classifier]
+        assert request.getfixturevalue(reference_fixture).detections
+
+    def test_tree_scores_through_native_kernel(self, monkeypatch):
+        # The base-class row loop would score every post-pretrain row with
+        # predict_proba; the tree's kernel never calls it.
+        calls = []
+        scalar_predict_proba = CostSensitivePerceptronTree.predict_proba
+
+        def counting_predict_proba(self, x):
+            calls.append(x)
+            return scalar_predict_proba(self, x)
+
+        monkeypatch.setattr(
+            CostSensitivePerceptronTree, "predict_proba", counting_predict_proba
+        )
+        stream = RandomRBFGenerator(n_classes=3, n_features=4, seed=0)
+        runner = PrequentialRunner(
+            default_classifier_factory, pretrain_size=100, chunk_size=64
+        )
+        result = runner.run(stream, DDM(), n_instances=1_000)
+        assert result.n_instances == 1_000
+        assert calls == []
 
     def test_error_rate_detector_parity(self):
         scenario_a = make_artificial_stream(
