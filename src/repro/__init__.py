@@ -10,8 +10,7 @@ The package provides:
   cost-sensitive perceptron tree;
 * :mod:`repro.metrics` — prequential multi-class AUC / G-mean and drift scoring;
 * :mod:`repro.evaluation` — the prequential harness, grid cell tasks, the
-  paper's default classifier, statistical tests, and online hyper-parameter
-  tuning;
+  paper's default classifier, result tables, and statistical tests;
 * :mod:`repro.protocol` — the end-to-end, resumable reproduction of the
   paper's protocol (``python -m repro.protocol run``);
 * :mod:`repro.analysis` — the stdlib-only invariant linter that enforces the

@@ -1,4 +1,4 @@
-"""Evaluation harness: prequential runner, grid cells, statistics, tuning."""
+"""Evaluation harness: prequential runner, grid cells, result tables, statistics."""
 
 from repro.evaluation.experiment import default_classifier_factory
 from repro.evaluation.grid import GridCell, GridCellResult
@@ -15,7 +15,6 @@ from repro.evaluation.stats import (
     friedman_test,
     nemenyi_critical_distance,
 )
-from repro.evaluation.tuning import NelderMeadTuner, ParameterSpace, tune_on_stream
 
 __all__ = [
     "default_classifier_factory",
@@ -34,7 +33,4 @@ __all__ = [
     "bonferroni_dunn_test",
     "friedman_test",
     "nemenyi_critical_distance",
-    "NelderMeadTuner",
-    "ParameterSpace",
-    "tune_on_stream",
 ]

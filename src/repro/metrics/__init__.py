@@ -2,7 +2,6 @@
 
 from repro.metrics.confusion import StreamingConfusionMatrix
 from repro.metrics.drift_eval import DriftDetectionReport, evaluate_detections
-from repro.metrics.gmean import PrequentialGMean
 from repro.metrics.pmauc import PrequentialMultiClassAUC, auc_from_scores
 from repro.metrics.prequential import MetricSnapshot, PrequentialEvaluator
 
@@ -10,7 +9,6 @@ __all__ = [
     "StreamingConfusionMatrix",
     "DriftDetectionReport",
     "evaluate_detections",
-    "PrequentialGMean",
     "PrequentialMultiClassAUC",
     "auc_from_scores",
     "MetricSnapshot",

@@ -3,7 +3,9 @@
 :class:`PrequentialEvaluator` bundles the paper's two headline metrics
 (pmAUC, pmGM) plus accuracy and Kappa over a sliding window, and records the
 metric trajectory so benchmark harnesses can report both final averages and
-time series.
+time series.  pmGM, accuracy and Kappa all read one windowed
+:class:`~repro.metrics.confusion.StreamingConfusionMatrix`; pmAUC keeps its
+own window of class scores.
 """
 
 from __future__ import annotations
@@ -14,7 +16,6 @@ import numpy as np
 
 from repro.core.snapshot import Snapshotable, register_dataclass
 from repro.metrics.confusion import StreamingConfusionMatrix
-from repro.metrics.gmean import PrequentialGMean
 from repro.metrics.pmauc import PrequentialMultiClassAUC
 
 __all__ = ["MetricSnapshot", "PrequentialEvaluator"]
@@ -46,18 +47,20 @@ class PrequentialEvaluator(Snapshotable):
         Distance (in instances) between recorded metric snapshots.
     """
 
+    #: v2: one windowed confusion matrix serves pmGM, accuracy and Kappa,
+    #: so v1 checkpoints (which also held a second one) are ignored.
+    SNAPSHOT_VERSION = 2
+
     n_classes: int
     window_size: int = 1000
     snapshot_every: int = 500
     _auc: PrequentialMultiClassAUC = field(init=False)
-    _gmean: PrequentialGMean = field(init=False)
     _confusion: StreamingConfusionMatrix = field(init=False)
     _snapshots: list[MetricSnapshot] = field(init=False, default_factory=list)
     _n_seen: int = field(init=False, default=0)
 
     def __post_init__(self) -> None:
         self._auc = PrequentialMultiClassAUC(self.n_classes, self.window_size)
-        self._gmean = PrequentialGMean(self.n_classes, self.window_size)
         self._confusion = StreamingConfusionMatrix(
             self.n_classes, window_size=self.window_size
         )
@@ -73,7 +76,6 @@ class PrequentialEvaluator(Snapshotable):
 
     def reset(self) -> None:
         self._auc.reset()
-        self._gmean.reset()
         self._confusion.reset()
         self._snapshots.clear()
         self._n_seen = 0
@@ -82,7 +84,6 @@ class PrequentialEvaluator(Snapshotable):
     def update(self, scores: np.ndarray, y_true: int, y_pred: int) -> None:
         """Record one test-then-train step (scores, truth, prediction)."""
         self._auc.update(scores, y_true)
-        self._gmean.update(y_true, y_pred)
         self._confusion.update(y_true, y_pred)
         self._n_seen += 1
         if self._n_seen % self.snapshot_every == 0:
@@ -102,7 +103,6 @@ class PrequentialEvaluator(Snapshotable):
             to_snapshot = self.snapshot_every - (self._n_seen % self.snapshot_every)
             end = min(n, start + to_snapshot)
             self._auc.update_batch(scores[start:end], y_true[start:end])
-            self._gmean.update_batch(y_true[start:end], y_pred[start:end])
             self._confusion.update_batch(y_true[start:end], y_pred[start:end])
             self._n_seen += end - start
             if self._n_seen % self.snapshot_every == 0:
@@ -114,7 +114,7 @@ class PrequentialEvaluator(Snapshotable):
         return self._auc.value()
 
     def pmgm(self) -> float:
-        return self._gmean.value()
+        return self._confusion.geometric_mean()
 
     def accuracy(self) -> float:
         return self._confusion.accuracy()

@@ -14,11 +14,11 @@ This package wires the repo's layers into one runnable pipeline:
 * :mod:`repro.protocol.sharded_store` — :class:`ShardedResultsStore`,
   append-only per-writer segments with atomic compaction into a sqlite
   index, for runs past one-file-per-cell scale;
-* :mod:`repro.protocol.backends` — the pluggable
-  :class:`ExecutionBackend` registry (``serial`` / ``thread`` / ``process``)
+* :mod:`repro.protocol.backends` — the :class:`ExecutionBackend` contract
+  and the three built-in backends (``serial`` / ``thread`` / ``process``)
   the pipeline fans cells out over;
 * :mod:`repro.protocol.pipeline` — :class:`ProtocolPipeline`, the
-  run/resume/status engine over the pluggable execution backends;
+  run/resume/status engine over those execution backends;
 * :mod:`repro.protocol.analysis` — folds stored records into the paper's
   tables, ranks, and Friedman / Bonferroni-Dunn / Bayesian summaries.
 
@@ -41,9 +41,6 @@ from repro.protocol.backends import (
     ProcessBackend,
     SerialBackend,
     ThreadBackend,
-    backend_names,
-    make_backend,
-    register_backend,
 )
 from repro.protocol.pipeline import (
     ProtocolPipeline,
@@ -65,9 +62,6 @@ __all__ = [
     "ProcessBackend",
     "SerialBackend",
     "ThreadBackend",
-    "backend_names",
-    "make_backend",
-    "register_backend",
     "ShardedResultsStore",
     "ResultsStoreProtocol",
     "ProtocolAnalysis",

@@ -32,7 +32,7 @@ import sys
 from pathlib import Path
 
 from repro.protocol.analysis import analyze_records, render_report
-from repro.protocol.backends import backend_names
+from repro.protocol.backends import BACKENDS
 from repro.protocol.pipeline import ProtocolPipeline
 from repro.protocol.sharded_store import ShardedResultsStore
 from repro.protocol.spec import ProtocolSpec
@@ -182,7 +182,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     run.add_argument(
         "--backend",
-        choices=tuple(backend_names()),
+        choices=sorted(BACKENDS),
         default="process",
         help="execution backend (default: process)",
     )

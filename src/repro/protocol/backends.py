@@ -1,9 +1,10 @@
-"""Pluggable execution backends for fanning out grid cell tasks.
+"""Execution backends for fanning out grid cell tasks.
 
-Each strategy sits behind one :class:`ExecutionBackend` contract plus a
-registry, so :meth:`ProtocolPipeline.run(backend=...) <repro.protocol.
-pipeline.ProtocolPipeline.run>` and the ``python -m repro.protocol`` CLI
-select the execution strategy declaratively:
+Each strategy sits behind one :class:`ExecutionBackend` contract, and
+:data:`BACKENDS` names the three built-in ones, so
+:meth:`ProtocolPipeline.run(backend=...) <repro.protocol.pipeline.
+ProtocolPipeline.run>` and the ``python -m repro.protocol`` CLI select the
+execution strategy by name:
 
 * ``serial``  — in-process loop; deterministic ordering, easiest to debug;
 * ``thread``  — one :class:`~concurrent.futures.ThreadPoolExecutor`;
@@ -13,9 +14,8 @@ select the execution strategy declaratively:
   up to :data:`_MAX_BROKEN_RETRIES` broken pools per cell).  Payloads that
   cannot be pickled degrade to ``thread`` with a :class:`RuntimeWarning`.
 
-Third parties register their own strategies with :func:`register_backend`;
-the pipeline accepts either a registered name or an
-:class:`ExecutionBackend` instance.
+The pipeline also accepts any :class:`ExecutionBackend` instance in place of
+a name.
 """
 
 from __future__ import annotations
@@ -38,10 +38,7 @@ __all__ = [
     "SerialBackend",
     "ThreadBackend",
     "ProcessBackend",
-    "register_backend",
-    "backend_names",
-    "make_backend",
-    "resolve_backend",
+    "BACKENDS",
 ]
 
 Progress = Callable[[GridCellResult], None]
@@ -71,43 +68,6 @@ class ExecutionBackend(Protocol):
         max_workers: "int | None" = None,
         progress: "Progress | None" = None,
     ) -> list[GridCellResult]: ...
-
-
-# --------------------------------------------------------------- registry
-_REGISTRY: dict[str, Callable[[], ExecutionBackend]] = {}
-
-
-def register_backend(name: str, factory: Callable[[], ExecutionBackend]) -> None:
-    """Register ``factory`` (``() -> backend``) under ``name``."""
-    _REGISTRY[name] = factory
-
-
-def backend_names() -> list[str]:
-    """Every registered backend name, sorted."""
-    return sorted(_REGISTRY)
-
-
-def make_backend(name: str) -> ExecutionBackend:
-    """Instantiate the backend registered under ``name``."""
-    try:
-        factory = _REGISTRY[name]
-    except KeyError:
-        raise ValueError(
-            f"unknown backend {name!r} (registered: {', '.join(backend_names())})"
-        ) from None
-    return factory()
-
-
-def resolve_backend(backend: "str | ExecutionBackend") -> ExecutionBackend:
-    """A backend instance from either a registered name or an instance."""
-    if isinstance(backend, str):
-        return make_backend(backend)
-    if isinstance(backend, ExecutionBackend):
-        return backend
-    raise TypeError(
-        f"backend must be a registered name or an ExecutionBackend, "
-        f"got {backend!r}"
-    )
 
 
 # ------------------------------------------------------------------ local
@@ -260,6 +220,9 @@ class ProcessBackend:
         )
 
 
-register_backend("serial", SerialBackend)
-register_backend("thread", ThreadBackend)
-register_backend("process", ProcessBackend)
+#: The built-in backends by name (the CLI's ``--backend`` choices).
+BACKENDS: dict[str, Callable[[], ExecutionBackend]] = {
+    "serial": SerialBackend,
+    "thread": ThreadBackend,
+    "process": ProcessBackend,
+}

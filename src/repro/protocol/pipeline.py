@@ -30,7 +30,7 @@ from typing import Callable
 from repro.evaluation.experiment import default_classifier_factory
 from repro.evaluation.grid import CellTask, GridCell, GridCellResult, cell_record
 from repro.evaluation.results import ResultTable
-from repro.protocol.backends import ExecutionBackend, resolve_backend
+from repro.protocol.backends import BACKENDS, ExecutionBackend
 from repro.protocol.registry import detector_factory
 from repro.protocol.spec import ProtocolCell, ProtocolSpec, callable_label
 from repro.protocol.store import ResultsStore, ResultsStoreProtocol
@@ -196,7 +196,7 @@ class ProtocolPipeline:
 
         Completed cells (a readable stored record without an error) are
         **never recomputed**; re-invoking after an interruption finishes only
-        the remainder.  ``backend`` is a registered backend name (``serial``
+        the remainder.  ``backend`` is a built-in backend name (``serial``
         / ``thread`` / ``process``) or an
         :class:`~repro.protocol.backends.ExecutionBackend` instance;
         ``max_cells`` caps how many pending cells this invocation takes on
@@ -205,9 +205,24 @@ class ProtocolPipeline:
         side area at least every that many instances, a killed run re-enters
         its in-flight cells from those checkpoints (bit-identical to an
         uninterrupted run), and each cell's checkpoint is discarded the
-        moment its record lands.
+        moment its record lands.  An unknown ``backend`` or a
+        ``checkpoint_every`` below 1 is refused before anything is stored.
         """
         started = time.perf_counter()
+        if isinstance(backend, str):
+            if backend not in BACKENDS:
+                raise ValueError(
+                    f"unknown backend {backend!r}; expected one of "
+                    f"{sorted(BACKENDS)}"
+                )
+            backend = BACKENDS[backend]()
+        elif not isinstance(backend, ExecutionBackend):
+            raise TypeError(
+                f"backend must be a backend name or an ExecutionBackend, "
+                f"got {backend!r}"
+            )
+        if checkpoint_every is not None and checkpoint_every < 1:
+            raise ValueError("checkpoint_every must be >= 1 or None")
         self._store.save_spec(self._spec.to_json())
         todo = self.pending(retry_failed=retry_failed)
         n_total = len(self._spec)
@@ -251,9 +266,7 @@ class ProtocolPipeline:
                 progress(cell_result)
 
         tasks = [self.task_for(cell, checkpoint_every) for cell, _ in todo]
-        results = resolve_backend(backend).run(
-            tasks, max_workers=max_workers, progress=persist
-        )
+        results = backend.run(tasks, max_workers=max_workers, progress=persist)
         n_failed = sum(1 for cell_result in results if not cell_result.ok)
         return ProtocolRunSummary(
             n_cells=n_total,

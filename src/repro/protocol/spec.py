@@ -197,13 +197,22 @@ class ProtocolSpec:
         if not (self.families and self.class_counts and self.scenarios
                 and self.detectors and self.seeds):
             raise ValueError("spec must name at least one cell on every axis")
+        # A repeated value would expand into two cells with one key: counted
+        # twice by len() and status(), and run twice.
+        for axis in ("families", "class_counts", "scenarios", "detectors", "seeds"):
+            values = getattr(self, axis)
+            if len(set(values)) != len(values):
+                raise ValueError(f"{axis} must not repeat a value, got {values}")
         if self.n_instances < 1 or self.n_drifts < 0:
             raise ValueError("n_instances must be >= 1 and n_drifts >= 0")
         if min(self.class_counts) < 2:
             raise ValueError("class_counts must all be >= 2")
-        # The bounds PrequentialRunner, the pmAUC window and the drift
-        # matcher enforce, checked here so a bad spec fails before any cell
-        # runs instead of storing one failure record per cell.
+        # The bounds the imbalance profiles, PrequentialRunner, the pmAUC
+        # window and the drift matcher enforce, checked here so a bad spec
+        # fails before any cell runs instead of storing one failure record
+        # per cell.
+        if self.max_imbalance_ratio < 1.0:
+            raise ValueError("max_imbalance_ratio must be >= 1")
         if self.chunk_size is not None and self.chunk_size < 1:
             raise ValueError("chunk_size must be >= 1 or None")
         if self.batch_mode and self.chunk_size is None:

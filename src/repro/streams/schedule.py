@@ -193,30 +193,6 @@ class Schedule:
         return cls(segments=tuple(segments))
 
     @classmethod
-    def concept_sweep(
-        cls,
-        n_segments: int,
-        segment_length: int,
-        transition: str = "sudden",
-        width: int = 0,
-        start_concept: int = 0,
-    ) -> "Schedule":
-        """Concepts ``start, start+1, ...`` switched every ``segment_length``."""
-        if n_segments < 1:
-            raise ValueError("n_segments must be >= 1")
-        return cls.of(
-            *(
-                Segment(
-                    length=segment_length,
-                    concept=start_concept + i,
-                    transition=transition,
-                    width=width if i else 0,
-                )
-                for i in range(n_segments)
-            )
-        )
-
-    @classmethod
     def recurring(
         cls, concepts: Sequence[int], period: int, n_periods: int
     ) -> "Schedule":

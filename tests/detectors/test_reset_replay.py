@@ -5,8 +5,7 @@ from a freshly constructed instance: after driving a detector through a
 drifting stream (so it fires and accumulates concept state, windows, and —
 for RBM-IM — trained weights), a reset followed by a replay of a second
 stream must produce exactly the detections a brand-new detector produces on
-that stream.  This pins the contract the prequential harness and the tuning
-loops rely on when they reuse detector objects across runs.
+that stream.
 """
 
 from __future__ import annotations

@@ -8,12 +8,14 @@ surviving file.  The resumed run must be bit-identical — detections, blamed
 classes, every windowed metric, every snapshot — to an uninterrupted run, in
 all three execution modes, with and without a detector.
 
-Also pinned: a checkpoint recorded under a different run configuration, or a
-torn/corrupt file, is *ignored* (fresh start, same results) rather than
-half-applied.
+Also pinned: a checkpoint recorded under a different run configuration, one
+holding a component snapshot of another version, or a torn/corrupt file, is
+*ignored* (fresh start, same results) rather than half-applied.
 """
 
 from __future__ import annotations
+
+import json
 
 import pytest
 
@@ -159,6 +161,30 @@ def test_mismatched_checkpoint_is_ignored(tmp_path, monkeypatch):
     reference = _run("chunked", "ADWIN")
     observed = _run("chunked", "ADWIN", checkpoint_path=path, checkpoint_every=CHUNK)
     _assert_identical(observed, reference)
+
+
+def test_stale_component_version_is_ignored(tmp_path, monkeypatch):
+    """A checkpoint whose evaluator snapshot has another ``SNAPSHOT_VERSION``
+    (written before a state-layout change) is never applied: the run starts
+    fresh instead of failing in ``restore``."""
+    path = tmp_path / "checkpoint.json"
+    _kill_after_save(monkeypatch, 1, path, "chunked", "DDM")
+    payload = json.loads(path.read_text(encoding="utf-8"))
+    payload["evaluator"]["version"] -= 1
+    path.write_text(json.dumps(payload), encoding="utf-8")
+
+    applied = []
+    real_apply = RunnerCheckpoint.apply
+
+    def recording_apply(self, *args):
+        applied.append(self.produced)
+        return real_apply(self, *args)
+
+    monkeypatch.setattr(RunnerCheckpoint, "apply", recording_apply)
+    reference = _run("chunked", "DDM")
+    observed = _run("chunked", "DDM", checkpoint_path=path, checkpoint_every=CHUNK)
+    _assert_identical(observed, reference)
+    assert applied == []
 
 
 def test_corrupt_checkpoint_is_ignored(tmp_path):

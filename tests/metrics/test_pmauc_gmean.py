@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.metrics.gmean import PrequentialGMean
+from repro.metrics.confusion import StreamingConfusionMatrix
 from repro.metrics.pmauc import PrequentialMultiClassAUC, auc_from_scores
 
 
@@ -112,31 +112,33 @@ class TestPrequentialMultiClassAUC:
 
 
 class TestPrequentialGMean:
+    """pmGM: the G-mean of the evaluator's windowed confusion matrix."""
+
     def test_perfect_predictions_give_one(self):
-        metric = PrequentialGMean(3, window_size=100)
+        metric = StreamingConfusionMatrix(3, window_size=100)
         for label in [0, 1, 2] * 30:
             metric.update(label, label)
-        assert metric.value() == pytest.approx(1.0)
+        assert metric.geometric_mean() == pytest.approx(1.0)
 
     def test_missing_minority_class_gives_zero(self):
-        metric = PrequentialGMean(2, window_size=200)
+        metric = StreamingConfusionMatrix(2, window_size=200)
         rng = np.random.default_rng(0)
         for _ in range(200):
             label = 0 if rng.random() < 0.9 else 1
             metric.update(label, 0)  # always predict majority
-        assert metric.value() == 0.0
+        assert metric.geometric_mean() == 0.0
 
     def test_value_matches_manual_gmean(self):
-        metric = PrequentialGMean(2, window_size=100)
+        metric = StreamingConfusionMatrix(2, window_size=100)
         # class 0 recall 1.0 (10/10), class 1 recall 0.5 (5/10)
         for _ in range(10):
             metric.update(0, 0)
         for i in range(10):
             metric.update(1, 1 if i < 5 else 0)
-        assert metric.value() == pytest.approx(np.sqrt(1.0 * 0.5))
+        assert metric.geometric_mean() == pytest.approx(np.sqrt(1.0 * 0.5))
 
     def test_recall_per_class_exposed(self):
-        metric = PrequentialGMean(2)
+        metric = StreamingConfusionMatrix(2, window_size=1000)
         metric.update(0, 0)
         metric.update(1, 0)
         recall = metric.recall_per_class()
@@ -144,7 +146,7 @@ class TestPrequentialGMean:
         assert recall[1] == pytest.approx(0.0)
 
     def test_reset(self):
-        metric = PrequentialGMean(2)
+        metric = StreamingConfusionMatrix(2, window_size=1000)
         metric.update(0, 0)
         metric.reset()
-        assert metric.value() == 0.0
+        assert metric.geometric_mean() == 0.0

@@ -1,4 +1,4 @@
-"""The pluggable execution-backend layer: registry, fallbacks, equivalence.
+"""The execution-backend layer: name validation, fallbacks, equivalence.
 
 Every built-in backend runs the same :class:`CellTask` list to the same
 results in input order; a raising cell becomes a failed result, never an
@@ -19,17 +19,15 @@ from repro.classifiers import GaussianNaiveBayes
 from repro.detectors import DDM_OCI, FHDDM
 from repro.evaluation.grid import CellTask, GridCell, cell_record
 from repro.protocol.backends import (
-    ExecutionBackend,
+    BACKENDS,
     ProcessBackend,
     SerialBackend,
     ThreadBackend,
     _run_on_pool,
-    backend_names,
-    make_backend,
-    register_backend,
-    resolve_backend,
     tasks_picklable,
 )
+from repro.protocol.pipeline import ProtocolPipeline
+from repro.protocol.spec import ProtocolSpec
 from repro.streams.scenarios import make_artificial_stream
 
 N_INSTANCES = 300
@@ -64,46 +62,36 @@ def _task(name: str, seed: int = 0, **kwargs) -> CellTask:
     )
 
 
-# ---------------------------------------------------------------- registry
-def test_builtin_backends_are_registered():
-    assert backend_names() == ["process", "serial", "thread"]
+def _tiny_spec() -> ProtocolSpec:
+    spec = ProtocolSpec.quick()
+    spec.n_instances = 400
+    spec.window_size = 100
+    spec.pretrain_size = 50
+    spec.drift_tolerance = 200
+    spec.__post_init__()
+    return spec
 
 
-def test_unknown_backend_is_a_value_error():
+# ------------------------------------------------------- backend selection
+def test_unknown_backend_is_a_value_error(tmp_path):
+    pipeline = ProtocolPipeline(_tiny_spec(), tmp_path)
     with pytest.raises(ValueError, match="unknown backend"):
-        make_backend("bogus")
-    with pytest.raises(ValueError, match="unknown backend"):
-        resolve_backend("bogus")
+        pipeline.run(backend="bogus")
+    assert len(pipeline.store) == 0
+    assert not (tmp_path / "spec.json").exists()
 
 
-def test_resolve_accepts_instances_and_rejects_junk():
-    backend = SerialBackend()
-    assert resolve_backend(backend) is backend
-    assert isinstance(resolve_backend("serial"), SerialBackend)
+def test_resolve_accepts_instances_and_rejects_junk(tmp_path):
+    """``run`` takes a built-in name or an ExecutionBackend instance; any
+    other value is a TypeError before anything is stored."""
+    pipeline = ProtocolPipeline(_tiny_spec(), tmp_path)
     with pytest.raises(TypeError):
-        resolve_backend(42)
-
-
-def test_third_party_backends_register_and_run():
-    class CountingBackend(SerialBackend):
-        name = "counting"
-        calls = 0
-
-        def run(self, tasks, *, max_workers=None, progress=None):
-            CountingBackend.calls += 1
-            return super().run(tasks, max_workers=max_workers, progress=progress)
-
-    register_backend("counting", CountingBackend)
-    try:
-        assert "counting" in backend_names()
-        assert isinstance(make_backend("counting"), ExecutionBackend)
-        results = resolve_backend("counting").run([_task("a")])
-        assert CountingBackend.calls == 1
-        assert results[0].ok
-    finally:
-        from repro.protocol import backends as backends_module
-
-        backends_module._REGISTRY.pop("counting", None)
+        pipeline.run(backend=42)
+    assert len(pipeline.store) == 0
+    assert not (tmp_path / "spec.json").exists()
+    assert pipeline.run(backend="serial", max_cells=1).n_executed == 1
+    assert pipeline.run(backend=SerialBackend()).n_executed == 1
+    assert pipeline.status().done
 
 
 # ----------------------------------------------------- picklability probing
@@ -190,8 +178,8 @@ def test_backends_agree_in_input_order():
         for seed in (0, 1)
     ]
     outcomes = {}
-    for name in backend_names():
-        results = make_backend(name).run(tasks, max_workers=2)
+    for name, backend in BACKENDS.items():
+        results = backend().run(tasks, max_workers=2)
         assert [r.cell for r in results] == [t.cell for t in tasks]
         assert all(r.ok for r in results), [r.error for r in results]
         outcomes[name] = [
@@ -223,7 +211,7 @@ def test_pool_backends_capture_raising_cells(name):
     traceback survives the trip back from the worker, and progress sees
     every cell exactly once."""
     seen = []
-    results = make_backend(name).run(
+    results = BACKENDS[name]().run(
         [_task("broken", stream_factory=_raising_stream), _task("ok")],
         max_workers=2,
         progress=lambda cell_result: seen.append(cell_result.cell.stream),
@@ -297,7 +285,7 @@ def test_pool_backends_leave_no_workers_behind(name):
     """Once run returns, the pool's worker threads or processes are gone."""
     threads_before = set(threading.enumerate())
     children_before = set(multiprocessing.active_children())
-    results = make_backend(name).run(
+    results = BACKENDS[name]().run(
         [_task("a"), _task("b", seed=1)], max_workers=2
     )
     assert all(r.ok for r in results)
@@ -306,16 +294,6 @@ def test_pool_backends_leave_no_workers_behind(name):
 
 
 def test_pipeline_accepts_backend_instances(tmp_path):
-    from repro.protocol.pipeline import ProtocolPipeline
-    from repro.protocol.spec import ProtocolSpec
-
-    spec = ProtocolSpec.quick()
-    spec.n_instances = 400
-    spec.window_size = 100
-    spec.pretrain_size = 50
-    spec.drift_tolerance = 200
-    spec.__post_init__()
-
     class RecordingBackend(SerialBackend):
         name = "recording"
 
@@ -327,7 +305,7 @@ def test_pipeline_accepts_backend_instances(tmp_path):
             return super().run(tasks, max_workers=max_workers, progress=progress)
 
     backend = RecordingBackend()
-    pipeline = ProtocolPipeline(spec, str(tmp_path / "results"))
+    pipeline = ProtocolPipeline(_tiny_spec(), str(tmp_path / "results"))
     summary = pipeline.run(backend=backend)
     assert len(backend.cells) == 2
     assert summary.n_executed == 2

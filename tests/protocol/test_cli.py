@@ -127,6 +127,17 @@ def test_batch_mode_override_without_chunk_size_stores_nothing(tmp_path):
     assert not store.exists()  # refused before the store was opened
 
 
+def test_checkpoint_every_zero_stores_no_record(tmp_path):
+    store = tmp_path / "results"
+    out = run_cli(
+        "run", "--preset", "quick", "--store", str(store),
+        "--backend", "serial", "--checkpoint-every", "0", check=False,
+    )
+    assert out.returncode != 0
+    assert "checkpoint_every must be >= 1" in out.stderr
+    assert not list(store.glob("*.json"))  # no cell record, no spec copy
+
+
 def test_batch_mode_is_a_two_way_override(tmp_path):
     out = run_cli("run", "--help")
     assert "--no-batch-mode" in out.stdout

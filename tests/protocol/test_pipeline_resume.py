@@ -171,6 +171,19 @@ def test_max_cells_caps_one_invocation(tmp_path, store_kind):
 
 
 @pytest.mark.parametrize("store_kind", sorted(STORE_KINDS))
+def test_checkpoint_every_below_one_is_refused_up_front(tmp_path, store_kind):
+    """The runner would refuse it inside every cell, leaving one failure
+    record per cell; the pipeline refuses it before storing anything."""
+    pipeline = ProtocolPipeline(
+        quick_spec(), make_store(store_kind, tmp_path / "results")
+    )
+    with pytest.raises(ValueError, match="checkpoint_every"):
+        pipeline.run(backend="serial", checkpoint_every=0)
+    assert len(pipeline.store) == 0
+    assert pipeline.status().n_pending == 2
+
+
+@pytest.mark.parametrize("store_kind", sorted(STORE_KINDS))
 def test_records_carry_protocol_metadata(tmp_path, store_kind):
     spec = quick_spec()
     pipeline = ProtocolPipeline(spec, make_store(store_kind, tmp_path / "results"))

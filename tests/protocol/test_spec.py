@@ -117,9 +117,25 @@ class TestValidation:
             ("pretrain_size", -1),
             ("window_size", 9),
             ("drift_tolerance", -1),
+            ("max_imbalance_ratio", 0.5),
         ],
     )
     def test_run_parameters_the_runner_refuses_are_rejected(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            ProtocolSpec(**{field: value})
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("families", ("rbf", "RBF")),
+            ("class_counts", (5, 5)),
+            ("scenarios", (1, 1)),
+            ("detectors", ("DDM", "DDM")),
+            ("seeds", (0, 0)),
+        ],
+    )
+    def test_repeated_axis_value_rejected(self, field, value):
+        """Two cells with one key would be counted and run twice."""
         with pytest.raises(ValueError, match=field):
             ProtocolSpec(**{field: value})
 

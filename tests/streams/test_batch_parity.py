@@ -3,7 +3,7 @@
 The batch-first contract: for a fixed seed, ``generate_batch(n)`` must be
 bit-identical to ``n`` calls of ``next_instance()``, and to any split of the
 same ``n`` instances across several smaller batches.  These tests pin that
-contract for all ten generators (in noisy and noiseless configurations, and
+contract for every generator (in noisy and noiseless configurations, and
 with the sequential-state variants like the drifting hyperplane and moving
 RBF centroids) and for the schedule engine: sudden, gradual and incremental
 transitions, concept schedules, recurring and local drift, imbalance
@@ -18,14 +18,9 @@ from repro.streams.base import DataStream, Instance, ListStream
 from repro.streams.generators import (
     AgrawalGenerator,
     HyperplaneGenerator,
-    LEDGenerator,
-    MixedGenerator,
     RandomRBFGenerator,
     RandomTreeGenerator,
     SEAGenerator,
-    SineGenerator,
-    StaggerGenerator,
-    WaveformGenerator,
 )
 from repro.streams.imbalance import DynamicImbalance, RoleSwitchingImbalance
 from repro.streams.real_world import real_world_stream
@@ -49,10 +44,15 @@ SPLITS = (1, 5, 94, 300)  # sums to N_CHECK
 GENERATOR_FACTORIES = {
     "sea": lambda seed: SEAGenerator(n_classes=3, noise=0.1, seed=seed),
     "sea-noiseless": lambda seed: SEAGenerator(n_classes=2, noise=0.0, seed=seed),
-    "sine": lambda seed: SineGenerator(n_classes=3, noise=0.05, seed=seed),
-    "stagger": lambda seed: StaggerGenerator(multi_class=True, noise=0.05, seed=seed),
+    # Noise columns sit after the features, so their offset moves with width.
+    "sea-wide": lambda seed: SEAGenerator(
+        n_classes=4, noise=0.2, n_features=7, seed=seed
+    ),
     "hyperplane": lambda seed: HyperplaneGenerator(
         n_classes=5, n_features=10, seed=seed
+    ),
+    "hyperplane-noiseless": lambda seed: HyperplaneGenerator(
+        n_classes=5, n_features=10, noise=0.0, seed=seed
     ),
     "hyperplane-drift": lambda seed: HyperplaneGenerator(
         n_classes=5, n_features=10, mag_change=0.01, seed=seed
@@ -62,11 +62,15 @@ GENERATOR_FACTORIES = {
         n_classes=4, n_features=8, centroid_speed=0.01, seed=seed
     ),
     "agrawal": lambda seed: AgrawalGenerator(n_classes=5, n_features=20, seed=seed),
-    "led": lambda seed: LEDGenerator(seed=seed),
-    "waveform": lambda seed: WaveformGenerator(add_noise_features=True, seed=seed),
-    "mixed": lambda seed: MixedGenerator(noise=0.1, seed=seed),
+    "agrawal-unperturbed": lambda seed: AgrawalGenerator(
+        n_classes=5, n_features=20, perturbation=0.0, seed=seed
+    ),
     "randomtree": lambda seed: RandomTreeGenerator(
         n_classes=4, n_features=6, noise=0.1, seed=seed
+    ),
+    # The paper's configuration: a noiseless tree.
+    "randomtree-noiseless": lambda seed: RandomTreeGenerator(
+        n_classes=4, n_features=6, seed=seed
     ),
 }
 
@@ -314,6 +318,6 @@ class TestBatchShapes:
             stream.generate_batch(-1)
 
     def test_dtypes(self):
-        features, labels = LEDGenerator(seed=1).generate_batch(10)
+        features, labels = SEAGenerator(n_classes=3, seed=1).generate_batch(10)
         assert features.dtype == np.float64
         assert labels.dtype == np.int64

@@ -6,14 +6,9 @@ import pytest
 from repro.streams.generators import (
     AgrawalGenerator,
     HyperplaneGenerator,
-    LEDGenerator,
-    MixedGenerator,
     RandomRBFGenerator,
     RandomTreeGenerator,
     SEAGenerator,
-    SineGenerator,
-    StaggerGenerator,
-    WaveformGenerator,
 )
 
 ALL_GENERATORS = [
@@ -22,11 +17,6 @@ ALL_GENERATORS = [
     lambda seed: RandomRBFGenerator(n_classes=4, n_features=8, seed=seed),
     lambda seed: RandomTreeGenerator(n_classes=4, n_features=6, seed=seed),
     lambda seed: SEAGenerator(n_classes=3, seed=seed),
-    lambda seed: SineGenerator(n_classes=2, seed=seed),
-    lambda seed: StaggerGenerator(seed=seed),
-    lambda seed: LEDGenerator(seed=seed),
-    lambda seed: WaveformGenerator(seed=seed),
-    lambda seed: MixedGenerator(seed=seed),
 ]
 
 
@@ -95,6 +85,68 @@ class TestAgrawal:
         stream = AgrawalGenerator(n_classes=5, n_features=37, seed=0)
         assert stream.next_instance().x.shape == (37,)
 
+    @staticmethod
+    def _assert_loan_records(block):
+        salary, commission, age, elevel, car, zipcode, hvalue, hyears, loan = block.T
+        assert np.all((salary >= 20_000) & (salary <= 150_000))
+        # High earners get no commission; everyone else gets one.
+        np.testing.assert_array_equal(commission == 0.0, salary >= 75_000)
+        low = salary < 75_000
+        assert np.all((commission[low] >= 10_000) & (commission[low] <= 75_000))
+        for column, low_int, high_int in (
+            (age, 20, 80), (elevel, 0, 4), (car, 1, 20), (zipcode, 0, 8), (hyears, 1, 30)
+        ):
+            np.testing.assert_array_equal(column, np.round(column))
+            assert column.min() >= low_int and column.max() <= high_int
+        house_scale = (9.0 - zipcode) * 100_000
+        assert np.all((hvalue >= 0.5 * house_scale) & (hvalue <= 1.5 * house_scale))
+        assert np.all((loan >= 0.0) & (loan <= 500_000))
+
+    def test_unperturbed_features_are_loan_records(self):
+        stream = AgrawalGenerator(n_classes=3, n_features=9, perturbation=0.0, seed=4)
+        features, _ = stream.generate_batch(2000)
+        self._assert_loan_records(features)
+
+    def test_feature_block_is_tiled_and_truncated(self):
+        """20 features are two whole, independently drawn 9-feature records
+        plus the first two fields (salary, commission) of a third."""
+        stream = AgrawalGenerator(n_classes=3, n_features=20, perturbation=0.0, seed=4)
+        features, _ = stream.generate_batch(1000)
+        self._assert_loan_records(features[:, 0:9])
+        self._assert_loan_records(features[:, 9:18])
+        assert not np.array_equal(features[:, 0:9], features[:, 9:18])
+        salary, commission = features[:, 18], features[:, 19]
+        assert np.all((salary >= 20_000) & (salary <= 150_000))
+        np.testing.assert_array_equal(commission == 0.0, salary >= 75_000)
+
+    def test_label_bins_the_risk_score_of_the_first_block(self):
+        """The batch kernel labels each row as the scalar ``_score`` of its
+        first record, cut at the concept's quantile bin edges."""
+        stream = AgrawalGenerator(n_classes=5, n_features=20, perturbation=0.0, seed=6)
+        features, labels = stream.generate_batch(500)
+        scores = np.array([stream._score(row[:9]) for row in features])
+        np.testing.assert_array_equal(
+            labels, np.searchsorted(stream._bin_edges, scores)
+        )
+
+    @pytest.mark.parametrize("concept", range(10))
+    def test_quantile_bins_balance_every_concept(self, concept):
+        """Bin edges sit at the score quantiles, so every concept spreads its
+        rows about evenly over the classes whatever its weights."""
+        stream = AgrawalGenerator(n_classes=5, n_features=20, concept=concept, seed=3)
+        _, labels = stream.generate_batch(3000)
+        shares = np.bincount(labels, minlength=5) / labels.size
+        assert np.all((shares > 0.14) & (shares < 0.26)), shares
+
+    def test_set_concept_relabels_the_same_features(self):
+        base = AgrawalGenerator(n_classes=5, n_features=20, seed=8)
+        switched = AgrawalGenerator(n_classes=5, n_features=20, seed=8)
+        switched.set_concept(4)
+        base_x, base_y = base.generate_batch(400)
+        switched_x, switched_y = switched.generate_batch(400)
+        np.testing.assert_array_equal(base_x, switched_x)
+        assert not np.array_equal(base_y, switched_y)
+
 
 class TestHyperplane:
     def test_stationary_when_mag_change_zero(self):
@@ -123,6 +175,42 @@ class TestHyperplane:
         stream = HyperplaneGenerator(n_classes=3, n_features=5, seed=0)
         for instance in stream.take(100):
             assert np.all(instance.x >= 0.0) and np.all(instance.x <= 1.0)
+
+    def test_noiseless_label_is_band_of_normalised_margin(self):
+        """Without noise the label is the signed, |w|-normalised distance from
+        the hyperplane through the cube's centre, shifted to [0, 1] and cut
+        into ``n_classes`` equal bands."""
+        stream = HyperplaneGenerator(n_classes=4, n_features=6, noise=0.0, seed=3)
+        weights = stream._weights.copy()
+        features, labels = stream.generate_batch(1000)
+        margins = (features - 0.5) @ weights / np.abs(weights).sum()
+        expected = np.floor(np.clip(0.5 + margins, 0.0, 1.0 - 1e-9) * 4)
+        np.testing.assert_array_equal(labels, expected.astype(np.int64))
+        assert len(set(labels.tolist())) > 1
+
+    def test_drift_without_reversals_moves_weights_linearly(self):
+        stream = HyperplaneGenerator(
+            n_classes=3, n_features=5, mag_change=0.01,
+            sigma_direction_change=0.0, seed=1,
+        )
+        weights, directions = stream._weights.copy(), stream._directions.copy()
+        stream.generate_batch(100)
+        np.testing.assert_allclose(
+            stream._weights, weights + 100 * 0.01 * directions, atol=1e-12
+        )
+        np.testing.assert_array_equal(stream._directions, directions)
+
+    def test_reversing_every_step_oscillates_in_place(self):
+        """With ``sigma_direction_change=1`` every weight's direction flips
+        after each instance, so an even number of steps returns the plane."""
+        stream = HyperplaneGenerator(
+            n_classes=3, n_features=5, mag_change=0.01,
+            sigma_direction_change=1.0, seed=1,
+        )
+        weights, directions = stream._weights.copy(), stream._directions.copy()
+        stream.generate_batch(10)
+        np.testing.assert_allclose(stream._weights, weights, atol=1e-12)
+        np.testing.assert_array_equal(stream._directions, directions)
 
 
 class TestRandomRBF:
@@ -159,6 +247,35 @@ class TestRandomRBF:
         for instance in stream.take(200):
             assert np.all(instance.x >= 0.0) and np.all(instance.x <= 1.0)
 
+    def test_stationary_centroids_do_not_move(self):
+        stream = RandomRBFGenerator(n_classes=3, n_features=4, seed=1)
+        before = [c.centre.copy() for c in stream._centroids]
+        stream.generate_batch(300)
+        for b, c in zip(before, stream._centroids):
+            np.testing.assert_array_equal(b, c.centre)
+
+    def test_moving_centroids_stay_in_unit_cube(self):
+        stream = RandomRBFGenerator(
+            n_classes=3, n_features=4, n_centroids=6, centroid_speed=0.05, seed=2
+        )
+        features, _ = stream.generate_batch(2000)
+        centres = np.stack([c.centre for c in stream._centroids])
+        assert np.all((centres >= 0.0) & (centres <= 1.0))
+        assert np.any((centres == 0.0) | (centres == 1.0))  # some hit a face
+        assert np.all((features >= 0.0) & (features <= 1.0))
+
+    def test_centroid_labels_cover_every_class(self):
+        stream = RandomRBFGenerator(n_classes=20, n_features=8, n_centroids=50, seed=3)
+        per_class = [len(stream.centroids_of_class(c)) for c in range(20)]
+        assert min(per_class) >= 1
+        assert sum(per_class) == 50
+
+
+def _n_leaves(node) -> int:
+    if node.is_leaf:
+        return 1
+    return _n_leaves(node.left) + _n_leaves(node.right)
+
 
 class TestRandomTree:
     def test_all_classes_reachable(self):
@@ -183,6 +300,42 @@ class TestRandomTree:
         with pytest.raises(ValueError):
             RandomTreeGenerator(max_depth=0)
 
+    @pytest.mark.parametrize(
+        "n_classes, n_features, max_depth", [(2, 3, 1), (4, 6, 6), (10, 12, 8)]
+    )
+    def test_batch_routing_matches_scalar_classify(
+        self, n_classes, n_features, max_depth
+    ):
+        """The per-node index-mask router labels a batch exactly as routing
+        each row alone through the reference ``_classify``."""
+        stream = RandomTreeGenerator(
+            n_classes=n_classes, n_features=n_features, max_depth=max_depth, seed=5
+        )
+        features, labels = stream.generate_batch(1500)
+        np.testing.assert_array_equal(
+            labels, [stream._classify(row) for row in features]
+        )
+
+    def test_noise_replaces_labels_at_the_configured_rate(self):
+        """A noisy row draws a uniform class, so with 4 classes a fraction
+        ``0.4 * 3/4 = 0.3`` of labels differ from the tree's."""
+        stream = RandomTreeGenerator(n_classes=4, n_features=5, noise=0.4, seed=6)
+        features, labels = stream.generate_batch(4000)
+        clean = np.array([stream._classify(row) for row in features])
+        assert 0.27 < np.mean(labels != clean) < 0.33
+
+    def test_zero_leaf_fraction_grows_a_full_tree(self):
+        stream = RandomTreeGenerator(
+            n_classes=3, n_features=4, max_depth=4, leaf_fraction=0.0, seed=0
+        )
+        assert _n_leaves(stream._root) == 2**4
+
+    def test_depth_one_tree_is_a_single_split(self):
+        stream = RandomTreeGenerator(n_classes=5, n_features=4, max_depth=1, seed=0)
+        assert _n_leaves(stream._root) == 2
+        _, labels = stream.generate_batch(500)
+        assert len(set(labels.tolist())) == 2
+
 
 class TestSEA:
     def test_two_class_default_boundary(self):
@@ -206,87 +359,58 @@ class TestSEA:
         with pytest.raises(ValueError):
             SEAGenerator(n_features=1)
 
+    @pytest.mark.parametrize("concept, offset", [(0, 0.0), (1, 1.0), (2, -1.0), (3, 2.0)])
+    def test_noiseless_bands_follow_concept_offset(self, concept, offset):
+        """``x1 + x2`` in [0, 20] is cut into ``n_classes`` equal bands whose
+        edges the concept shifts by its offset."""
+        stream = SEAGenerator(n_classes=4, concept=concept, noise=0.0, seed=2)
+        features, labels = stream.generate_batch(1000)
+        total = features[:, 0] + features[:, 1]
+        edges = np.array([5.0, 10.0, 15.0]) + offset
+        np.testing.assert_array_equal(labels, (total[:, None] > edges).sum(axis=1))
 
-class TestSine:
-    def test_reversed_concept_flips_labels(self):
-        normal = SineGenerator(n_classes=2, concept=0, seed=4)
-        reversed_ = SineGenerator(n_classes=2, concept=2, seed=4)
-        labels_normal = [inst.y for inst in normal.take(300)]
-        labels_reversed = [inst.y for inst in reversed_.take(300)]
-        assert all(a != b for a, b in zip(labels_normal, labels_reversed))
+    def test_extra_features_are_uniform_noise(self):
+        stream = SEAGenerator(n_classes=2, noise=0.0, n_features=5, seed=3)
+        features, labels = stream.generate_batch(2000)
+        np.testing.assert_array_equal(labels, features[:, 0] + features[:, 1] > 10.0)
+        extra = features[:, 2:]
+        assert np.all((extra >= 0.0) & (extra <= 10.0))
+        np.testing.assert_allclose(extra.mean(axis=0), 5.0, atol=0.3)
 
-    def test_invalid_concept(self):
-        with pytest.raises(ValueError):
-            SineGenerator(concept=4)
-
-
-class TestStagger:
-    def test_binary_concept_zero(self):
-        stream = StaggerGenerator(concept=0, seed=1)
-        for instance in stream.take(200):
-            is_small = instance.x[0] == 1.0
-            is_red = instance.x[3] == 1.0
-            assert instance.y == int(is_small and is_red)
-
-    def test_multi_class_counts_predicates(self):
-        stream = StaggerGenerator(multi_class=True, seed=1)
-        labels = {inst.y for inst in stream.take(500)}
-        assert labels <= {0, 1, 2, 3}
-        assert len(labels) >= 3
-
-    def test_one_hot_structure(self):
-        stream = StaggerGenerator(seed=0)
-        instance = stream.next_instance()
-        assert instance.x[:3].sum() == 1.0
-        assert instance.x[3:6].sum() == 1.0
-        assert instance.x[6:].sum() == 1.0
+    def test_noise_flips_labels_at_the_configured_rate(self):
+        """A noisy row draws a uniform class, so with 2 classes a fraction
+        ``0.3 / 2 = 0.15`` of labels leave their band."""
+        stream = SEAGenerator(n_classes=2, noise=0.3, seed=4)
+        features, labels = stream.generate_batch(4000)
+        clean = features[:, 0] + features[:, 1] > 10.0
+        assert 0.12 < np.mean(labels != clean) < 0.18
 
 
-class TestLED:
-    def test_noiseless_segments_match_digit(self):
-        stream = LEDGenerator(noise_percentage=0.0, n_irrelevant=0, seed=1)
-        from repro.streams.generators.led import _SEGMENTS
-
-        for instance in stream.take(100):
-            np.testing.assert_array_equal(instance.x[:7], _SEGMENTS[instance.y])
-
-    def test_drift_attributes_permute_features(self):
-        stable = LEDGenerator(noise_percentage=0.0, n_irrelevant=5, seed=2)
-        drifted = LEDGenerator(
-            noise_percentage=0.0, n_irrelevant=5, n_drift_attributes=6, seed=2
-        )
-        x_stable = [inst.x for inst in stable.take(50)]
-        x_drifted = [inst.x for inst in drifted.take(50)]
-        assert any(not np.allclose(a, b) for a, b in zip(x_stable, x_drifted))
-
-    def test_invalid_noise(self):
-        with pytest.raises(ValueError):
-            LEDGenerator(noise_percentage=2.0)
-
-    def test_ten_classes(self):
-        stream = LEDGenerator(seed=0)
-        labels = {inst.y for inst in stream.take(500)}
-        assert labels == set(range(10))
-
-
-class TestWaveform:
-    def test_dimensionality_with_and_without_noise(self):
-        assert WaveformGenerator(seed=0).next_instance().x.shape == (21,)
-        assert WaveformGenerator(add_noise_features=True, seed=0).next_instance().x.shape == (40,)
-
-    def test_three_classes(self):
-        stream = WaveformGenerator(seed=1)
-        labels = {inst.y for inst in stream.take(300)}
-        assert labels == {0, 1, 2}
-
-
-class TestMixed:
-    def test_concept_one_reverses_labels(self):
-        a = MixedGenerator(concept=0, seed=3)
-        b = MixedGenerator(concept=1, seed=3)
-        for inst_a, inst_b in zip(a.take(200), b.take(200)):
-            assert inst_a.y == 1 - inst_b.y
-
-    def test_invalid_concept(self):
-        with pytest.raises(ValueError):
-            MixedGenerator(concept=2)
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda concept: AgrawalGenerator(n_classes=5, n_features=20, concept=concept, seed=9),
+        lambda concept: HyperplaneGenerator(
+            n_classes=5, n_features=10, mag_change=0.01, concept=concept, seed=9
+        ),
+        lambda concept: RandomRBFGenerator(
+            n_classes=4, n_features=8, centroid_speed=0.01, concept=concept, seed=9
+        ),
+        lambda concept: RandomTreeGenerator(
+            n_classes=4, n_features=6, noise=0.1, concept=concept, seed=9
+        ),
+        lambda concept: SEAGenerator(n_classes=3, concept=concept, seed=9),
+    ],
+    ids=["agrawal", "hyperplane", "rbf", "randomtree", "sea"],
+)
+def test_set_concept_matches_constructing_on_that_concept(make):
+    """A concept index means the same concept however it was reached:
+    restoring a snapshot switches concepts with ``set_concept``, and the
+    schedule engine builds each concept through the constructor."""
+    switched = make(0)
+    switched.set_concept(3)
+    assert switched.concept == 3
+    built_x, built_y = make(3).generate_batch(300)
+    switched_x, switched_y = switched.generate_batch(300)
+    np.testing.assert_array_equal(switched_x, built_x)
+    np.testing.assert_array_equal(switched_y, built_y)

@@ -79,11 +79,6 @@ class TestScheduleGeometry:
         )
         assert schedule.resolved_shifts() == [0.0, 0.3, 0.3]
 
-    def test_concept_sweep_helper(self):
-        schedule = Schedule.concept_sweep(3, 100, transition="gradual", width=20)
-        np.testing.assert_array_equal(schedule.class_concepts(1)[:, 0], [0, 1, 2])
-        assert [s.width for s in schedule.segments] == [0, 20, 20]
-
     def test_recurring_helper_cycles(self):
         schedule = Schedule.recurring([0, 1], period=50, n_periods=4)
         np.testing.assert_array_equal(schedule.class_concepts(1)[:, 0], [0, 1, 0, 1])
@@ -98,10 +93,6 @@ class TestScheduleGeometry:
             Schedule.recurring([0, 1], period=0, n_periods=2)
         with pytest.raises(ValueError, match="positive"):
             Schedule.recurring([0, 1], period=10, n_periods=0)
-
-    def test_concept_sweep_rejects_no_segments(self):
-        with pytest.raises(ValueError, match="n_segments"):
-            Schedule.concept_sweep(0, 100)
 
     def test_initial_concept_is_not_a_drift(self):
         schedule = Schedule.of(

@@ -6,7 +6,8 @@ into an *identically configured* instance must emit the bit-identical tail —
 generator RNG bit-state, pending-uniform replay buffers, list cursors and
 per-class sampler buffers included.  The scenario sweep below covers every
 registered scenario family, hence every generator and schedule feature the
-protocol composes.
+protocol composes; the generator sweep adds the state those families never
+reach (a drifting hyperplane, moving centroids, a switched concept).
 """
 
 from __future__ import annotations
@@ -17,6 +18,13 @@ import pytest
 from repro.core.jsonio import dumps_strict, loads_strict
 from repro.core.snapshot import SnapshotError
 from repro.streams.base import ListStream
+from repro.streams.generators import (
+    AgrawalGenerator,
+    HyperplaneGenerator,
+    RandomRBFGenerator,
+    RandomTreeGenerator,
+    SEAGenerator,
+)
 from repro.streams.scenarios import (
     SCENARIO_BUILDERS,
     build_scenario_stream,
@@ -75,6 +83,76 @@ def test_artificial_family_restores_identical_tail(family: str) -> None:
     fresh = make()
     fresh.restore(snapshot)
     got_x, got_y = fresh.generate_batch(TAIL)
+    np.testing.assert_array_equal(got_x, expected_x)
+    np.testing.assert_array_equal(got_y, expected_y)
+
+
+GENERATORS = {
+    "agrawal": lambda: AgrawalGenerator(n_classes=5, n_features=20, seed=3),
+    "agrawal-unperturbed": lambda: AgrawalGenerator(
+        n_classes=5, n_features=20, perturbation=0.0, seed=3
+    ),
+    "hyperplane": lambda: HyperplaneGenerator(n_classes=5, n_features=10, seed=3),
+    # The drifting plane and the moving centroids carry state beyond the RNG
+    # that the snapshot must hold (``_snapshot_extra``).
+    "hyperplane-drift": lambda: HyperplaneGenerator(
+        n_classes=5, n_features=10, mag_change=0.01, seed=3
+    ),
+    "rbf": lambda: RandomRBFGenerator(n_classes=4, n_features=8, seed=3),
+    "rbf-moving": lambda: RandomRBFGenerator(
+        n_classes=4, n_features=8, centroid_speed=0.01, seed=3
+    ),
+    "randomtree": lambda: RandomTreeGenerator(
+        n_classes=4, n_features=6, noise=0.1, seed=3
+    ),
+    "sea": lambda: SEAGenerator(n_classes=3, seed=3),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GENERATORS))
+def test_generator_restores_identical_tail(name: str) -> None:
+    make = GENERATORS[name]
+    (expected_x, expected_y), snapshot = _checkpoint_tail(make)
+    fresh = make()
+    fresh.restore(snapshot)
+    assert fresh.position == HEAD
+    got_x, got_y = fresh.generate_batch(TAIL)
+    np.testing.assert_array_equal(got_x, expected_x)
+    np.testing.assert_array_equal(got_y, expected_y)
+
+
+@pytest.mark.parametrize(
+    "name", ["agrawal", "hyperplane-drift", "rbf-moving", "randomtree", "sea"]
+)
+def test_restore_follows_a_concept_switch(name: str) -> None:
+    """A snapshot taken after ``set_concept`` moves a fresh generator (still
+    on concept 0) to the recorded concept before it replays the tail."""
+    make = GENERATORS[name]
+    stream = make()
+    stream.generate_batch(100)
+    stream.set_concept(2)
+    stream.generate_batch(HEAD - 100)
+    snapshot = _json_roundtrip(stream.snapshot())
+    expected_x, expected_y = stream.generate_batch(TAIL)
+
+    fresh = make()
+    fresh.restore(snapshot)
+    assert fresh.concept == 2
+    got_x, got_y = fresh.generate_batch(TAIL)
+    np.testing.assert_array_equal(got_x, expected_x)
+    np.testing.assert_array_equal(got_y, expected_y)
+
+
+@pytest.mark.parametrize("name", ["hyperplane-drift", "rbf-moving"])
+def test_restore_rewinds_drifted_generator_state(name: str) -> None:
+    """Restoring backwards into the same generator puts the plane weights or
+    the centroid centres back where they were at the checkpoint."""
+    make = GENERATORS[name]
+    (expected_x, expected_y), snapshot = _checkpoint_tail(make)
+    advanced = make()
+    advanced.generate_batch(HEAD + 350)
+    advanced.restore(snapshot)
+    got_x, got_y = advanced.generate_batch(TAIL)
     np.testing.assert_array_equal(got_x, expected_x)
     np.testing.assert_array_equal(got_y, expected_y)
 
