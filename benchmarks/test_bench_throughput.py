@@ -11,17 +11,14 @@ the three execution modes of :class:`PrequentialRunner`:
 * ``batch`` — chunk-granular test-then-train over the batch APIs, driving
   every detector's NumPy-native ``step_batch`` kernel.
 
-Five workload families are measured: the RBM-IM reference path of the
+Four workload families are measured: the RBM-IM reference path of the
 earlier baselines, the full *detector zoo* — every detector in the registry
 on the same stream/classifier, instance vs batch mode, with the aggregate
 speedup across the zoo as the headline number — raw generation
 throughput of a *schedule-composed scenario stream* (the
 :mod:`repro.streams.schedule` engine driving concept transitions, local
 drift, imbalance, label noise, and feature drift at once), batch fetch vs
-per-instance iteration — the *fleet engine* (:mod:`repro.fleet`):
-detector-steps/sec of each native struct-of-arrays kernel driving 1k+
-concurrent independent streams, gated against an absolute floor — and the
-*snapshot contract* overhead: a chunk-exact run writing a full
+per-instance iteration — and the *snapshot contract* overhead: a chunk-exact run writing a full
 ``RunnerCheckpoint`` at every chunk vs without, plus snapshot()/restore()
 rates against the rollback deepcopy they replaced.
 
@@ -57,7 +54,6 @@ from repro.classifiers import GaussianNaiveBayes
 from repro.core.detector import RBMIM, RBMIMConfig
 from repro.core.jsonio import dumps_strict
 from repro.evaluation.prequential import PrequentialRunner
-from repro.fleet import FLEET_NATIVE, ScalarDetectorFleet, make_fleet
 from repro.protocol.registry import DETECTOR_NAMES, build_detector
 from repro.streams.generators import RandomRBFGenerator, SEAGenerator
 from repro.streams.imbalance import DynamicImbalance
@@ -111,17 +107,6 @@ CAPTURE_ROUNDS = 10
 #: (recorded baseline >= 1000/s; below 100/s checkpointing a protocol cell
 #: would dominate the cell itself).
 MIN_RBMIM_SNAPSHOT_CYCLES_PER_SEC = 100.0
-
-#: Hard floor on the fleet engine: the slowest native struct-of-arrays
-#: kernel must sustain at least this many detector-steps/sec while driving
-#: ``FLEET_N_STREAMS`` concurrent independent streams (the recorded baseline
-#: sits well above; anything below means a kernel fell off the one-round
-#: vectorized path).
-MIN_FLEET_STEPS_PER_SEC = 100_000.0
-FLEET_N_STREAMS = 1_000
-
-#: The sum/bound family with native struct-of-arrays fleet kernels.
-FLEET_DETECTORS = tuple(FLEET_NATIVE)
 
 #: Every registry detector (the paper's zoo); "none" is the detector-less
 #: baseline and measures only classifier/stream overhead.
@@ -416,74 +401,6 @@ def measure_snapshot_overhead(
     }
 
 
-def measure_fleet(
-    n_streams: int = FLEET_N_STREAMS,
-    n_ticks: int = 200,
-    repeats: int = 3,
-    detectors: tuple[str, ...] = FLEET_DETECTORS,
-    adapter_ticks: int | None = None,
-) -> dict:
-    """Detector-steps/sec of the fleet engine across N concurrent streams.
-
-    Every native sum-family kernel steps ``n_streams`` independent detectors
-    through ``n_ticks`` dense ticks (one element per lane per tick — the
-    single-round fast path of ``step_fleet``) over a drift-prone error
-    signal, best-of-``repeats``.  One detector (the first) is also measured
-    through the loop-of-scalars :class:`ScalarDetectorFleet` on a tick
-    subsample, yielding the native-vs-adapter speedup — the whole point of
-    the struct-of-arrays kernels.
-    """
-    rng = np.random.default_rng(5)
-    ids = np.arange(n_streams, dtype=np.int64)
-    error_probability = 0.1 + 0.6 * (np.arange(n_ticks) % 100) / 100.0
-    values = (
-        rng.random((n_ticks, n_streams)) < error_probability[:, None]
-    ).astype(np.float64)
-    if adapter_ticks is None:
-        adapter_ticks = max(1, n_ticks // 20)
-    per_detector: dict[str, dict] = {}
-    for position, name in enumerate(detectors):
-        best = math.inf
-        for _ in range(repeats):
-            fleet = make_fleet(name, n_streams)
-            started = time.perf_counter()
-            for tick in range(n_ticks):
-                fleet.step_fleet(ids, values[tick])
-            best = min(best, time.perf_counter() - started)
-        steps_per_sec = n_streams * n_ticks / best
-        entry = {"steps_per_sec": round(steps_per_sec, 1)}
-        if position == 0:
-            adapter = ScalarDetectorFleet(
-                [build_detector(name, 2, 2) for _ in range(n_streams)]
-            )
-            started = time.perf_counter()
-            for tick in range(adapter_ticks):
-                adapter.step_fleet(ids, values[tick])
-            adapter_rate = (
-                n_streams * adapter_ticks / (time.perf_counter() - started)
-            )
-            entry["adapter_steps_per_sec"] = round(adapter_rate, 1)
-            entry["speedup_native_vs_adapter"] = round(
-                steps_per_sec / adapter_rate, 2
-            )
-        per_detector[name] = entry
-    return {
-        "description": (
-            "Fleet engine: detector-steps/sec of each native "
-            "struct-of-arrays kernel driving N concurrent independent "
-            "streams (dense ticks, one element per lane), best of N "
-            "repeats; the first detector also measured through the "
-            "loop-of-scalars adapter for the native-vs-adapter speedup."
-        ),
-        "n_streams": n_streams,
-        "n_ticks": n_ticks,
-        "per_detector": per_detector,
-        "min_steps_per_sec": min(
-            entry["steps_per_sec"] for entry in per_detector.values()
-        ),
-    }
-
-
 def run_benchmark(n_instances: int, repeats: int = 3) -> dict:
     results: dict = {
         "description": (
@@ -581,25 +498,6 @@ class TestSnapshotOverhead:
         )
 
 
-class TestFleet:
-    def test_fleet_holds_steps_per_sec_floor(self):
-        n_ticks = stream_length(100, 500)
-        results = measure_fleet(
-            n_streams=FLEET_N_STREAMS, n_ticks=n_ticks, repeats=2
-        )
-        slowest = results["min_steps_per_sec"]
-        assert slowest >= MIN_FLEET_STEPS_PER_SEC, (
-            f"slowest native fleet kernel only {slowest:,.0f} "
-            f"detector-steps/sec across {FLEET_N_STREAMS} streams "
-            f"(floor {MIN_FLEET_STEPS_PER_SEC:,.0f}; recorded baseline in "
-            "BENCH_throughput.json)"
-        )
-
-    def test_fleet_covers_the_native_family(self):
-        results = measure_fleet(n_streams=64, n_ticks=10, repeats=1)
-        assert set(results["per_detector"]) == set(FLEET_DETECTORS)
-
-
 class TestScheduleStream:
     def test_schedule_stream_batch_generation_speedup(self):
         n_instances = stream_length(6_000, 20_000)
@@ -662,16 +560,6 @@ def print_regression_diff(current: dict) -> None:
             "checkpointed_relative_throughput"
         ),
     )
-    # Fleet throughput is absolute (steps/sec), not a ratio; compare the
-    # slowest-kernel floor in millions of steps/sec.
-    old_fleet = recorded.get("fleet", {}).get("min_steps_per_sec")
-    new_fleet = current.get("fleet", {}).get("min_steps_per_sec")
-    if old_fleet and new_fleet:
-        row(
-            "fleet.min_steps_per_sec (M/s)",
-            old_fleet / 1e6,
-            new_fleet / 1e6,
-        )
 
 
 def profile_slowest_workload(n_instances: int = 10_000) -> Path:
@@ -743,19 +631,6 @@ def main(smoke: bool = False, profile: bool = False) -> None:
                 f"{speedup:.2f}x faster than instance mode "
                 f"(floor {MIN_SCHEDULE_STREAM_SPEEDUP}x)"
             )
-        # Fleet engine: the slowest native struct-of-arrays kernel must hold
-        # the absolute detector-steps/sec floor across >= 1k streams.
-        fleet_results = measure_fleet(
-            n_streams=FLEET_N_STREAMS, n_ticks=100, repeats=2
-        )
-        print(dumps_strict(fleet_results, indent=2))
-        fleet_floor = fleet_results["min_steps_per_sec"]
-        if fleet_floor < MIN_FLEET_STEPS_PER_SEC:
-            raise SystemExit(
-                f"slowest native fleet kernel only {fleet_floor:,.0f} "
-                f"detector-steps/sec across {FLEET_N_STREAMS} streams "
-                f"(floor {MIN_FLEET_STEPS_PER_SEC:,.0f})"
-            )
         # Snapshot contract: per-chunk checkpointing must not eat the chunked
         # runner's speedup, and the rollback capture must stay at least as
         # cheap as the deepcopy it replaced.
@@ -810,15 +685,12 @@ def main(smoke: bool = False, profile: bool = False) -> None:
                 **rbmim_results,
                 "detector_zoo": results,
                 "schedule_stream": schedule_results,
-                "fleet": fleet_results,
                 "snapshot_overhead": snapshot_results,
             }
         )
         print(
             "\nsmoke OK: all detectors measured in all modes; "
             f"schedule stream batch {speedup:.1f}x instance mode; "
-            f"fleet floor {fleet_floor / 1e6:.1f}M steps/sec across "
-            f"{FLEET_N_STREAMS} streams; "
             f"per-chunk checkpointing keeps {relative:.2f}x throughput; "
             "RBM-IM workloads hold the batch/chunk-exact floors"
         )
@@ -830,9 +702,6 @@ def main(smoke: bool = False, profile: bool = False) -> None:
     results["detector_zoo"] = measure_detector_zoo(n_instances=20_000, repeats=2)
     results["schedule_stream"] = measure_schedule_stream(
         n_instances=20_000, repeats=2
-    )
-    results["fleet"] = measure_fleet(
-        n_streams=FLEET_N_STREAMS, n_ticks=500, repeats=3
     )
     results["snapshot_overhead"] = measure_snapshot_overhead(
         n_instances=20_000, repeats=3

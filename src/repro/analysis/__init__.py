@@ -17,10 +17,10 @@ rule id                   contract it encodes
                           ``allow_nan=False``
 ``durability``            crash-durable renames (PR 8): ``os.replace`` implies
                           a directory fsync
-``contract-coverage``     registry-vs-tests consistency (PR 2/3/7): every
-                          registry detector has golden pins, reset-replay
-                          coverage, and a chunk-exact ``step_batch``; every
-                          ``FLEET_NATIVE`` kernel is property-tested
+``contract-coverage``     registry-vs-tests consistency: every registry
+                          detector has golden pins, reset-replay and
+                          snapshot round-trip coverage, and a chunk-exact
+                          ``step_batch``
 ``hot-path-alloc``        ``@hot_path`` functions stay allocation-free (PR 6)
 ``broad-except``          bare/broad excepts carry a written rationale
 ``pickle-safety``         no lambdas/closures in backend-submitted payloads

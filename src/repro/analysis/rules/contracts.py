@@ -1,11 +1,11 @@
 """Contract-coverage: the registry-vs-tests consistency pass.
 
 The repo's detector contracts are enforced by *tests* — golden detection
-pins (PR 2), reset-then-replay determinism (PR 3), the fleet bit-identity
-property suite (PR 7) — but nothing used to force a **newly registered**
-detector into those suites: add a detector to ``_REGISTRY`` without a golden
-pin and every existing test still passes.  This rule closes that gap
-statically, by cross-referencing the live registries against the test tree:
+pins, reset-then-replay determinism, snapshot round-trips — but nothing used
+to force a **newly registered** detector into those suites: add a detector
+to ``_REGISTRY`` without a golden pin and every existing test still passes.
+This rule closes that gap statically, by cross-referencing the live registry
+against the test tree:
 
 * every registry detector (except the ``"none"`` baseline) must have a
   golden pin file ``tests/golden/<name>.json``;
@@ -16,10 +16,7 @@ statically, by cross-referencing the live registries against the test tree:
   detector that cannot survive ``snapshot()`` → JSON → ``restore()``
   bit-identically would silently break rollback and crash-resume;
 * the class its factory returns must define (or inherit, within the repo) a
-  chunk-exact ``step_batch``;
-* every ``FLEET_NATIVE`` kernel must be exercised by the fleet property
-  suite, including an entry in its drift-heavy ``AGGRESSIVE_TEMPLATES``
-  table.
+  chunk-exact ``step_batch``.
 
 Everything is resolved from ASTs (see :mod:`repro.analysis.project`), so the
 rule runs without NumPy installed.  Findings are anchored at the registry
@@ -43,25 +40,21 @@ __all__ = ["ContractCoverageRule"]
 
 
 class ContractCoverageRule(ProjectRule):
-    """Registry detectors need golden + reset-replay + ``step_batch``
-    coverage; fleet kernels need property-suite coverage."""
+    """Registry detectors need golden + reset-replay + snapshot +
+    ``step_batch`` coverage."""
 
     id = "contract-coverage"
     description = (
-        "every registry detector ships golden pins, reset-replay coverage, "
-        "and a step_batch; every FLEET_NATIVE kernel is property-tested"
+        "every registry detector ships golden pins, reset-replay and "
+        "snapshot round-trip coverage, and a step_batch"
     )
     severity = ERROR
 
     registry_module = "repro.protocol.registry"
     registry_variable = "_REGISTRY"
-    fleet_module = "repro.fleet"
-    fleet_variable = "FLEET_NATIVE"
     golden_dir = "tests/golden"
     reset_replay_test = "tests/detectors/test_reset_replay.py"
     snapshot_test = "tests/detectors/test_snapshot_roundtrip.py"
-    fleet_property_test = "tests/property/test_property_fleet.py"
-    fleet_template_variable = "AGGRESSIVE_TEMPLATES"
     registry_list_name = "DETECTOR_NAMES"
 
     def check_project(self, project: ProjectContext) -> Iterable[Finding]:
@@ -70,7 +63,6 @@ class ContractCoverageRule(ProjectRule):
         if registry is None:
             return  # not a repo layout this rule understands
         yield from self._check_detectors(project, model, registry)
-        yield from self._check_fleet(project, model)
 
     # -------------------------------------------------------- detector zoo
     def _check_detectors(self, project, model, registry) -> Iterator[Finding]:
@@ -178,49 +170,6 @@ class ContractCoverageRule(ProjectRule):
                 f"{detector_class.module.dotted}) defines no chunk-exact "
                 "step_batch anywhere on its in-repo base chain",
             )
-
-    # ------------------------------------------------------------ fleet zoo
-    def _check_fleet(self, project, model) -> Iterator[Finding]:
-        fleet = model.module(self.fleet_module)
-        if fleet is None:
-            return
-        kernels = list(dict_entries(fleet.tree, self.fleet_variable))
-        if not kernels:
-            return
-        suite_tree = self._parse_test(project, self.fleet_property_test)
-        if suite_tree is None:
-            yield self._at(
-                fleet.path,
-                1,
-                f"fleet property suite {self.fleet_property_test} is "
-                f"missing; {self.fleet_variable} kernels have no "
-                "bit-identity coverage",
-            )
-            return
-        if not references_name(suite_tree, self.fleet_variable):
-            yield self._at(
-                fleet.path,
-                1,
-                f"{self.fleet_property_test} never references "
-                f"{self.fleet_variable}; the suite cannot be pinning the "
-                "native kernels against the scalar detectors",
-            )
-        templates = {
-            name
-            for tree in [suite_tree]
-            for name, _, _ in dict_entries(tree, self.fleet_template_variable)
-        }
-        for name, lineno, _ in kernels:
-            if name not in templates:
-                yield self._at(
-                    fleet.path,
-                    lineno,
-                    f"FLEET_NATIVE kernel {name!r} has no entry in "
-                    f"{self.fleet_template_variable} of "
-                    f"{self.fleet_property_test}; add a drift-heavy "
-                    "template so resets/rebuilds actually fire under the "
-                    "property suite",
-                )
 
     # ------------------------------------------------------------ plumbing
     def _parse_test(self, project: ProjectContext, relpath: str):

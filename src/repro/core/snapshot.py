@@ -1,8 +1,8 @@
 """Versioned snapshot/restore contract shared by every stateful layer.
 
 Every stateful object in the stack — windows, RBMs, detectors, classifiers,
-streams, fleets, evaluators, and the prequential runner itself — exposes the
-same three methods:
+streams, evaluators, and the prequential runner itself — exposes the same
+three methods:
 
 * ``snapshot() -> dict`` — a JSON-compatible dict (safe to pass through
   :func:`repro.core.jsonio.dumps_strict`) capturing the *full physical*

@@ -48,7 +48,6 @@ __all__ = [
     "consecutive_true_runs",
     "gather_tracked",
     "RingWindow",
-    "StackedRingWindow",
     "ExponentialBuckets",
 ]
 
@@ -60,9 +59,8 @@ def hoeffding_bound(n, confidence: float):
     ``n`` may be a scalar or an array; the expression shape matches the
     scalar helpers used by DDM-family and HDDM detectors so scalar and batch
     paths round identically.  Returns ``inf`` where ``n <= 0`` (no samples in
-    the reference window yet — the bound is vacuous), which fleet-mode
-    zero-sample lanes hit routinely; without the guard the division emits a
-    RuntimeWarning and ``n < 0`` even yields ``nan``.
+    the reference window yet — the bound is vacuous); without the guard the
+    division emits a RuntimeWarning and ``n < 0`` even yields ``nan``.
     """
     n = np.asarray(n, dtype=np.float64)
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -258,95 +256,6 @@ class RingWindow(Snapshotable):
         self._start = 0
         self._size = 0
         self._sum = 0.0
-
-
-# ------------------------------------------------------------ StackedRingWindow
-class StackedRingWindow(Snapshotable):
-    """N independent :class:`RingWindow`\\ s in struct-of-arrays form.
-
-    One ``(n_lanes, capacity)`` buffer plus per-lane start/size/sum arrays
-    holds the sliding windows of N independent detector instances, so a whole
-    fleet of windowed detectors (FHDDM's correctness windows, RDDM's stored
-    error logs) advances with a handful of fancy-indexed NumPy ops instead of
-    N scalar appends.  Every lane follows the scalar :class:`RingWindow`
-    recurrences exactly — the maintained sums use the same ``+=``/``-=``
-    order, so they are bit-identical for the integer-valued contents the
-    detectors store.
-
-    The vectorized mutators take a ``lanes`` index array that must not
-    contain duplicates (fancy-index writes would silently drop all but one
-    update); the fleet engine guarantees this by decomposing ragged batches
-    into rounds of distinct lanes.
-    """
-
-    __slots__ = ("_n_lanes", "_capacity", "_buffer", "_start", "_size", "_sums")
-
-    def __init__(self, n_lanes: int, capacity: int) -> None:
-        if n_lanes < 1:
-            raise ValueError("n_lanes must be >= 1")
-        if capacity < 1:
-            raise ValueError("capacity must be >= 1")
-        self._n_lanes = n_lanes
-        self._capacity = capacity
-        self._buffer = np.zeros((n_lanes, capacity), dtype=np.float64)
-        self._start = np.zeros(n_lanes, dtype=np.int64)
-        self._size = np.zeros(n_lanes, dtype=np.int64)
-        self._sums = np.zeros(n_lanes, dtype=np.float64)
-
-    @property
-    def n_lanes(self) -> int:
-        return self._n_lanes
-
-    @property
-    def capacity(self) -> int:
-        return self._capacity
-
-    @property
-    def sums(self) -> np.ndarray:
-        """Per-lane window sums (read-only view; exact for integer contents)."""
-        return self._sums
-
-    @property
-    def sizes(self) -> np.ndarray:
-        """Per-lane element counts (read-only view)."""
-        return self._size
-
-    def append_at(self, lanes: np.ndarray, values: np.ndarray) -> None:
-        """Push one value per lane (lanes distinct), evicting where full."""
-        full = self._size[lanes] == self._capacity
-        full_lanes = lanes[full]
-        if full_lanes.shape[0]:
-            starts = self._start[full_lanes]
-            evicted = self._buffer[full_lanes, starts]
-            self._sums[full_lanes] -= evicted
-            self._buffer[full_lanes, starts] = values[full]
-            self._start[full_lanes] = (starts + 1) % self._capacity
-        grow_lanes = lanes[~full]
-        if grow_lanes.shape[0]:
-            slots = (
-                self._start[grow_lanes] + self._size[grow_lanes]
-            ) % self._capacity
-            self._buffer[grow_lanes, slots] = values[~full]
-            self._size[grow_lanes] += 1
-        self._sums[lanes] += values
-
-    def values_at(self, lane: int) -> np.ndarray:
-        """One lane's contents in chronological order (oldest first), copied."""
-        size = int(self._size[lane])
-        idx = (int(self._start[lane]) + np.arange(size)) % self._capacity
-        return self._buffer[lane, idx]
-
-    def oldest_at(self, lane: int) -> float:
-        """One lane's next-to-evict element; raises on an empty lane."""
-        if self._size[lane] == 0:
-            raise ValueError(f"oldest_at() on empty lane {lane}")
-        return float(self._buffer[lane, self._start[lane]])
-
-    def clear_lanes(self, lanes: np.ndarray) -> None:
-        """Reset the given lanes to empty (their buffer rows become stale)."""
-        self._start[lanes] = 0
-        self._size[lanes] = 0
-        self._sums[lanes] = 0.0
 
 
 # ---------------------------------------------------------- ExponentialBuckets

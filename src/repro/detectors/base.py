@@ -23,12 +23,6 @@ a NumPy-native kernel built on :mod:`repro.core.windows`; the family base
 classes here provide the shared plumbing (error extraction, detection
 bookkeeping) plus a per-instance fallback so third-party subclasses that only
 implement the scalar hook keep working unchanged.
-
-The transpose of batch stepping — one vectorized call advancing N
-*independent* detector instances by one element each — lives in
-:mod:`repro.fleet`; detectors that support it declare their constructor
-parameters through ``clone_params`` so the fleet can replicate a configured
-instance across lanes.
 """
 
 from __future__ import annotations
@@ -211,22 +205,6 @@ class ErrorRateDetector(DriftDetector):
         errors = (y_true != y_pred).astype(np.float64)
         start = self._n_observations
         flags = self._add_elements(errors)
-        self._record_batch(flags, start)
-        return flags
-
-    def step_values(self, values: np.ndarray) -> np.ndarray:
-        """Consume monitored values directly, bypassing label extraction.
-
-        Same chunk-exact contract and bookkeeping as :meth:`step_batch`, but
-        ``values`` is the raw monitored signal (the 0/1 error indicator for
-        most detectors; real-valued signals for the detectors that accept
-        them, exactly as :meth:`add_element` would receive it).  This is the
-        entry point the fleet engine's loop-of-scalars adapter drives — per
-        stream, per tick, there is no (y_true, y_pred) pair to extract from.
-        """
-        values = np.asarray(values, dtype=np.float64)
-        start = self._n_observations
-        flags = self._add_elements(values)
         self._record_batch(flags, start)
         return flags
 

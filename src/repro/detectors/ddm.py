@@ -51,14 +51,6 @@ class DDM(ErrorRateDetector):
         self._drift_level = drift_level
         self._reset_concept()
 
-    def clone_params(self) -> dict:
-        """Constructor kwargs reproducing this detector's configuration."""
-        return dict(
-            min_num_instances=self._min_num_instances,
-            warning_level=self._warning_level,
-            drift_level=self._drift_level,
-        )
-
     def _reset_concept(self) -> None:
         self._sample_count = 0
         self._error_sum = 0.0

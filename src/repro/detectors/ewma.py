@@ -60,15 +60,6 @@ class ECDDWT(ErrorRateDetector):
         self._min_instances = min_instances
         self._reset_concept()
 
-    def clone_params(self) -> dict:
-        """Constructor kwargs reproducing this detector's configuration."""
-        return dict(
-            lambda_=self._lambda,
-            warning_fraction=self._warning_fraction,
-            control_limit=self._control_limit,
-            min_instances=self._min_instances,
-        )
-
     def _reset_concept(self) -> None:
         self._count = 0
         self._error_sum = 0.0

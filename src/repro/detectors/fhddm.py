@@ -46,10 +46,6 @@ class FHDDM(ErrorRateDetector):
         self._epsilon = math.sqrt(math.log(1.0 / delta) / (2.0 * window_size))
         self._reset_concept()
 
-    def clone_params(self) -> dict:
-        """Constructor kwargs reproducing this detector's configuration."""
-        return dict(window_size=self._window_size, delta=self._delta)
-
     def _reset_concept(self) -> None:
         self._window = RingWindow(self._window_size)
         self._p_max = 0.0

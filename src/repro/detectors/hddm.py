@@ -73,14 +73,6 @@ class HDDM_A(ErrorRateDetector):
         self._two_sided = two_sided
         self._reset_concept()
 
-    def clone_params(self) -> dict:
-        """Constructor kwargs reproducing this detector's configuration."""
-        return dict(
-            drift_confidence=self._drift_confidence,
-            warning_confidence=self._warning_confidence,
-            two_sided=self._two_sided,
-        )
-
     def _reset_concept(self) -> None:
         self._n_total = 0.0
         self._sum_total = 0.0

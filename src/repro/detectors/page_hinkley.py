@@ -58,15 +58,6 @@ class PageHinkley(ErrorRateDetector):
         self._alpha = alpha
         self._reset_concept()
 
-    def clone_params(self) -> dict:
-        """Constructor kwargs reproducing this detector's configuration."""
-        return dict(
-            min_instances=self._min_instances,
-            delta=self._delta,
-            threshold=self._threshold,
-            alpha=self._alpha,
-        )
-
     def _reset_concept(self) -> None:
         self._count = 0
         self._value_sum = 0.0

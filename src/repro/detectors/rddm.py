@@ -72,17 +72,6 @@ class RDDM(ErrorRateDetector):
         self._stored_errors: deque[float] = deque(maxlen=max_concept_size)
         self._reset_concept(clear_storage=True)
 
-    def clone_params(self) -> dict:
-        """Constructor kwargs reproducing this detector's configuration."""
-        return dict(
-            min_num_instances=self._min_num_instances,
-            warning_level=self._warning_level,
-            drift_level=self._drift_level,
-            max_concept_size=self._max_concept_size,
-            min_size_stable_concept=self._min_size_stable,
-            warning_limit=self._warning_limit,
-        )
-
     def _reset_concept(self, clear_storage: bool) -> None:
         self._sample_count = 0
         self._error_sum = 0.0

@@ -167,6 +167,8 @@ class PrequentialRunner:
     ) -> None:
         if pretrain_size < 0 or rebuild_buffer < 0:
             raise ValueError("pretrain_size and rebuild_buffer must be >= 0")
+        if snapshot_every < 1:
+            raise ValueError("snapshot_every must be >= 1")
         if chunk_size is not None and chunk_size < 1:
             raise ValueError("chunk_size must be >= 1 or None")
         if batch_mode and chunk_size is None:

@@ -60,6 +60,8 @@ class PrequentialEvaluator(Snapshotable):
     _n_seen: int = field(init=False, default=0)
 
     def __post_init__(self) -> None:
+        if self.snapshot_every < 1:
+            raise ValueError("snapshot_every must be >= 1")
         self._auc = PrequentialMultiClassAUC(self.n_classes, self.window_size)
         self._confusion = StreamingConfusionMatrix(
             self.n_classes, window_size=self.window_size

@@ -2,7 +2,7 @@
 
 Each test builds a miniature repo layout under ``tmp_path`` (the real
 ``src/repro/...`` module paths, tiny contents), then mutates exactly one
-coverage contract and asserts the rule fires on the registry/fleet line the
+coverage contract and asserts the rule fires on the registry line the
 author of such a change would have touched.
 """
 
@@ -53,37 +53,15 @@ SNAPSHOT_SUITE = """\
     DETECTORS = [name for name in DETECTOR_NAMES if name != "none"]
 """
 
-FLEET = """\
-    def _ddm_kernel():
-        pass
-
-
-    FLEET_NATIVE: dict = {
-        "DDM": _ddm_kernel,
-    }
-"""
-
-FLEET_SUITE = """\
-    from repro.fleet import FLEET_NATIVE
-
-    KERNELS = sorted(FLEET_NATIVE)
-
-    AGGRESSIVE_TEMPLATES = {
-        "DDM": {"warn_scale": 1.0},
-    }
-"""
-
 BASELINE = {
     "src/repro/__init__.py": "",
     "src/repro/core/__init__.py": "",
     "src/repro/core/detector.py": DETECTOR_BASE,
     "src/repro/protocol/__init__.py": "",
     "src/repro/protocol/registry.py": REGISTRY,
-    "src/repro/fleet/__init__.py": FLEET,
     "tests/golden/ddm.json": "{}",
     "tests/detectors/test_reset_replay.py": RESET_REPLAY,
     "tests/detectors/test_snapshot_roundtrip.py": SNAPSHOT_SUITE,
-    "tests/property/test_property_fleet.py": FLEET_SUITE,
 }
 
 
@@ -209,33 +187,6 @@ class TestContractCoverage:
         assert [finding.rule for finding in findings] == ["contract-coverage"]
         assert "mystery" in findings[0].message
         assert findings[0].line == 15
-
-    def test_fleet_kernel_without_template_fires(self, fake_repo):
-        root = fake_repo(
-            {
-                "src/repro/fleet/__init__.py": FLEET.replace(
-                    '"DDM": _ddm_kernel,',
-                    '"DDM": _ddm_kernel,\n    "PH": _ddm_kernel,',
-                )
-            }
-        )
-        findings = run_rule(root)
-        assert [finding.rule for finding in findings] == ["contract-coverage"]
-        assert "PH" in findings[0].message
-        assert "AGGRESSIVE_TEMPLATES" in findings[0].message
-        assert findings[0].path.endswith("fleet/__init__.py")
-
-    def test_fleet_suite_not_referencing_registry_fires(self, fake_repo):
-        root = fake_repo(
-            {
-                "tests/property/test_property_fleet.py": (
-                    'AGGRESSIVE_TEMPLATES = {"DDM": {}}\n'
-                )
-            }
-        )
-        findings = run_rule(root)
-        assert [finding.rule for finding in findings] == ["contract-coverage"]
-        assert "FLEET_NATIVE" in findings[0].message
 
     def test_missing_reset_replay_suite_fires_per_detector(self, fake_repo):
         root = fake_repo()

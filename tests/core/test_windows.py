@@ -10,6 +10,7 @@ paths (HDDM-A seeds its trackers with one and fills them with the other).
 from __future__ import annotations
 
 import math
+from collections import deque
 
 import numpy as np
 import pytest
@@ -17,7 +18,6 @@ import pytest
 from repro.core.windows import (
     ExponentialBuckets,
     RingWindow,
-    StackedRingWindow,
     consecutive_true_runs,
     exclusive_totals,
     gather_tracked,
@@ -145,47 +145,36 @@ class TestRingWindow:
         with pytest.raises(ValueError, match="empty RingWindow"):
             window.oldest()
 
-
-class TestStackedRingWindow:
-    def test_lanes_match_independent_ring_windows(self):
-        rng = np.random.default_rng(3)
-        n_lanes, capacity = 5, 7
-        stacked = StackedRingWindow(n_lanes, capacity)
-        scalars = [RingWindow(capacity) for _ in range(n_lanes)]
-        for _ in range(80):
-            k = int(rng.integers(1, n_lanes + 1))
-            lanes = rng.choice(n_lanes, size=k, replace=False)
-            values = rng.integers(0, 2, size=k).astype(np.float64)
-            stacked.append_at(lanes, values)
-            for lane, value in zip(lanes, values):
-                scalars[lane].append(float(value))
-            for lane in range(n_lanes):
-                assert stacked.values_at(lane).tolist() == (
-                    scalars[lane].values().tolist()
-                )
-                assert stacked.sums[lane] == scalars[lane].sum
-                assert stacked.sizes[lane] == len(scalars[lane])
-
-    def test_oldest_and_clear(self):
-        stacked = StackedRingWindow(2, 3)
-        with pytest.raises(ValueError, match="empty lane"):
-            stacked.oldest_at(0)
-        for v in (1.0, 2.0, 3.0, 4.0):
-            stacked.append_at(np.array([0]), np.array([v]))
-        assert stacked.oldest_at(0) == 2.0
-        assert stacked.values_at(0).tolist() == [2.0, 3.0, 4.0]
-        stacked.clear_lanes(np.array([0]))
-        assert stacked.sizes[0] == 0 and stacked.sums[0] == 0.0
-        with pytest.raises(ValueError, match="empty lane"):
-            stacked.oldest_at(0)
-        # Lane 1 was never touched by lane 0's traffic.
-        assert stacked.sizes[1] == 0
+    def test_matches_deque_reference(self):
+        """Appends, clears and assigns at any ring offset track a deque."""
+        rng = np.random.default_rng(4)
+        window = RingWindow(5)
+        reference: deque[float] = deque(maxlen=5)
+        for _ in range(400):
+            action = rng.random()
+            if action < 0.05:
+                window.clear()
+                reference.clear()
+            elif action < 0.1:
+                values = rng.integers(0, 2, int(rng.integers(0, 9))).astype(float)
+                window.assign(values)
+                reference.clear()
+                reference.extend(values.tolist())
+            else:
+                value = float(rng.integers(0, 2))
+                full = len(reference) == reference.maxlen
+                expected_evicted = reference[0] if full else None
+                assert window.append(value) == expected_evicted
+                reference.append(value)
+            assert window.values().tolist() == list(reference)
+            assert window.sum == sum(reference)
+            assert len(window) == len(reference)
+            if reference:
+                assert window.oldest() == reference[0]
 
     def test_validation(self):
-        with pytest.raises(ValueError):
-            StackedRingWindow(0, 3)
-        with pytest.raises(ValueError):
-            StackedRingWindow(3, 0)
+        with pytest.raises(ValueError, match="capacity"):
+            RingWindow(0)
 
 
 class TestExponentialBuckets:

@@ -1,11 +1,15 @@
-"""Reset-then-replay determinism for every registry detector.
+"""Reset-then-replay determinism and instance isolation for every detector.
 
 ``DriftDetector.reset()`` must return a detector to a state indistinguishable
 from a freshly constructed instance: after driving a detector through a
 drifting stream (so it fires and accumulates concept state, windows, and —
 for RBM-IM — trained weights), a reset followed by a replay of a second
 stream must produce exactly the detections a brand-new detector produces on
-that stream.
+that stream.  Likewise two live instances must share no state, which running
+many protocol cells in one process relies on.  The six sum/bound detectors
+also run at the drift-heavy settings of ``tests/drift_heavy.py``, so both
+contracts are checked from states their registry settings never reach within
+the stream, such as just after an RDDM prune-and-rebuild.
 """
 
 from __future__ import annotations
@@ -13,13 +17,16 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.protocol.registry import DETECTOR_NAMES, build_detector
+from drift_heavy import detector_builders
+from repro.protocol.registry import DETECTOR_NAMES
 
 N_CLASSES = 4
 N_FEATURES = 6
 N_INSTANCES = 1_200
 
 DETECTORS = [name for name in DETECTOR_NAMES if name != "none"]
+#: Detector builders by test id (registry and drift-heavy settings).
+BUILDERS = detector_builders(DETECTORS, N_FEATURES, N_CLASSES)
 
 
 def _drifting_inputs(seed: int):
@@ -50,12 +57,12 @@ def _replay(detector, inputs) -> list[int]:
     return alarms
 
 
-@pytest.mark.parametrize("name", DETECTORS)
+@pytest.mark.parametrize("name", list(BUILDERS))
 def test_reset_replay_matches_fresh_detector(name: str) -> None:
     first = _drifting_inputs(seed=101)
     second = _drifting_inputs(seed=202)
 
-    used = build_detector(name, N_FEATURES, N_CLASSES)
+    used = BUILDERS[name]()
     dirty_alarms = _replay(used, first)
     assert used.n_observations == N_INSTANCES
     used.reset()
@@ -65,7 +72,7 @@ def test_reset_replay_matches_fresh_detector(name: str) -> None:
     assert used.detection_classes == []
     assert not used.in_drift and not used.in_warning
 
-    fresh = build_detector(name, N_FEATURES, N_CLASSES)
+    fresh = BUILDERS[name]()
     replayed = _replay(used, second)
     expected = _replay(fresh, second)
     assert replayed == expected, (
@@ -81,18 +88,51 @@ def test_reset_replay_matches_fresh_detector(name: str) -> None:
         assert dirty_alarms or expected, f"{name} never fired on either stream"
 
 
-@pytest.mark.parametrize("name", DETECTORS)
+@pytest.mark.parametrize("name", list(BUILDERS))
 def test_reset_after_batch_replay_matches_fresh_batch(name: str) -> None:
     """The same contract holds on the step_batch path."""
     first = _drifting_inputs(seed=303)
     second = _drifting_inputs(seed=404)
 
-    used = build_detector(name, N_FEATURES, N_CLASSES)
+    used = BUILDERS[name]()
     used.step_batch(*first)
     used.reset()
 
-    fresh = build_detector(name, N_FEATURES, N_CLASSES)
+    fresh = BUILDERS[name]()
     flags_reset = used.step_batch(*second)
     flags_fresh = fresh.step_batch(*second)
     np.testing.assert_array_equal(flags_reset, flags_fresh)
     assert used.detections == fresh.detections
+
+
+@pytest.mark.parametrize("name", list(BUILDERS))
+def test_interleaved_instances_match_solo_runs(name: str) -> None:
+    """Two instances stepped in alternating chunks match two solo runs."""
+    streams = (_drifting_inputs(seed=505), _drifting_inputs(seed=606))
+    solo = [BUILDERS[name]() for _ in streams]
+    solo_flags = [
+        detector.step_batch(*inputs) for detector, inputs in zip(solo, streams)
+    ]
+
+    # Uneven chunk sizes, so the two instances sit at different offsets.
+    sizes = (100, 70)
+    pair = [BUILDERS[name]() for _ in streams]
+    pair_flags = ([], [])
+    offsets = [0, 0]
+    while min(offsets) < N_INSTANCES:
+        for lane, size in enumerate(sizes):
+            start = offsets[lane]
+            if start < N_INSTANCES:
+                rows = slice(start, start + size)
+                pair_flags[lane].append(
+                    pair[lane].step_batch(*(column[rows] for column in streams[lane]))
+                )
+                offsets[lane] = start + size
+
+    for lane in range(2):
+        np.testing.assert_array_equal(
+            np.concatenate(pair_flags[lane]), solo_flags[lane]
+        )
+        assert pair[lane].detections == solo[lane].detections
+        assert pair[lane].detection_classes == solo[lane].detection_classes
+        assert pair[lane].n_observations == solo[lane].n_observations

@@ -8,7 +8,10 @@ blamed classes.  This suite pins that promise at *every chunk boundary* of a
 drifting stream, for the full zoo, on both the cloning (``from_snapshot``)
 and the restore-in-place paths.  The chunk-exact rollback inside
 ``PrequentialRunner._advance_exact_segment`` and the mid-cell
-``RunnerCheckpoint`` both ride on this contract.
+``RunnerCheckpoint`` both ride on this contract.  The six sum/bound
+detectors also run at the drift-heavy settings of ``tests/drift_heavy.py``,
+so a snapshot carries state their registry settings never reach within the
+stream, such as RDDM's pruned stored-error log.
 """
 
 from __future__ import annotations
@@ -16,6 +19,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from drift_heavy import detector_builders
 from repro.core.jsonio import dumps_strict, loads_strict
 from repro.detectors.base import DriftDetector
 from repro.protocol.registry import DETECTOR_NAMES, build_detector
@@ -26,6 +30,8 @@ N_INSTANCES = 1_200
 CHUNK = 150
 
 DETECTORS = [name for name in DETECTOR_NAMES if name != "none"]
+#: Detector builders by test id (registry and drift-heavy settings).
+BUILDERS = detector_builders(DETECTORS, N_FEATURES, N_CLASSES)
 
 
 def _drifting_inputs(seed: int):
@@ -52,15 +58,15 @@ def _json_roundtrip(snapshot: dict) -> dict:
     return loads_strict(dumps_strict(snapshot))
 
 
-@pytest.mark.parametrize("name", DETECTORS)
+@pytest.mark.parametrize("name", list(BUILDERS))
 def test_snapshot_clone_at_every_chunk_boundary(name: str) -> None:
     """A ``from_snapshot`` clone taken at any boundary finishes identically."""
     features, labels, predictions = _drifting_inputs(seed=505)
 
-    reference = build_detector(name, N_FEATURES, N_CLASSES)
+    reference = BUILDERS[name]()
     ref_flags = reference.step_batch(features, labels, predictions)
 
-    live = build_detector(name, N_FEATURES, N_CLASSES)
+    live = BUILDERS[name]()
     for start in range(0, N_INSTANCES, CHUNK):
         clone = DriftDetector.from_snapshot(_json_roundtrip(live.snapshot()))
         assert type(clone) is type(live)
@@ -85,21 +91,21 @@ def test_snapshot_clone_at_every_chunk_boundary(name: str) -> None:
         assert reference.detections, f"{name} never fired on the stream"
 
 
-@pytest.mark.parametrize("name", DETECTORS)
+@pytest.mark.parametrize("name", list(BUILDERS))
 def test_snapshot_restores_in_place_over_dirty_state(name: str) -> None:
     """``restore`` overwrites a detector mid-flight on *different* data."""
     features, labels, predictions = _drifting_inputs(seed=606)
     half = N_INSTANCES // 2
 
-    reference = build_detector(name, N_FEATURES, N_CLASSES)
+    reference = BUILDERS[name]()
     ref_flags = reference.step_batch(features, labels, predictions)
 
-    source = build_detector(name, N_FEATURES, N_CLASSES)
+    source = BUILDERS[name]()
     source.step_batch(features[:half], labels[:half], predictions[:half])
     snapshot = _json_roundtrip(source.snapshot())
 
     # A detector polluted by an unrelated stream must come back bit-exact.
-    dirty = build_detector(name, N_FEATURES, N_CLASSES)
+    dirty = BUILDERS[name]()
     other = _drifting_inputs(seed=707)
     dirty.step_batch(*other)
     dirty.restore(snapshot)

@@ -114,6 +114,15 @@ class TestPrequentialRunner:
         with pytest.raises(ValueError, match="batch_mode requires chunk_size"):
             PrequentialRunner(perceptron_factory, batch_mode=True)
 
+    @pytest.mark.parametrize("snapshot_every", [0, -3])
+    def test_snapshot_every_below_one_is_refused(self, snapshot_every):
+        # Construction only: 0 used to divide by zero inside run(), and a
+        # negative spacing made a chunked run() loop forever.
+        with pytest.raises(ValueError, match="snapshot_every must be >= 1"):
+            PrequentialRunner(
+                perceptron_factory, snapshot_every=snapshot_every, chunk_size=64
+            )
+
 
 class TestExperimentOrchestration:
     def test_default_classifier_factory(self):

@@ -52,6 +52,11 @@ class TestPrequentialEvaluator:
         assert evaluator.n_seen == 0
         assert evaluator.snapshots == []
 
+    @pytest.mark.parametrize("snapshot_every", [0, -3])
+    def test_snapshot_every_below_one_is_refused(self, snapshot_every):
+        with pytest.raises(ValueError, match="snapshot_every must be >= 1"):
+            PrequentialEvaluator(n_classes=2, snapshot_every=snapshot_every)
+
 
 class TestEvaluateDetections:
     def test_perfect_detection(self):

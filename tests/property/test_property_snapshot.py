@@ -14,6 +14,10 @@ checkpoint positions, for any state the snapshot contract fails to carry:
 * a restored stream must emit the bit-identical tail for random scenario
   configurations and checkpoint positions.
 
+The six sum/bound detectors also run at the drift-heavy settings of
+``tests/drift_heavy.py``, so checkpoints land in states their registry
+settings never reach, such as just after an RDDM prune-and-rebuild.
+
 Every snapshot goes through ``dumps_strict``/``loads_strict`` — the exact
 bytes a persisted :class:`~repro.evaluation.checkpoint.RunnerCheckpoint`
 reads back from disk.
@@ -26,6 +30,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from drift_heavy import detector_builders
 from repro.core.jsonio import dumps_strict, loads_strict
 from repro.detectors.base import DriftDetector
 from repro.protocol.registry import DETECTOR_NAMES, build_detector
@@ -37,6 +42,8 @@ DETECTORS = [name for name in DETECTOR_NAMES if name != "none"]
 #: RBM-IM trains an RBM per mini-batch, so its property run uses fewer
 #: examples than the cheap error-stream kernels.
 MAX_EXAMPLES = {"RBM-IM": 8}
+#: Detector builders by test id (registry and drift-heavy settings).
+BUILDERS = detector_builders(DETECTORS, N_FEATURES, N_CLASSES)
 
 
 def _json_roundtrip(snapshot: dict) -> dict:
@@ -72,13 +79,13 @@ def _materialise(n, seed, probabilities):
 
 
 # -------------------------------------------------------------- detector zoo
-def _assert_detector_resumes(name, n, cut, seed, probabilities):
+def _assert_detector_resumes(build, n, cut, seed, probabilities):
     features, labels, predictions = _materialise(n, seed, probabilities)
 
-    uninterrupted = build_detector(name, N_FEATURES, N_CLASSES)
+    uninterrupted = build()
     full_flags = uninterrupted.step_batch(features, labels, predictions)
 
-    live = build_detector(name, N_FEATURES, N_CLASSES)
+    live = build()
     head_flags = live.step_batch(
         features[:cut], labels[:cut], predictions[:cut]
     )
@@ -98,13 +105,13 @@ def _assert_detector_resumes(name, n, cut, seed, probabilities):
     assert resumed.drifted_classes == uninterrupted.drifted_classes
 
 
-@pytest.mark.parametrize("name", DETECTORS)
+@pytest.mark.parametrize("name", list(BUILDERS))
 def test_detector_snapshot_restore_replay_bit_identical(name: str):
     @settings(max_examples=MAX_EXAMPLES.get(name, 20), deadline=None)
     @given(stream=checkpointed_streams())
     def run(stream):
         n, cut, seed, probabilities = stream
-        _assert_detector_resumes(name, n, cut, seed, probabilities)
+        _assert_detector_resumes(BUILDERS[name], n, cut, seed, probabilities)
 
     run()
 

@@ -7,6 +7,10 @@ count, and final drift/warning state — must be identical to stepping the
 same stream one instance at a time.  This is the contract the batch
 prequential mode and the golden harness rely on; Hypothesis hunts for
 chunkings and error patterns that break a kernel's segment bookkeeping.
+
+Every registry detector runs at its registry setting, and the six sum/bound
+detectors also at the drift-heavy settings of ``tests/drift_heavy.py``, under
+which RDDM prunes and rebuilds its stored-error log within 500 rows.
 """
 
 from __future__ import annotations
@@ -16,6 +20,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from drift_heavy import detector_builders
 from repro.protocol.registry import DETECTOR_NAMES, build_detector
 
 N_CLASSES = 4
@@ -24,6 +29,9 @@ DETECTORS = [name for name in DETECTOR_NAMES if name != "none"]
 #: RBM-IM trains an RBM per mini-batch, so its property run uses fewer and
 #: shorter examples than the cheap error-stream kernels.
 MAX_EXAMPLES = {"RBM-IM": 10}
+
+#: Detector builders by test id (registry and drift-heavy settings).
+BUILDERS = detector_builders(DETECTORS, N_FEATURES, N_CLASSES)
 
 
 @st.composite
@@ -69,10 +77,10 @@ def _materialise(n, seed, probabilities, chunking):
     return features, labels.astype(np.int64), predictions.astype(np.int64), sizes
 
 
-def _assert_chunk_exact(name, features, labels, predictions, sizes):
+def _assert_chunk_exact(build, features, labels, predictions, sizes):
     n = labels.shape[0]
-    loop_detector = build_detector(name, N_FEATURES, N_CLASSES)
-    batch_detector = build_detector(name, N_FEATURES, N_CLASSES)
+    loop_detector = build()
+    batch_detector = build()
 
     loop_flags = np.array(
         [
@@ -102,12 +110,12 @@ def _assert_chunk_exact(name, features, labels, predictions, sizes):
     assert loop_detector.drifted_classes == batch_detector.drifted_classes
 
 
-@pytest.mark.parametrize("name", DETECTORS)
-def test_step_batch_matches_step_loop(name: str):
-    @settings(max_examples=MAX_EXAMPLES.get(name, 25), deadline=None)
+@pytest.mark.parametrize("case", list(BUILDERS))
+def test_step_batch_matches_step_loop(case: str):
+    @settings(max_examples=MAX_EXAMPLES.get(case, 25), deadline=None)
     @given(stream=error_streams())
     def run(stream):
-        _assert_chunk_exact(name, *_materialise(*stream))
+        _assert_chunk_exact(BUILDERS[case], *_materialise(*stream))
 
     run()
 
