@@ -366,26 +366,35 @@ class RBMIM(InstanceDetector):
         y_true: np.ndarray,
         y_pred: np.ndarray,
     ) -> np.ndarray:
-        """Native batch stepping: identical detections, no per-instance loop.
+        """Check feature width and label range, then run the base batch loop.
 
-        Instances are appended to the internal mini-batch buffer in bulk and
-        the detection/training pipeline runs whenever the buffer reaches
-        ``config.batch_size`` — exactly the boundaries the per-instance
-        :meth:`step` path would hit, so detections (positions and blamed
-        classes) are bit-identical to instance-mode stepping.  ``y_pred`` is
+        The whole batch is refused before any state changes, as
+        :meth:`add_instance` would refuse the offending row.  ``y_pred`` is
         accepted for interface uniformity and ignored, as in :meth:`step`.
         """
         features = np.atleast_2d(np.asarray(features, dtype=np.float64))
         y_true = np.asarray(y_true, dtype=np.int64)
-        n = y_true.shape[0]
-        if features.shape != (n, self._n_features):
+        if features.shape[1:] != (self._n_features,):
             raise ValueError(
-                f"expected features of shape ({n}, {self._n_features}), "
-                f"got {features.shape}"
+                f"expected {self._n_features} features, got shape {features.shape}"
             )
-        if n and (y_true.min() < 0 or y_true.max() >= self._n_classes):
+        if y_true.size and (y_true.min() < 0 or y_true.max() >= self._n_classes):
             raise ValueError("label out of range")
-        flags = np.zeros(n, dtype=bool)
+        return super().step_batch(features, y_true, y_pred)
+
+    def _step_segment(
+        self, features: np.ndarray, y_true: np.ndarray, y_pred: np.ndarray
+    ) -> int:
+        """Native batch stepping: identical detections, no per-instance loop.
+
+        Rows are appended to the mini-batch buffer in bulk and the
+        detection/training pipeline runs whenever the buffer reaches
+        ``config.batch_size`` — exactly the boundaries the per-instance
+        :meth:`step` path would hit — stopping at the first mini-batch that
+        drifts, so detections (positions and blamed classes) are
+        bit-identical to instance-mode stepping.
+        """
+        n = y_true.shape[0]
         batch_size = self._cfg.batch_size
         consumed = 0
         while consumed < n:
@@ -398,25 +407,13 @@ class RBMIM(InstanceDetector):
                 consumed : consumed + take
             ]
             self._buffer_n = filled + take
-            self._n_observations += take
             consumed += take
-            self._in_drift = False
             self._in_warning = False
-            self._drifted_classes = None
             if self._buffer_n >= batch_size:
                 self._process_batch()
                 if self._in_drift:
-                    flags[consumed - 1] = True
-                    self._detections.append(self._n_observations)
-                    self._detection_classes.append(
-                        set(self._drifted_classes) if self._drifted_classes else None
-                    )
-        return flags
-
-    def flush(self) -> None:
-        """Force processing of a partially filled buffer (end of stream)."""
-        if self._buffer_n >= 2:
-            self._process_batch()
+                    break
+        return consumed
 
     # ------------------------------------------------------------ internals
     def _process_batch(self) -> None:

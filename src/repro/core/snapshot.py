@@ -53,6 +53,7 @@ __all__ = [
     "encode_state",
     "decode_state",
     "register_dataclass",
+    "snapshot_matches",
     "snapshotable_class",
 ]
 
@@ -86,6 +87,34 @@ def snapshotable_class(kind: str) -> type:
         return _CLASSES[kind]
     except KeyError:
         raise SnapshotError(f"unknown snapshot kind {kind!r}") from None
+
+
+def snapshot_matches(snapshot, cls: type) -> bool:
+    """Whether ``snapshot`` carries the kind and version of ``cls``, and every
+    Snapshotable nested in its state those of its registered class.
+
+    :meth:`Snapshotable.restore` refuses any other snapshot, possibly after
+    restoring part of the state; this check lets a caller ignore a stale
+    snapshot before restoring anything.
+    """
+    return (
+        isinstance(snapshot, dict)
+        and snapshot.get("kind") == cls.__name__
+        and snapshot.get("version") == cls.SNAPSHOT_VERSION
+        and _nested_snapshots_match(snapshot.get("state"))
+    )
+
+
+def _nested_snapshots_match(value) -> bool:
+    if isinstance(value, list):
+        return all(_nested_snapshots_match(item) for item in value)
+    if not isinstance(value, dict):
+        return True
+    if len(value) == 1 and _SNAP in value:
+        nested = value[_SNAP]
+        kind = nested.get("kind") if isinstance(nested, dict) else None
+        return kind in _CLASSES and snapshot_matches(nested, _CLASSES[kind])
+    return all(_nested_snapshots_match(item) for item in value.values())
 
 
 def register_dataclass(cls):

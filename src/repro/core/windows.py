@@ -3,10 +3,11 @@
 Every drift detector in the zoo reduces to a handful of primitives over the
 monitored stream: running sums and means, reference ("best so far") statistics
 tracked with weak prefix minima/maxima, fixed-size sliding windows with
-rolling sums, concentration bounds (Hoeffding / McDiarmid), consecutive-state
-run lengths, and — for ADWIN — an exponential histogram of buckets.  This
-module provides those primitives once, in a form usable both by the scalar
-``step`` paths and by the NumPy-native ``step_batch`` kernels.
+rolling sums, the Hoeffding bound, consecutive-state run lengths, and — for
+ADWIN — an exponential histogram of buckets.  This module provides those
+primitives once, in a form usable both by the scalar ``step`` paths and by
+the NumPy-native ``_kernel_segment`` kernels that
+:meth:`~repro.detectors.base.DriftDetector.step_batch` drives.
 
 Bit-exactness contract
 ----------------------
@@ -30,7 +31,6 @@ the exclusive totals) document it explicitly.
 
 from __future__ import annotations
 
-import math
 from typing import Iterator
 
 import numpy as np
@@ -39,7 +39,6 @@ from repro.core.snapshot import Snapshotable
 
 __all__ = [
     "hoeffding_bound",
-    "mcdiarmid_bound",
     "running_totals",
     "exclusive_totals",
     "tracked_weak_min",
@@ -66,18 +65,6 @@ def hoeffding_bound(n, confidence: float):
     with np.errstate(divide="ignore", invalid="ignore"):
         out = np.sqrt(np.log(1.0 / confidence) / (2.0 * n))
     return np.where(n <= 0.0, np.inf, out)
-
-
-def mcdiarmid_bound(ind_sum, confidence: float):
-    """McDiarmid epsilon ``sqrt(S ln(1/confidence) / 2)`` over weight sums.
-
-    Returns ``inf`` where ``ind_sum <= 0`` (no mass yet), mirroring the
-    scalar guard in HDDM-W.
-    """
-    ind_sum = np.asarray(ind_sum, dtype=np.float64)
-    with np.errstate(invalid="ignore"):
-        out = np.sqrt(ind_sum * math.log(1.0 / confidence) / 2.0)
-    return np.where(ind_sum <= 0.0, np.inf, out)
 
 
 # ----------------------------------------------------------- running statistics

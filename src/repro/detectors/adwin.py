@@ -168,9 +168,6 @@ class ADWIN(ErrorRateDetector):
             self._init_buckets()
 
     # ----------------------------------------------------------- batch kernel
-    def _add_elements(self, errors: np.ndarray) -> np.ndarray:
-        return self._run_segments(errors)
-
     def _kernel_segment(self, errors: np.ndarray) -> tuple[int, bool, bool]:
         """Consume elements until a detection shrinks the window (or the end).
 

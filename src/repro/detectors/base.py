@@ -18,11 +18,17 @@ Batch stepping
 boolean drift flag per instance.  The contract is *chunk-exactness*: for any
 split of the stream into batches, the flagged positions (and the recorded
 detections, blamed classes, and observation counts) are identical to stepping
-the same stream one instance at a time.  Every detector in the registry ships
-a NumPy-native kernel built on :mod:`repro.core.windows`; the family base
-classes here provide the shared plumbing (error extraction, detection
-bookkeeping) plus a per-instance fallback so third-party subclasses that only
-implement the scalar hook keep working unchanged.
+the same stream one instance at a time.
+
+``step_batch`` is the only batch loop.  It checks the batch, then hands the
+unconsumed rows to the detector's :meth:`~DriftDetector._step_segment` hook,
+which consumes rows up to and including the next drift, until the batch is
+used up; ``step_batch`` alone keeps the batch bookkeeping (flags,
+detections, blamed classes, observation count).  The default hook steps row by row
+through the same ``_update`` as :meth:`DriftDetector.step`, so a subclass
+that only implements its scalar method batches correctly.
+:class:`ErrorRateDetector` hands the 0/1 errors to a ``_kernel_segment``
+NumPy kernel built on :mod:`repro.core.windows` when the detector has one.
 """
 
 from __future__ import annotations
@@ -135,41 +141,60 @@ class DriftDetector(Snapshotable, abc.ABC):
 
         Returns a boolean array marking, for every instance of the batch,
         whether a drift was signalled at that instance — chunk-exact: the
-        same positions a per-instance :meth:`step` loop would flag.  The
-        family base classes (:class:`ErrorRateDetector`,
-        :class:`ClassConditionalDetector`) route this through NumPy-native
-        kernels; this base implementation is the per-instance fallback for
-        detectors outside those families.
+        same positions a per-instance :meth:`step` loop would flag, with the
+        same detections, blamed classes and observation count recorded.  A
+        batch whose ``features``, ``y_true`` and ``y_pred`` disagree on the
+        row count is refused with ``ValueError`` before any state changes.
+        An empty batch is a strict no-op (the flags of the previous step
+        are kept).
         """
         features = np.atleast_2d(np.asarray(features, dtype=np.float64))
         y_true = np.asarray(y_true, dtype=np.int64)
         y_pred = np.asarray(y_pred, dtype=np.int64)
-        flags = np.zeros(y_true.shape[0], dtype=bool)
-        for i in range(y_true.shape[0]):
-            flags[i] = self.step(features[i], int(y_true[i]), int(y_pred[i]))
+        n = y_true.shape[0]
+        if features.shape[0] != n or y_pred.shape[0] != n:
+            raise ValueError(
+                f"batch rows disagree: {features.shape[0]} feature rows, "
+                f"{n} labels, {y_pred.shape[0]} predictions"
+            )
+        flags = np.zeros(n, dtype=bool)
+        start = 0
+        while start < n:
+            self._in_drift = False
+            self._in_warning = False
+            self._drifted_classes = None
+            start += self._step_segment(
+                features[start:], y_true[start:], y_pred[start:]
+            )
+            if self._in_drift:
+                flags[start - 1] = True
+                self._detections.append(self._n_observations + start)
+                self._detection_classes.append(
+                    set(self._drifted_classes) if self._drifted_classes else None
+                )
+        self._n_observations += n
         return flags
 
-    def _record_batch(
-        self,
-        flags: np.ndarray,
-        start_observations: int,
-        detection_classes: list[set[int] | None] | None = None,
-    ) -> None:
-        """Commit a batch kernel's flags into the detection bookkeeping.
+    def _step_segment(
+        self, features: np.ndarray, y_true: np.ndarray, y_pred: np.ndarray
+    ) -> int:
+        """Consume rows up to and including the next drift; return how many.
 
-        Reproduces what :meth:`step` does per instance: observation counting
-        and 1-based detection positions, plus (for class-aware detectors) the
-        classes blamed for each detection, aligned with ``flags``'s True
-        positions.
+        :meth:`step_batch` calls this hook with at least one row and with
+        the drift/warning flags cleared, and keeps all detection bookkeeping
+        itself.  A hook must consume every row when none drifts and must
+        leave ``_in_drift`` / ``_in_warning`` / ``_drifted_classes`` as
+        :meth:`step` would after the last row it consumed.  This default
+        steps row by row through :meth:`_update`.
         """
-        self._n_observations = start_observations + int(flags.shape[0])
-        positions = np.flatnonzero(flags)
-        for order, position in enumerate(positions):
-            self._detections.append(start_observations + int(position) + 1)
-            blamed = (
-                detection_classes[order] if detection_classes is not None else None
-            )
-            self._detection_classes.append(set(blamed) if blamed else None)
+        for i in range(y_true.shape[0]):
+            self._in_drift = False
+            self._in_warning = False
+            self._drifted_classes = None
+            self._update(features[i], int(y_true[i]), int(y_pred[i]))
+            if self._in_drift:
+                return i + 1
+        return y_true.shape[0]
 
     @abc.abstractmethod
     def _update(self, x: np.ndarray, y_true: int, y_pred: int) -> None:
@@ -187,77 +212,22 @@ class ErrorRateDetector(DriftDetector):
     def _update(self, x: np.ndarray, y_true: int, y_pred: int) -> None:
         self.add_element(float(y_true != y_pred))
 
-    def step_batch(
-        self,
-        features: np.ndarray,
-        y_true: np.ndarray,
-        y_pred: np.ndarray,
-    ) -> np.ndarray:
-        """Batch stepping over the error stream (chunk-exact).
+    #: Optional segment kernel over the 0/1 errors of the rows handed to
+    #: :meth:`_step_segment`: consumes elements of the current concept up to
+    #: and including the first drift (resetting the concept state there) or
+    #: to the end, and returns ``(elements consumed, last element drifted,
+    #: last element in warning)``.  Detectors without one step per row.
+    _kernel_segment = None
 
-        Extracts the 0/1 error indicators once and hands them to
-        :meth:`_add_elements` — the detector's vectorized kernel, or the
-        scalar fallback loop for subclasses without one.  ``features`` is
-        accepted for interface uniformity and ignored, as in :meth:`step`.
-        """
-        y_true = np.asarray(y_true, dtype=np.int64)
-        y_pred = np.asarray(y_pred, dtype=np.int64)
-        errors = (y_true != y_pred).astype(np.float64)
-        start = self._n_observations
-        flags = self._add_elements(errors)
-        self._record_batch(flags, start)
-        return flags
-
-    def _add_elements(self, errors: np.ndarray) -> np.ndarray:
-        """Consume a 0/1 error array; return a per-element drift flag array.
-
-        Fallback implementation loops over :meth:`add_element` with the same
-        per-step state resets as :meth:`step`; registry detectors override it
-        with NumPy kernels built on :mod:`repro.core.windows`.  Kernels must
-        leave ``_in_drift`` / ``_in_warning`` reflecting the final element
-        and must not touch the detection bookkeeping (handled by the caller).
-        """
-        flags = np.zeros(errors.shape[0], dtype=bool)
-        for i, value in enumerate(errors.tolist()):
-            self._in_drift = False
-            self._in_warning = False
-            self._drifted_classes = None
-            self.add_element(value)
-            flags[i] = self._in_drift
-        return flags
-
-    def _run_segments(self, errors: np.ndarray) -> np.ndarray:
-        """Shared driver for segment-based kernels.
-
-        Repeatedly hands the unconsumed tail to :meth:`_kernel_segment`,
-        which processes elements of the current concept until a detection
-        (after which the concept state has been reset and the driver resumes
-        on the remainder) or the end of the chunk, returning ``(elements
-        consumed, last element drifted, last element in warning)``.  An empty
-        chunk is a strict no-op — state, including the drift/warning flags of
-        the previous step, is preserved, exactly like a zero-iteration scalar
-        loop.
-        """
-        n = errors.shape[0]
-        flags = np.zeros(n, dtype=bool)
-        if n == 0:
-            return flags
-        self._in_drift = False
-        self._in_warning = False
-        self._drifted_classes = None
-        start = 0
-        while start < n:
-            consumed, drifted, warning = self._kernel_segment(errors[start:])
-            if drifted:
-                flags[start + consumed - 1] = True
-            self._in_drift = drifted
-            self._in_warning = warning
-            start += consumed
-        return flags
-
-    def _kernel_segment(self, errors: np.ndarray) -> tuple[int, bool, bool]:
-        """Segment kernel hook used by :meth:`_run_segments` overrides."""
-        raise NotImplementedError
+    def _step_segment(
+        self, features: np.ndarray, y_true: np.ndarray, y_pred: np.ndarray
+    ) -> int:
+        if self._kernel_segment is None:
+            return super()._step_segment(features, y_true, y_pred)
+        consumed, self._in_drift, self._in_warning = self._kernel_segment(
+            (y_true != y_pred).astype(np.float64)
+        )
+        return consumed
 
     @abc.abstractmethod
     def add_element(self, value: float) -> None:
@@ -265,7 +235,7 @@ class ErrorRateDetector(DriftDetector):
 
 
 class ClassConditionalDetector(DriftDetector):
-    """Detectors that monitor per-class performance (PerfSim, DDM-OCI, RBM-IM).
+    """Detectors that monitor per-class performance (PerfSim, DDM-OCI).
 
     Subclasses implement :meth:`add_result` and may populate
     ``self._drifted_classes`` with the classes responsible for a detection.
@@ -283,43 +253,6 @@ class ClassConditionalDetector(DriftDetector):
 
     def _update(self, x: np.ndarray, y_true: int, y_pred: int) -> None:
         self.add_result(y_true, y_pred)
-
-    def step_batch(
-        self,
-        features: np.ndarray,
-        y_true: np.ndarray,
-        y_pred: np.ndarray,
-    ) -> np.ndarray:
-        """Batch stepping over (true, predicted) label pairs (chunk-exact)."""
-        y_true = np.asarray(y_true, dtype=np.int64)
-        y_pred = np.asarray(y_pred, dtype=np.int64)
-        start = self._n_observations
-        flags, classes = self._add_results(y_true, y_pred)
-        self._record_batch(flags, start, classes)
-        return flags
-
-    def _add_results(
-        self, y_true: np.ndarray, y_pred: np.ndarray
-    ) -> tuple[np.ndarray, list[set[int] | None]]:
-        """Consume label pairs; return per-element flags + per-detection classes.
-
-        The classes list is aligned with the True positions of the flag
-        array.  The fallback loops over :meth:`add_result`; PerfSim and
-        DDM-OCI override it with native kernels.
-        """
-        flags = np.zeros(y_true.shape[0], dtype=bool)
-        classes: list[set[int] | None] = []
-        for i in range(y_true.shape[0]):
-            self._in_drift = False
-            self._in_warning = False
-            self._drifted_classes = None
-            self.add_result(int(y_true[i]), int(y_pred[i]))
-            if self._in_drift:
-                flags[i] = True
-                classes.append(
-                    set(self._drifted_classes) if self._drifted_classes else None
-                )
-        return flags, classes
 
     @abc.abstractmethod
     def add_result(self, y_true: int, y_pred: int) -> None:

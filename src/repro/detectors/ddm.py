@@ -90,9 +90,6 @@ class DDM(ErrorRateDetector):
             self._in_warning = True
 
     # ----------------------------------------------------------- batch kernel
-    def _add_elements(self, errors: np.ndarray) -> np.ndarray:
-        return self._run_segments(np.where(errors > 0.5, 1.0, 0.0))
-
     def _kernel_segment(self, errors: np.ndarray) -> tuple[int, bool, bool]:
         """Process elements of the current concept until drift or exhaustion.
 

@@ -7,6 +7,12 @@ current concept is remembered, and when the current recall falls below that
 reference by more than the drift threshold a change is signalled for that
 class.  Because each class is tracked separately, the detector reports the
 set of classes responsible for the detection.
+
+Batch stepping replays :meth:`DDM_OCI.add_result` in a tight loop over
+hoisted per-class state (the ``_step_segment`` hook).  The loop stops at the
+first drift and :meth:`~repro.detectors.base.DriftDetector.step_batch`, which
+keeps the detection bookkeeping, resumes it on the remaining rows, so batch
+detections are bit-identical to per-instance stepping.
 """
 
 from __future__ import annotations
@@ -115,26 +121,17 @@ class DDM_OCI(ClassConditionalDetector):
         self._recall_m2[label] = 0.0
 
     # ----------------------------------------------------------- batch kernel
-    def _add_results(
-        self, y_true: np.ndarray, y_pred: np.ndarray
-    ) -> tuple[np.ndarray, list[set[int] | None]]:
-        """Tight-loop kernel over hoisted per-class state.
+    def _step_segment(
+        self, features: np.ndarray, y_true: np.ndarray, y_pred: np.ndarray
+    ) -> int:
+        """Tight-loop kernel over hoisted per-class state, up to the first drift.
 
         The per-class decayed-recall and Welford recurrences are inherently
         sequential, so the kernel keeps the state in plain Python lists and
-        replays the exact scalar operations — several times faster than the
-        per-instance adapter (no attribute traffic, no NumPy scalar churn)
-        and bit-identical to it.  A drift resets only the affected class, so
-        the loop never needs to restart.
+        replays the exact scalar operations of :meth:`add_result` — several
+        times faster than stepping per row (no attribute traffic, no NumPy
+        scalar churn) and bit-identical to it.
         """
-        n = y_true.shape[0]
-        flags = np.zeros(n, dtype=bool)
-        classes: list[set[int] | None] = []
-        if n == 0:
-            return flags, classes
-        self._in_drift = False
-        self._in_warning = False
-        self._drifted_classes = None
         recall = self._recall.tolist()
         counts = self._class_counts.tolist()
         best = self._best_stat.tolist()
@@ -148,14 +145,10 @@ class DDM_OCI(ClassConditionalDetector):
         sqrt = math.sqrt
         labels = y_true.tolist()
         hits = (y_true == y_pred).tolist()
-        in_drift = False
+        consumed = len(labels)
         in_warning = False
-        drifted_classes: set[int] | None = None
-        for i in range(n):
-            in_drift = False
+        for i, label in enumerate(labels):
             in_warning = False
-            drifted_classes = None
-            label = labels[i]
             hit = 1.0 if hits[i] else 0.0
             r = decay * recall[label] + one_minus * hit
             recall[label] = r
@@ -177,15 +170,15 @@ class DDM_OCI(ClassConditionalDetector):
                 continue
             ratio = stat / best[label]
             if ratio < drift_thr:
-                in_drift = True
-                drifted_classes = {label}
-                flags[i] = True
-                classes.append({label})
+                self._in_drift = True
+                self._drifted_classes = {label}
                 recall[label] = 0.5
                 counts[label] = 0
                 best[label] = -math.inf
                 means[label] = 0.0
                 m2s[label] = 0.0
+                consumed = i + 1
+                break
             elif ratio < warn_thr:
                 in_warning = True
         self._recall = np.asarray(recall, dtype=np.float64)
@@ -193,7 +186,5 @@ class DDM_OCI(ClassConditionalDetector):
         self._best_stat = np.asarray(best, dtype=np.float64)
         self._recall_mean = np.asarray(means, dtype=np.float64)
         self._recall_m2 = np.asarray(m2s, dtype=np.float64)
-        self._in_drift = in_drift
         self._in_warning = in_warning
-        self._drifted_classes = drifted_classes
-        return flags, classes
+        return consumed

@@ -97,9 +97,6 @@ class EDDM(ErrorRateDetector):
             self._in_warning = True
 
     # ----------------------------------------------------------- batch kernel
-    def _add_elements(self, errors: np.ndarray) -> np.ndarray:
-        return self._run_segments(errors)
-
     def _kernel_segment(self, errors: np.ndarray) -> tuple[int, bool, bool]:
         k = errors.shape[0]
         error_positions = np.flatnonzero(errors > 0.5)

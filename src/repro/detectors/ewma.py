@@ -102,9 +102,6 @@ class ECDDWT(ErrorRateDetector):
             self._in_warning = True
 
     # ----------------------------------------------------------- batch kernel
-    def _add_elements(self, errors: np.ndarray) -> np.ndarray:
-        return self._run_segments(np.where(errors > 0.5, 1.0, 0.0))
-
     def _kernel_segment(self, errors: np.ndarray) -> tuple[int, bool, bool]:
         k = errors.shape[0]
         counts = self._count + np.arange(1, k + 1, dtype=np.int64)

@@ -72,9 +72,6 @@ class FHDDM(ErrorRateDetector):
             self._reset_concept()
 
     # ----------------------------------------------------------- batch kernel
-    def _add_elements(self, errors: np.ndarray) -> np.ndarray:
-        return self._run_segments(errors)
-
     def _kernel_segment(self, errors: np.ndarray) -> tuple[int, bool, bool]:
         k = errors.shape[0]
         ws = self._window_size

@@ -11,11 +11,15 @@ Two variants are provided:
 Both support one-sided or two-sided monitoring; for classifier error streams
 the one-sided (increase in error) test is the standard configuration.
 
-HDDM-A's state is a pair of (count, sum) snapshots selected by weak
-prefix-extremum updates, so its batch kernel vectorizes completely on the
+Both batch kernels are ``_kernel_segment`` kernels: each consumes the 0/1
+errors up to and including the first drift, and
+:meth:`~repro.detectors.base.DriftDetector.step_batch` resumes it on the rows
+after the drift.  HDDM-A's state is a pair of (count, sum) snapshots selected
+by weak prefix-extremum updates, so its kernel vectorizes completely on the
 shared windows core.  HDDM-W's EWMA recurrences are inherently sequential;
-its kernel replays them in a tight scalar loop with identical operations.
-Both kernels are bit-identical to per-instance stepping.
+its kernel replays :meth:`HDDM_W.add_element` in a tight scalar loop with
+identical operations.  Both kernels are bit-identical to per-instance
+stepping.
 """
 
 from __future__ import annotations
@@ -140,9 +144,6 @@ class HDDM_A(ErrorRateDetector):
             self._in_warning = True
 
     # ----------------------------------------------------------- batch kernel
-    def _add_elements(self, errors: np.ndarray) -> np.ndarray:
-        return self._run_segments(errors)
-
     @staticmethod
     def _mean_test(n, s, n_ref, s_ref, confidence, decrease=False):
         """Vectorized one-sided mean-shift test against a reference snapshot.
@@ -311,18 +312,11 @@ class HDDM_W(ErrorRateDetector):
         return increased or decreased
 
     # ----------------------------------------------------------- batch kernel
-    def _add_elements(self, errors: np.ndarray) -> np.ndarray:
+    def _kernel_segment(self, errors: np.ndarray) -> tuple[int, bool, bool]:
         """Tight-loop kernel: the EWMA recurrences are inherently sequential,
-        so the kernel hoists all state into locals and replays the exact
-        scalar operations, which is several times faster than the generic
-        per-instance adapter while staying bit-identical."""
-        n = errors.shape[0]
-        flags = np.zeros(n, dtype=bool)
-        if n == 0:
-            return flags
-        self._in_drift = False
-        self._in_warning = False
-        self._drifted_classes = None
+        so the kernel hoists the loop constants into locals and replays the
+        exact scalar operations of :meth:`add_element`, which is faster than
+        stepping per row while staying bit-identical."""
         values = errors.tolist()
         mcd = self._mcdiarmid_bound
         detect = self._detect
@@ -331,8 +325,7 @@ class HDDM_W(ErrorRateDetector):
         decay_sq = (1.0 - lam) ** 2
         lam_sq = lam**2
         drift_conf = self._drift_confidence
-        for i in range(n):
-            value = values[i]
+        for i, value in enumerate(values):
             self._total_ewma = one_minus * self._total_ewma + lam * value
             self._total_ind_sum = decay_sq * self._total_ind_sum + lam_sq
             self._total_weight += 1.0
@@ -349,12 +342,7 @@ class HDDM_W(ErrorRateDetector):
                 self._max_ewma = self._total_ewma
                 self._max_ind_sum = self._total_ind_sum
                 self._max_weight = self._total_weight
-            self._in_drift = False
-            self._in_warning = False
             if detect(drift_conf):
-                flags[i] = True
-                self._in_drift = True
                 self._reset_concept()
-            elif detect(self._warning_confidence):
-                self._in_warning = True
-        return flags
+                return i + 1, True, False
+        return len(values), False, detect(self._warning_confidence)

@@ -84,9 +84,6 @@ class PageHinkley(ErrorRateDetector):
             self._reset_concept()
 
     # ----------------------------------------------------------- batch kernel
-    def _add_elements(self, errors: np.ndarray) -> np.ndarray:
-        return self._run_segments(errors)
-
     def _kernel_segment(self, errors: np.ndarray) -> tuple[int, bool, bool]:
         k = errors.shape[0]
         counts = self._count + np.arange(1, k + 1, dtype=np.int64)

@@ -8,6 +8,11 @@ interpreted as a concept drift.  Because the whole matrix is monitored,
 changes in minority-class behaviour contribute to the statistic even when the
 overall accuracy is unaffected — which is why the paper uses PerfSim as one of
 the two skew-insensitive reference detectors.
+
+Batch stepping (the ``_step_segment`` hook) adds whole sub-chunks to the
+confusion matrix between batch boundaries and stops at the first boundary
+that drifts; :meth:`~repro.detectors.base.DriftDetector.step_batch`, which
+keeps the detection bookkeeping, resumes it on the remaining rows.
 """
 
 from __future__ import annotations
@@ -119,24 +124,18 @@ class PerfSim(ClassConditionalDetector):
             self._reference = None
 
     # ----------------------------------------------------------- batch kernel
-    def _add_results(
-        self, y_true: np.ndarray, y_pred: np.ndarray
-    ) -> tuple[np.ndarray, list[set[int] | None]]:
+    def _step_segment(
+        self, features: np.ndarray, y_true: np.ndarray, y_pred: np.ndarray
+    ) -> int:
         """Accumulate whole sub-chunks into the confusion matrix at once.
 
         The expensive work (similarity test) only ever happens at batch
-        boundaries, which the kernel jumps between directly; the integer
-        confusion-matrix increments commute, so the accumulated matrices — and
-        therefore the detections — are bit-identical to per-instance stepping.
+        boundaries, which the kernel jumps between directly, stopping at the
+        first boundary that drifts; the integer confusion-matrix increments
+        commute, so the accumulated matrices — and therefore the detections
+        — are bit-identical to per-instance stepping.
         """
         n = y_true.shape[0]
-        flags = np.zeros(n, dtype=bool)
-        classes: list[set[int] | None] = []
-        if n == 0:
-            return flags, classes
-        self._in_drift = False
-        self._in_warning = False
-        self._drifted_classes = None
         consumed = 0
         while consumed < n:
             take = min(self._batch_size - self._current_count, n - consumed)
@@ -146,14 +145,9 @@ class PerfSim(ClassConditionalDetector):
             self._current_count += take
             self._current_errors += int(np.count_nonzero(chunk_true != chunk_pred))
             consumed += take
-            self._in_drift = False
             self._in_warning = False
-            self._drifted_classes = None
             if self._current_count >= self._batch_size:
                 self._evaluate_full_batch()
                 if self._in_drift:
-                    flags[consumed - 1] = True
-                    classes.append(
-                        set(self._drifted_classes) if self._drifted_classes else None
-                    )
-        return flags, classes
+                    break
+        return consumed

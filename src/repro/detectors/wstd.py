@@ -162,9 +162,6 @@ class WSTD(ErrorRateDetector):
         return False
 
     # ----------------------------------------------------------- batch kernel
-    def _add_elements(self, errors: np.ndarray) -> np.ndarray:
-        return self._run_segments(errors)
-
     def _kernel_segment(self, errors: np.ndarray) -> tuple[int, bool, bool]:
         k = errors.shape[0]
         ws = self._window_size

@@ -26,7 +26,7 @@ from pathlib import Path
 
 from repro.core.durability import atomic_write_text
 from repro.core.jsonio import dumps_strict
-from repro.core.snapshot import decode_state, encode_state
+from repro.core.snapshot import decode_state, encode_state, snapshot_matches
 
 __all__ = ["RunnerCheckpoint", "CHECKPOINT_KIND", "CHECKPOINT_VERSION"]
 
@@ -95,8 +95,9 @@ class RunnerCheckpoint:
         """Whether this checkpoint binds to the given run configuration.
 
         Checked *before* :meth:`apply` mutates anything: the run meta must be
-        equal and every component snapshot must carry the exact kind/version
-        of the object it would restore into.
+        equal and every component snapshot, down to the Snapshotables nested
+        in it, must carry the exact kind/version of the object it would
+        restore into.
         """
         if self.meta != dict(meta):
             return False
@@ -109,7 +110,7 @@ class RunnerCheckpoint:
         ]
         if detector is not None:
             pairs.append((self.detector, detector))
-        return all(_component_matches(snap, obj) for snap, obj in pairs)
+        return all(snapshot_matches(snap, type(obj)) for snap, obj in pairs)
 
     def apply(self, data_stream, detector, state) -> int:
         """Restore every component in place; returns the resume position."""
@@ -181,10 +182,3 @@ class RunnerCheckpoint:
             return None
         return cls.from_payload(payload)
 
-
-def _component_matches(snap, obj) -> bool:
-    return (
-        isinstance(snap, dict)
-        and snap.get("kind") == type(obj).__name__
-        and snap.get("version") == type(obj).SNAPSHOT_VERSION
-    )

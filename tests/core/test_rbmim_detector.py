@@ -75,16 +75,6 @@ class TestRBMIMMechanics:
         with pytest.raises(ValueError):
             detector.add_instance(np.zeros(4), 5)
 
-    def test_flush_processes_partial_batch(self, labelled_batch):
-        X, y = labelled_batch
-        detector = make_detector(X.shape[1], 3, batch_size=50)
-        detector.warm_start(X, y)
-        for row, label in zip(X[:10], y[:10]):
-            detector.add_instance(row, int(label))
-        before = detector.batches_processed
-        detector.flush()
-        assert detector.batches_processed == before + 1
-
     def test_reset_clears_monitors(self, labelled_batch):
         X, y = labelled_batch
         detector = make_detector(X.shape[1], 3, batch_size=10)

@@ -2,8 +2,8 @@
 
 The detector kernels lean on two properties of these primitives: they must
 reproduce the scalar recurrences bit-for-bit (prior-seeded fold order,
-last-wins tie semantics), and the vectorized concentration bounds must agree
-exactly with the ``math``-based scalar twins used on the per-instance hot
+last-wins tie semantics), and the vectorized Hoeffding bound must agree
+exactly with the ``math``-based scalar twin used on the per-instance hot
 paths (HDDM-A seeds its trackers with one and fills them with the other).
 """
 
@@ -22,13 +22,12 @@ from repro.core.windows import (
     exclusive_totals,
     gather_tracked,
     hoeffding_bound,
-    mcdiarmid_bound,
     running_totals,
     strict_prefix_max_exclusive,
     tracked_weak_max,
     tracked_weak_min,
 )
-from repro.detectors.hddm import HDDM_W, _hoeffding_bound
+from repro.detectors.hddm import _hoeffding_bound
 
 
 class TestBounds:
@@ -50,18 +49,6 @@ class TestBounds:
             out = hoeffding_bound(np.array([0.0, -1.0, 4.0]), 0.05)
         assert np.isinf(out[:2]).all()
         assert out[2] == _hoeffding_bound(4.0, 0.05)
-
-    @pytest.mark.parametrize("confidence", [0.001, 0.005, 0.05])
-    def test_mcdiarmid_matches_scalar_twin_bitwise(self, confidence):
-        sums = np.concatenate([[0.0, -1.0], np.geomspace(1e-6, 10.0, 200)])
-        vectorized = mcdiarmid_bound(sums, confidence)
-        scalar = np.array(
-            [HDDM_W._mcdiarmid_bound(s, confidence) for s in sums]
-        )
-        assert np.array_equal(vectorized, scalar)
-
-    def test_mcdiarmid_infinite_without_mass(self):
-        assert math.isinf(float(mcdiarmid_bound(0.0, 0.05)))
 
 
 class TestRunningTotals:

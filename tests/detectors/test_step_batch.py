@@ -1,9 +1,10 @@
 """Batch stepping of drift detectors.
 
-The default ``step_batch`` adapter loops over ``step`` and therefore must be
-exactly equivalent for every detector; RBM-IM's native override must produce
+``DriftDetector.step_batch`` drives every detector's segment hook and must be
+exactly equivalent to the ``step`` loop; RBM-IM's native hook must produce
 bit-identical detections (flags, positions, blamed classes) for any split of
-the stream into batches.
+the stream into batches.  A batch whose columns disagree on the row count is
+refused before any state changes.
 """
 
 import numpy as np
@@ -11,6 +12,7 @@ import pytest
 
 from repro.core.detector import RBMIM, RBMIMConfig
 from repro.detectors import ADWIN, DDM, DDM_OCI, EDDM, FHDDM, PerfSim, RDDM, WSTD
+from repro.protocol.registry import DETECTOR_NAMES, build_detector
 from repro.streams.generators import RandomRBFGenerator, SEAGenerator
 from repro.streams.schedule import Schedule, ScheduledStream, Segment
 
@@ -141,8 +143,6 @@ def test_empty_chunk_preserves_state():
     In particular it must not clear the drift/warning flags of the previous
     step — callers that forward possibly-empty chunks rely on this.
     """
-    from repro.protocol.registry import DETECTOR_NAMES, build_detector
-
     rng = np.random.default_rng(9)
     features = rng.random((600, 8))
     labels = rng.integers(0, 4, 600).astype(np.int64)
@@ -172,6 +172,29 @@ def test_empty_chunk_preserves_state():
             detector.detections,
         )
         assert before == after, f"{name}: empty chunk mutated detector state"
+
+
+@pytest.mark.parametrize("name", [name for name in DETECTOR_NAMES if name != "none"])
+@pytest.mark.parametrize(
+    "rows", [(6, 1), (6, 9), (5, 6)], ids=["short-y_pred", "long-y_pred", "short-features"]
+)
+def test_mismatched_batch_rows_are_refused(name, rows):
+    """A batch whose columns disagree on the row count is refused before any
+    state changes; NumPy would otherwise broadcast a 1-entry ``y_pred``
+    against every row."""
+    n_features_rows, n_predictions = rows
+    rng = np.random.default_rng(4)
+    features = rng.random((300, 8))
+    labels = rng.integers(0, 4, 300).astype(np.int64)
+    predictions = np.where(rng.random(300) < 0.6, labels, (labels + 1) % 4)
+    detector = build_detector(name, 8, 4)
+    detector.step_batch(features, labels, predictions)
+    before = detector.snapshot()
+    with pytest.raises(ValueError, match="batch rows disagree"):
+        detector.step_batch(
+            features[:n_features_rows], labels[:6], predictions[:n_predictions]
+        )
+    assert detector.snapshot() == before
 
 
 def test_detection_classes_tracks_detections():

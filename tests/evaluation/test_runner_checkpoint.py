@@ -172,7 +172,40 @@ def test_stale_component_version_is_ignored(tmp_path, monkeypatch):
     payload = json.loads(path.read_text(encoding="utf-8"))
     payload["evaluator"]["version"] -= 1
     path.write_text(json.dumps(payload), encoding="utf-8")
+    _assert_resume_starts_fresh(monkeypatch, path, "DDM")
 
+
+def _nested_snapshots(value, kind):
+    """Every ``kind`` snapshot nested (``__snap__``-tagged) in encoded state."""
+    if isinstance(value, dict):
+        children = list(value.values())
+        nested = value.get("__snap__")
+        hits = [nested] if isinstance(nested, dict) and nested["kind"] == kind else []
+    elif isinstance(value, list):
+        children, hits = value, []
+    else:
+        return []
+    return hits + [hit for child in children for hit in _nested_snapshots(child, kind)]
+
+
+def test_stale_nested_component_version_is_ignored(tmp_path, monkeypatch):
+    """A detector snapshot whose *nested* components carry another version
+    (RBM-IM's per-class ``TrendTracker``s) is ignored before the stream,
+    classifier or evaluator is restored, instead of failing half-applied."""
+    path = tmp_path / "checkpoint.json"
+    _kill_after_save(monkeypatch, 1, path, "chunked", "RBM-IM")
+    payload = json.loads(path.read_text(encoding="utf-8"))
+    trackers = _nested_snapshots(payload["detector"], "TrendTracker")
+    assert len(trackers) == 3  # one per class
+    for tracker in trackers:
+        tracker["version"] = 99
+    path.write_text(json.dumps(payload), encoding="utf-8")
+    _assert_resume_starts_fresh(monkeypatch, path, "RBM-IM")
+
+
+def _assert_resume_starts_fresh(monkeypatch, path, detector_name):
+    """A run handed the checkpoint at ``path`` never applies it and equals
+    an uncheckpointed run."""
     applied = []
     real_apply = RunnerCheckpoint.apply
 
@@ -181,8 +214,10 @@ def test_stale_component_version_is_ignored(tmp_path, monkeypatch):
         return real_apply(self, *args)
 
     monkeypatch.setattr(RunnerCheckpoint, "apply", recording_apply)
-    reference = _run("chunked", "DDM")
-    observed = _run("chunked", "DDM", checkpoint_path=path, checkpoint_every=CHUNK)
+    reference = _run("chunked", detector_name)
+    observed = _run(
+        "chunked", detector_name, checkpoint_path=path, checkpoint_every=CHUNK
+    )
     _assert_identical(observed, reference)
     assert applied == []
 

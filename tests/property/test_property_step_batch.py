@@ -10,7 +10,9 @@ chunkings and error patterns that break a kernel's segment bookkeeping.
 
 Every registry detector runs at its registry setting, and the six sum/bound
 detectors also at the drift-heavy settings of ``tests/drift_heavy.py``, under
-which RDDM prunes and rebuilds its stored-error log within 500 rows.
+which RDDM prunes and rebuilds its stored-error log within 500 rows.  Three
+toy subclasses of the family base classes, which implement only their scalar
+method, cover the per-row default hook that no registry detector uses.
 """
 
 from __future__ import annotations
@@ -21,6 +23,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from drift_heavy import detector_builders
+from repro.detectors.base import (
+    ClassConditionalDetector,
+    ErrorRateDetector,
+    InstanceDetector,
+)
 from repro.protocol.registry import DETECTOR_NAMES, build_detector
 
 N_CLASSES = 4
@@ -30,8 +37,62 @@ DETECTORS = [name for name in DETECTOR_NAMES if name != "none"]
 #: shorter examples than the cheap error-stream kernels.
 MAX_EXAMPLES = {"RBM-IM": 10}
 
-#: Detector builders by test id (registry and drift-heavy settings).
-BUILDERS = detector_builders(DETECTORS, N_FEATURES, N_CLASSES)
+
+class _ErrorStreak(ErrorRateDetector):
+    """Warns on an error and drifts on every further error in a row."""
+
+    def __init__(self) -> None:
+        super().__init__()
+        self._streak = 0
+
+    def add_element(self, value: float) -> None:
+        self._streak = self._streak + 1 if value else 0
+        if self._streak >= 2:
+            self._in_drift = True
+        elif self._streak == 1:
+            self._in_warning = True
+
+
+class _ClassMisses(ClassConditionalDetector):
+    """Blames a class at every third miss on it, warning one miss earlier."""
+
+    def __init__(self) -> None:
+        super().__init__(N_CLASSES)
+        self._misses = [0] * N_CLASSES
+
+    def add_result(self, y_true: int, y_pred: int) -> None:
+        if y_true == y_pred:
+            return
+        self._misses[y_true] += 1
+        if self._misses[y_true] % 3 == 0:
+            self._in_drift = True
+            self._drifted_classes = {y_true}
+        elif self._misses[y_true] % 3 == 2:
+            self._in_warning = True
+
+
+class _FeatureSpike(InstanceDetector):
+    """Blames the row's class when its first feature exceeds 0.7."""
+
+    def __init__(self) -> None:
+        super().__init__(N_FEATURES, N_CLASSES)
+
+    def add_instance(self, x, y: int) -> None:
+        if x[0] > 0.7:
+            self._in_drift = True
+            self._drifted_classes = {y}
+        elif x[0] > 0.5:
+            self._in_warning = True
+
+
+#: Detector builders by test id (registry and drift-heavy settings, and the
+#: per-row-default toys).
+BUILDERS = {
+    **detector_builders(DETECTORS, N_FEATURES, N_CLASSES),
+    "toy-error-streak": _ErrorStreak,
+    "toy-class-misses": _ClassMisses,
+    "toy-feature-spike": _FeatureSpike,
+}
 
 
 @st.composite
@@ -108,6 +169,7 @@ def _assert_chunk_exact(build, features, labels, predictions, sizes):
     assert loop_detector.in_drift == batch_detector.in_drift
     assert loop_detector.in_warning == batch_detector.in_warning
     assert loop_detector.drifted_classes == batch_detector.drifted_classes
+    return batch_detector
 
 
 @pytest.mark.parametrize("case", list(BUILDERS))
@@ -118,6 +180,19 @@ def test_step_batch_matches_step_loop(case: str):
         _assert_chunk_exact(BUILDERS[case], *_materialise(*stream))
 
     run()
+
+
+def test_per_row_default_drifts_on_consecutive_rows_and_chunk_ends():
+    """Errors on rows 3-6 and 9-10 drift on rows 4, 5, 6 and 10; chunks of
+    6, 5 and 1 rows end on drifting rows 5 and 10."""
+    labels = np.zeros(12, dtype=np.int64)
+    predictions = labels.copy()
+    predictions[[3, 4, 5, 6, 9, 10]] = 1
+    features = np.zeros((12, N_FEATURES))
+    detector = _assert_chunk_exact(
+        _ErrorStreak, features, labels, predictions, [6, 5, 1]
+    )
+    assert detector.detections == [5, 6, 7, 11]
 
 
 @settings(max_examples=10, deadline=None)
