@@ -360,28 +360,6 @@ class RBMIM(InstanceDetector):
         if self._buffer_n >= self._cfg.batch_size:
             self._process_batch()
 
-    def step_batch(
-        self,
-        features: np.ndarray,
-        y_true: np.ndarray,
-        y_pred: np.ndarray,
-    ) -> np.ndarray:
-        """Check feature width and label range, then run the base batch loop.
-
-        The whole batch is refused before any state changes, as
-        :meth:`add_instance` would refuse the offending row.  ``y_pred`` is
-        accepted for interface uniformity and ignored, as in :meth:`step`.
-        """
-        features = np.atleast_2d(np.asarray(features, dtype=np.float64))
-        y_true = np.asarray(y_true, dtype=np.int64)
-        if features.shape[1:] != (self._n_features,):
-            raise ValueError(
-                f"expected {self._n_features} features, got shape {features.shape}"
-            )
-        if y_true.size and (y_true.min() < 0 or y_true.max() >= self._n_classes):
-            raise ValueError("label out of range")
-        return super().step_batch(features, y_true, y_pred)
-
     def _step_segment(
         self, features: np.ndarray, y_true: np.ndarray, y_pred: np.ndarray
     ) -> int:

@@ -38,6 +38,10 @@ class TrendTracker(Snapshotable):
         Smallest window used for slope estimation.
     """
 
+    #: v2: the state holds no regression abscissa, so v1 checkpoints (which
+    #: held an unused one) are ignored.
+    SNAPSHOT_VERSION = 2
+
     def __init__(
         self,
         adwin_delta: float = 0.002,
@@ -58,7 +62,6 @@ class TrendTracker(Snapshotable):
         # the window so appends are O(1) between rare block compactions.
         self._values = np.empty(2 * max_window, dtype=np.float64)
         self._cursor = 0
-        self._arange = np.arange(max_window, dtype=np.float64)
         # Row 0 of ones and row 1 of 0..W-1: one gemv against the window
         # yields (sum_r, sum_tr) together instead of two separate reductions.
         self._moment_rows = np.vstack(
@@ -125,8 +128,10 @@ class TrendTracker(Snapshotable):
         cursor += 1
         self._cursor = cursor
 
-        # Inlined self.window_size / self._slope: this runs once per class
-        # per mini-batch, where attribute/property dispatch is measurable.
+        # Inlined self.window_size: this runs once per class per mini-batch,
+        # where attribute/property dispatch is measurable.  The slope is the
+        # least-squares ``Qr`` of Eq. 28 over the window; the abscissa is the
+        # 0-based offset inside it, whose moment sums have closed forms.
         width = self._adwin._width
         if width < self._min_window:
             width = self._min_window
@@ -149,20 +154,3 @@ class TrendTracker(Snapshotable):
         if len(history) >= 4 * self._max_window:
             del history[: -self._max_window]
         return slope
-
-    def _slope(self, values: np.ndarray) -> float:
-        """Least-squares slope ``Qr`` of Eq. 28 over the retained points.
-
-        The regression abscissa is the 0-based offset inside the window
-        (consecutive update times shifted to the origin), whose moment sums
-        have exact closed forms.
-        """
-        n = values.shape[0]
-        if n < 2:
-            return 0.0
-        sum_t = n * (n - 1) // 2
-        sum_t2 = (n - 1) * n * (2 * n - 1) // 6
-        sum_r = float(values.sum())
-        sum_tr = float(self._arange[:n] @ values)
-        denominator = n * sum_t2 - sum_t * sum_t
-        return (n * sum_tr - sum_t * sum_r) / denominator

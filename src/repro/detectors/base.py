@@ -12,6 +12,13 @@ Detector state after each step is exposed through :attr:`in_warning`,
 Detections are also logged with their positions for delay/false-alarm
 analysis.
 
+Input checks
+------------
+:meth:`DriftDetector.step` and :meth:`DriftDetector.step_batch` refuse input
+outside the detector's domain (see :class:`ClassConditionalDetector` and
+:class:`InstanceDetector`) with ``ValueError`` before any state changes, so
+update rules may index per-class state by label unchecked.
+
 Batch stepping
 --------------
 :meth:`DriftDetector.step_batch` consumes a whole chunk at once and returns a
@@ -24,11 +31,13 @@ the same stream one instance at a time.
 unconsumed rows to the detector's :meth:`~DriftDetector._step_segment` hook,
 which consumes rows up to and including the next drift, until the batch is
 used up; ``step_batch`` alone keeps the batch bookkeeping (flags,
-detections, blamed classes, observation count).  The default hook steps row by row
-through the same ``_update`` as :meth:`DriftDetector.step`, so a subclass
-that only implements its scalar method batches correctly.
-:class:`ErrorRateDetector` hands the 0/1 errors to a ``_kernel_segment``
-NumPy kernel built on :mod:`repro.core.windows` when the detector has one.
+detections, blamed classes, observation count).  The default hook steps row
+by row through the same ``_update`` as :meth:`DriftDetector.step`, so a
+subclass that only implements its scalar method batches correctly; HDDM-W
+and DDM-OCI batch this way.  :class:`ErrorRateDetector` hands the 0/1 errors
+to a ``_kernel_segment`` NumPy kernel built on :mod:`repro.core.windows`
+when the detector has one, and PerfSim and RBM-IM override the hook to
+consume whole accumulation batches at once.
 """
 
 from __future__ import annotations
@@ -60,6 +69,13 @@ class DriftDetector(Snapshotable, abc.ABC):
     minima), so ``snapshot()``/``restore()`` round-trips are bit-identical
     under the same chunk-exactness contract as :meth:`step_batch`.
     """
+
+    #: The domain :meth:`step` and :meth:`step_batch` check: labels lie in
+    #: ``[0, _n_classes)``, ``y_pred`` included when ``_checks_y_pred``, and
+    #: a feature row holds ``_n_features`` values.  ``None``: unchecked.
+    _n_classes: int | None = None
+    _n_features: int | None = None
+    _checks_y_pred = False
 
     def __init__(self) -> None:
         self._in_drift = False
@@ -118,7 +134,24 @@ class DriftDetector(Snapshotable, abc.ABC):
 
     # ----------------------------------------------------------- lifecycle
     def step(self, x: np.ndarray, y_true: int, y_pred: int) -> bool:
-        """Consume one labelled prediction and return ``in_drift``."""
+        """Consume one labelled prediction and return ``in_drift``.
+
+        A row outside the detector's domain is refused with ``ValueError``
+        before any state changes.
+        """
+        n_classes = self._n_classes
+        if n_classes is not None and not (
+            0 <= y_true < n_classes
+            and (not self._checks_y_pred or 0 <= y_pred < n_classes)
+        ):
+            raise ValueError(
+                f"label out of range [0, {n_classes}): "
+                f"y_true={y_true}, y_pred={y_pred}"
+            )
+        if self._n_features is not None and np.shape(x) != (self._n_features,):
+            raise ValueError(
+                f"expected {self._n_features} features, got shape {np.shape(x)}"
+            )
         self._n_observations += 1
         self._in_drift = False
         self._in_warning = False
@@ -144,9 +177,9 @@ class DriftDetector(Snapshotable, abc.ABC):
         same positions a per-instance :meth:`step` loop would flag, with the
         same detections, blamed classes and observation count recorded.  A
         batch whose ``features``, ``y_true`` and ``y_pred`` disagree on the
-        row count is refused with ``ValueError`` before any state changes.
-        An empty batch is a strict no-op (the flags of the previous step
-        are kept).
+        row count, or that holds a row outside the detector's domain, is
+        refused with ``ValueError`` before any state changes.  An empty
+        batch is a strict no-op (the flags of the previous step are kept).
         """
         features = np.atleast_2d(np.asarray(features, dtype=np.float64))
         y_true = np.asarray(y_true, dtype=np.int64)
@@ -156,6 +189,18 @@ class DriftDetector(Snapshotable, abc.ABC):
             raise ValueError(
                 f"batch rows disagree: {features.shape[0]} feature rows, "
                 f"{n} labels, {y_pred.shape[0]} predictions"
+            )
+        n_classes = self._n_classes
+        if n_classes is not None and n:
+            labels = np.concatenate((y_true, y_pred)) if self._checks_y_pred else y_true
+            if labels.min() < 0 or labels.max() >= n_classes:
+                raise ValueError(
+                    f"label out of range [0, {n_classes}): "
+                    f"labels span {labels.min()}..{labels.max()}"
+                )
+        if self._n_features is not None and features.shape[1:] != (self._n_features,):
+            raise ValueError(
+                f"expected {self._n_features} features, got shape {features.shape}"
             )
         flags = np.zeros(n, dtype=bool)
         start = 0
@@ -187,11 +232,13 @@ class DriftDetector(Snapshotable, abc.ABC):
         :meth:`step` would after the last row it consumed.  This default
         steps row by row through :meth:`_update`.
         """
-        for i in range(y_true.shape[0]):
+        update = self._update
+        rows = zip(features, y_true.tolist(), y_pred.tolist())
+        for i, (x, label, prediction) in enumerate(rows):
             self._in_drift = False
             self._in_warning = False
             self._drifted_classes = None
-            self._update(features[i], int(y_true[i]), int(y_pred[i]))
+            update(x, label, prediction)
             if self._in_drift:
                 return i + 1
         return y_true.shape[0]
@@ -239,7 +286,11 @@ class ClassConditionalDetector(DriftDetector):
 
     Subclasses implement :meth:`add_result` and may populate
     ``self._drifted_classes`` with the classes responsible for a detection.
+    :meth:`~DriftDetector.step` and :meth:`~DriftDetector.step_batch` refuse
+    a ``y_true`` or ``y_pred`` outside ``[0, n_classes)``.
     """
+
+    _checks_y_pred = True
 
     def __init__(self, n_classes: int) -> None:
         super().__init__()
@@ -260,7 +311,12 @@ class ClassConditionalDetector(DriftDetector):
 
 
 class InstanceDetector(DriftDetector):
-    """Detectors that consume raw instances (feature vector + true label)."""
+    """Detectors that consume raw instances (feature vector + true label).
+
+    :meth:`~DriftDetector.step` and :meth:`~DriftDetector.step_batch` refuse
+    a feature row that is not ``n_features`` wide and a ``y_true`` outside
+    ``[0, n_classes)``; ``y_pred`` is not checked.
+    """
 
     def __init__(self, n_features: int, n_classes: int) -> None:
         super().__init__()

@@ -11,15 +11,15 @@ Two variants are provided:
 Both support one-sided or two-sided monitoring; for classifier error streams
 the one-sided (increase in error) test is the standard configuration.
 
-Both batch kernels are ``_kernel_segment`` kernels: each consumes the 0/1
-errors up to and including the first drift, and
+HDDM-A's batch kernel is a ``_kernel_segment``: it consumes the 0/1 errors
+up to and including the first drift, and
 :meth:`~repro.detectors.base.DriftDetector.step_batch` resumes it on the rows
-after the drift.  HDDM-A's state is a pair of (count, sum) snapshots selected
-by weak prefix-extremum updates, so its kernel vectorizes completely on the
-shared windows core.  HDDM-W's EWMA recurrences are inherently sequential;
-its kernel replays :meth:`HDDM_W.add_element` in a tight scalar loop with
-identical operations.  Both kernels are bit-identical to per-instance
-stepping.
+after the drift.  Its state is a pair of (count, sum) snapshots selected by
+weak prefix-extremum updates, so the kernel vectorizes completely on the
+shared windows core and is bit-identical to per-instance stepping.  HDDM-W's
+EWMA recurrences are inherently sequential and it has no kernel:
+:meth:`HDDM_W.add_element` is its only update rule, and batch stepping goes
+through the per-row default hook.
 """
 
 from __future__ import annotations
@@ -310,39 +310,3 @@ class HDDM_W(ErrorRateDetector):
         )
         decreased = self._max_ewma - self._total_ewma >= epsilon_max
         return increased or decreased
-
-    # ----------------------------------------------------------- batch kernel
-    def _kernel_segment(self, errors: np.ndarray) -> tuple[int, bool, bool]:
-        """Tight-loop kernel: the EWMA recurrences are inherently sequential,
-        so the kernel hoists the loop constants into locals and replays the
-        exact scalar operations of :meth:`add_element`, which is faster than
-        stepping per row while staying bit-identical."""
-        values = errors.tolist()
-        mcd = self._mcdiarmid_bound
-        detect = self._detect
-        lam = self._lambda
-        one_minus = 1.0 - lam
-        decay_sq = (1.0 - lam) ** 2
-        lam_sq = lam**2
-        drift_conf = self._drift_confidence
-        for i, value in enumerate(values):
-            self._total_ewma = one_minus * self._total_ewma + lam * value
-            self._total_ind_sum = decay_sq * self._total_ind_sum + lam_sq
-            self._total_weight += 1.0
-            bound = mcd(self._total_ind_sum, drift_conf)
-            if self._total_ewma + bound <= self._min_ewma + mcd(
-                self._min_ind_sum, drift_conf
-            ):
-                self._min_ewma = self._total_ewma
-                self._min_ind_sum = self._total_ind_sum
-                self._min_weight = self._total_weight
-            if self._total_ewma - bound >= self._max_ewma - mcd(
-                self._max_ind_sum, drift_conf
-            ):
-                self._max_ewma = self._total_ewma
-                self._max_ind_sum = self._total_ind_sum
-                self._max_weight = self._total_weight
-            if detect(drift_conf):
-                self._reset_concept()
-                return i + 1, True, False
-        return len(values), False, detect(self._warning_confidence)

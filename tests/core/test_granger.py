@@ -3,7 +3,11 @@
 import numpy as np
 import pytest
 
-from repro.core.granger import first_differences, granger_causality
+from repro.core.granger import (
+    first_differences,
+    granger_causality,
+    granger_causality_lag1_diff,
+)
 
 
 class TestFirstDifferences:
@@ -86,3 +90,65 @@ class TestGrangerCausality:
         y = trend + rng.normal(0.0, 0.1, size=300)
         differenced = granger_causality(x, y, lags=1, use_first_differences=True)
         assert differenced.p_value > 0.001
+
+
+#: Draws of two independent series, by kind: (rng, shape) -> array.
+SERIES_KINDS = {
+    "gaussian": lambda rng, shape: rng.normal(size=shape),
+    "random-walk": lambda rng, shape: np.cumsum(rng.normal(size=shape), axis=1),
+    "tiny-scale": lambda rng, shape: 1e-6 * rng.normal(size=shape),
+    "rounded": lambda rng, shape: np.round(rng.normal(size=shape), 1),
+}
+
+
+class TestLag1FirstDifferenceFastPath:
+    """``granger_causality_lag1_diff`` is the test RBM-IM runs: with
+    ``granger_lags=1`` its ``_test_class`` compares two 6-long trend windows
+    through it.  It re-derives the lag-1 first-difference test in scalar
+    arithmetic, so its decision must equal the array implementation's."""
+
+    @staticmethod
+    def _reference(cause, effect, alpha):
+        return granger_causality(
+            np.asarray(cause, dtype=np.float64),
+            np.asarray(effect, dtype=np.float64),
+            lags=1,
+            alpha=alpha,
+            use_first_differences=True,
+        ).causality
+
+    @pytest.mark.parametrize("alpha", [0.05, 0.01])
+    @pytest.mark.parametrize("kind", sorted(SERIES_KINDS))
+    def test_decision_matches_array_path(self, kind, alpha):
+        rng = np.random.default_rng(23)
+        decisions = set()
+        for _ in range(2_000):
+            length = int(rng.integers(2, 14))
+            cause, effect = SERIES_KINDS[kind](rng, (2, length))
+            fast = granger_causality_lag1_diff(
+                cause.tolist(), effect.tolist(), alpha=alpha
+            )
+            assert fast == self._reference(cause, effect, alpha), (
+                kind,
+                cause.tolist(),
+                effect.tolist(),
+            )
+            decisions.add(fast)
+        # Both outcomes occur, so agreement is not the inconclusive default.
+        assert decisions == {True, False}
+
+    @pytest.mark.parametrize("length", [0, 1, 2, 5, 6, 13])
+    def test_constant_and_short_series_agree(self, length):
+        rng = np.random.default_rng(length)
+        varying = rng.normal(size=length)
+        constant = np.full(length, 0.25)
+        for cause, effect in [
+            (constant, constant),
+            (constant, varying),
+            (varying, constant),
+            (varying, varying),
+        ]:
+            fast = granger_causality_lag1_diff(cause.tolist(), effect.tolist())
+            assert fast == self._reference(cause, effect, 0.05)
+            if length < 6 or cause is constant or effect is constant:
+                assert fast  # inconclusive: "no drift evidence"

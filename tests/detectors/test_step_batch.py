@@ -3,8 +3,9 @@
 ``DriftDetector.step_batch`` drives every detector's segment hook and must be
 exactly equivalent to the ``step`` loop; RBM-IM's native hook must produce
 bit-identical detections (flags, positions, blamed classes) for any split of
-the stream into batches.  A batch whose columns disagree on the row count is
-refused before any state changes.
+the stream into batches.  A batch whose columns disagree on the row count,
+and a row outside the detector's domain (a label outside ``[0, n_classes)``,
+a feature row of the wrong width), are refused before any state changes.
 """
 
 import numpy as np
@@ -174,6 +175,18 @@ def test_empty_chunk_preserves_state():
         assert before == after, f"{name}: empty chunk mutated detector state"
 
 
+def _stepped(name):
+    """A registry detector for 8 features and 4 classes after 300 rows, and
+    the rows (features, labels, predictions)."""
+    rng = np.random.default_rng(4)
+    features = rng.random((300, 8))
+    labels = rng.integers(0, 4, 300).astype(np.int64)
+    predictions = np.where(rng.random(300) < 0.6, labels, (labels + 1) % 4)
+    detector = build_detector(name, 8, 4)
+    detector.step_batch(features, labels, predictions)
+    return detector, features, labels, predictions
+
+
 @pytest.mark.parametrize("name", [name for name in DETECTOR_NAMES if name != "none"])
 @pytest.mark.parametrize(
     "rows", [(6, 1), (6, 9), (5, 6)], ids=["short-y_pred", "long-y_pred", "short-features"]
@@ -183,18 +196,65 @@ def test_mismatched_batch_rows_are_refused(name, rows):
     state changes; NumPy would otherwise broadcast a 1-entry ``y_pred``
     against every row."""
     n_features_rows, n_predictions = rows
-    rng = np.random.default_rng(4)
-    features = rng.random((300, 8))
-    labels = rng.integers(0, 4, 300).astype(np.int64)
-    predictions = np.where(rng.random(300) < 0.6, labels, (labels + 1) % 4)
-    detector = build_detector(name, 8, 4)
-    detector.step_batch(features, labels, predictions)
+    detector, features, labels, predictions = _stepped(name)
     before = detector.snapshot()
     with pytest.raises(ValueError, match="batch rows disagree"):
         detector.step_batch(
             features[:n_features_rows], labels[:6], predictions[:n_predictions]
         )
     assert detector.snapshot() == before
+
+
+def _assert_refused_unchanged(detector, entry, x, y_true, y_pred, match):
+    """``entry`` refuses the last row of (x, y_true, y_pred) -- alone for
+    ``step``, after five good rows for ``step_batch`` -- and the detector's
+    snapshot is unchanged."""
+    before = detector.snapshot()
+    with pytest.raises(ValueError, match=match):
+        if entry == "step":
+            detector.step(x[-1], int(y_true[-1]), int(y_pred[-1]))
+        else:
+            detector.step_batch(x, y_true, y_pred)
+    assert detector.snapshot() == before
+
+
+ENTRY_POINTS = ["step", "step_batch"]
+OUT_OF_RANGE = pytest.mark.parametrize("label", [-1, 4], ids=["minus-one", "n_classes"])
+
+
+@pytest.mark.parametrize("entry", ENTRY_POINTS)
+@OUT_OF_RANGE
+@pytest.mark.parametrize("name", ["PerfSim", "DDM-OCI", "RBM-IM"])
+def test_out_of_range_label_is_refused(name, label, entry):
+    """PerfSim and DDM-OCI used to count label -1 as class ``n_classes - 1``
+    and fail on ``n_classes`` with ``IndexError``; RBM-IM's ``step`` counted
+    the row before refusing it."""
+    detector, features, labels, predictions = _stepped(name)
+    y_true = np.append(labels[:5], label)
+    _assert_refused_unchanged(
+        detector, entry, features[:6], y_true, predictions[:6], "label out of range"
+    )
+
+
+@pytest.mark.parametrize("entry", ENTRY_POINTS)
+@OUT_OF_RANGE
+@pytest.mark.parametrize("name", ["PerfSim", "DDM-OCI"])
+def test_out_of_range_prediction_is_refused(name, label, entry):
+    detector, features, labels, predictions = _stepped(name)
+    y_pred = np.append(predictions[:5], label)
+    _assert_refused_unchanged(
+        detector, entry, features[:6], labels[:6], y_pred, "label out of range"
+    )
+
+
+@pytest.mark.parametrize("entry", ENTRY_POINTS)
+@pytest.mark.parametrize("width", [7, 9])
+def test_feature_width_is_refused(width, entry):
+    detector, features, labels, predictions = _stepped("RBM-IM")
+    x = np.random.default_rng(6).random((6, width))
+    _assert_refused_unchanged(
+        detector, entry, x, labels[:6], predictions[:6], "expected 8 features"
+    )
 
 
 def test_detection_classes_tracks_detections():

@@ -13,16 +13,22 @@ import pytest
 
 from repro.classifiers import CostSensitivePerceptronTree, GaussianNaiveBayes
 from repro.core.detector import RBMIM, RBMIMConfig
-from repro.detectors import DDM, DDM_OCI
+from repro.detectors import DDM
 from repro.evaluation.experiment import default_classifier_factory
 from repro.evaluation.prequential import PrequentialRunner
+from repro.protocol.registry import DETECTOR_NAMES, build_detector
 from repro.streams.base import ListStream
 from repro.streams.generators import RandomRBFGenerator
 from repro.streams.imbalance import StaticImbalance
-from repro.streams.scenarios import ScenarioStream, make_artificial_stream
+from repro.streams.scenarios import (
+    ScenarioStream,
+    build_scenario_stream,
+    make_artificial_stream,
+)
 from repro.streams.schedule import Schedule, ScheduledStream, Segment
 
 N_INSTANCES = 4_000
+REGISTRY_DETECTORS = [name for name in DETECTOR_NAMES if name != "none"]
 
 
 def nb_factory(n_features, n_classes):
@@ -143,25 +149,34 @@ class TestChunkedExactMode:
         assert result.n_instances == 1_000
         assert calls == []
 
-    def test_error_rate_detector_parity(self):
-        scenario_a = make_artificial_stream(
-            "randomtree", 4, n_instances=3_000, max_imbalance_ratio=10.0, seed=5
-        )
-        scenario_b = make_artificial_stream(
-            "randomtree", 4, n_instances=3_000, max_imbalance_ratio=10.0, seed=5
-        )
-        runner = PrequentialRunner(nb_factory, pretrain_size=150)
-        reference = runner.run(scenario_a, DDM_OCI(n_classes=4), n_instances=3_000)
-        chunked_runner = PrequentialRunner(
-            nb_factory, pretrain_size=150, chunk_size=256
-        )
-        chunked = chunked_runner.run(
-            scenario_b, DDM_OCI(n_classes=4), n_instances=3_000
-        )
+    @pytest.mark.parametrize("name", REGISTRY_DETECTORS)
+    def test_registry_detector_parity(self, name):
+        """Every registry detector drifts mid-chunk on this stream, so the
+        exact step's rollback (restore, then re-step up to the drift row)
+        runs for each, whichever segment hook steps it."""
+        n_instances, chunk = 3_000, 97
+
+        def run(**options):
+            scenario = build_scenario_stream(
+                3, family="rbf", n_classes=4, n_instances=n_instances,
+                n_drifts=2, max_imbalance_ratio=20.0, seed=1,
+            )
+            runner = PrequentialRunner(nb_factory, pretrain_size=100, **options)
+            detector = build_detector(name, scenario.n_features, scenario.n_classes)
+            return runner.run(scenario, detector, n_instances=n_instances)
+
+        reference = run()
+        chunked = run(chunk_size=chunk)
+        assert any(
+            (position + 1) % chunk and position != n_instances - 1
+            for position in reference.detections
+        ), f"{name}: no drift off a chunk's last row, so no rollback ran"
         assert chunked.detections == reference.detections
+        assert chunked.detected_classes == reference.detected_classes
         assert chunked.pmauc == reference.pmauc
         assert chunked.pmgm == reference.pmgm
-
+        assert chunked.accuracy == reference.accuracy
+        assert chunked.kappa == reference.kappa
 
     def test_refuses_detector_outside_snapshot_contract(self):
         class DuckDetector:

@@ -10,9 +10,10 @@ chunkings and error patterns that break a kernel's segment bookkeeping.
 
 Every registry detector runs at its registry setting, and the six sum/bound
 detectors also at the drift-heavy settings of ``tests/drift_heavy.py``, under
-which RDDM prunes and rebuilds its stored-error log within 500 rows.  Three
-toy subclasses of the family base classes, which implement only their scalar
-method, cover the per-row default hook that no registry detector uses.
+which RDDM prunes and rebuilds its stored-error log within 500 rows.  The
+per-row default hook steps HDDM-W and DDM-OCI; three toy subclasses of the
+family base classes, which implement only their scalar method, cover it for
+each family.
 """
 
 from __future__ import annotations
