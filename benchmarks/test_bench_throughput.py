@@ -9,7 +9,7 @@ the three execution modes of :class:`PrequentialRunner`:
   fetch, the classifier's ``predict_fit_interleaved`` kernel, the detector's
   chunk-exact ``step_batch``, and batched metric folds;
 * ``batch`` — chunk-granular test-then-train over the batch APIs, driving
-  every detector's NumPy-native ``step_batch`` kernel.
+  every detector's chunk-exact ``step_batch``.
 
 Four workload families are measured: the RBM-IM reference path of the
 earlier baselines, the full *detector zoo* — every detector in the registry

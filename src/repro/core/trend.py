@@ -38,9 +38,11 @@ class TrendTracker(Snapshotable):
         Smallest window used for slope estimation.
     """
 
-    #: v2: the state holds no regression abscissa, so v1 checkpoints (which
-    #: held an unused one) are ignored.
-    SNAPSHOT_VERSION = 2
+    #: v3: the state leaves out the constant ``_moment_rows``, rebuilt from
+    #: ``max_window`` on restore, so older checkpoints are ignored.
+    SNAPSHOT_VERSION = 3
+
+    _SNAPSHOT_EXCLUDE = frozenset({"_moment_rows"})
 
     def __init__(
         self,
@@ -59,16 +61,21 @@ class TrendTracker(Snapshotable):
         # so the regression is computed on 0..n-1 offsets (the slope is
         # shift-invariant, and small offsets avoid the cancellation that raw
         # timestamps cause in n*sum(t^2) - sum(t)^2).  The buffer holds twice
-        # the window so appends are O(1) between rare block compactions.
-        self._values = np.empty(2 * max_window, dtype=np.float64)
+        # the window so appends are O(1) between rare block compactions; it
+        # starts zeroed, so its unwritten tail snapshots the same every run.
+        self._values = np.zeros(2 * max_window, dtype=np.float64)
         self._cursor = 0
-        # Row 0 of ones and row 1 of 0..W-1: one gemv against the window
-        # yields (sum_r, sum_tr) together instead of two separate reductions.
-        self._moment_rows = np.vstack(
-            (np.ones(max_window), np.arange(max_window, dtype=np.float64))
-        )
         self._time = 0
         self._trend_history: list[float] = []
+        self._after_restore()
+
+    def _after_restore(self) -> None:
+        # Row 0 of ones and row 1 of 0..W-1: one gemv against the window
+        # yields (sum_r, sum_tr) together instead of two separate reductions.
+        window = self._max_window
+        self._moment_rows = np.vstack(
+            (np.ones(window), np.arange(window, dtype=np.float64))
+        )
 
     # --------------------------------------------------------------- state
     @property

@@ -1,32 +1,12 @@
-"""Shared windowed-statistics core for the vectorized detector kernels.
+"""Windowed-statistics structures shared by the detectors.
 
-Every drift detector in the zoo reduces to a handful of primitives over the
-monitored stream: running sums and means, reference ("best so far") statistics
-tracked with weak prefix minima/maxima, fixed-size sliding windows with
-rolling sums, the Hoeffding bound, consecutive-state run lengths, and — for
-ADWIN — an exponential histogram of buckets.  This module provides those
-primitives once, in a form usable both by the scalar ``step`` paths and by
-the NumPy-native ``_kernel_segment`` kernels that
-:meth:`~repro.detectors.base.DriftDetector.step_batch` drives.
+* :class:`RingWindow` — a fixed-capacity sliding window with an O(1)
+  maintained sum (FHDDM's correctness window, WSTD's recent and old
+  samples);
+* :class:`ExponentialBuckets` — ADWIN's exponential histogram of buckets.
 
-Bit-exactness contract
-----------------------
-The batch kernels must return *exactly* the detection positions the
-per-instance loop would (chunk-exact semantics), so every helper here is
-written to reproduce the scalar recurrences bit-for-bit under the conditions
-the detectors actually use them in:
-
-* ``np.add.accumulate`` / ``np.minimum.accumulate`` apply their operation as
-  a strict left-to-right fold, matching a scalar ``acc += x`` loop;
-* the detectors monitor 0/1 error indicators (and integer error distances),
-  so running sums and window sums are exact integers in float64 and every
-  re-association of the additions is value-preserving;
-* derived quantities (means, bounds, test statistics) are computed with the
-  same expression shapes as the scalar code so each operation rounds
-  identically.
-
-Helpers that rely on integer-valued contents (``RingWindow`` rolling sums,
-the exclusive totals) document it explicitly.
+Both are :class:`~repro.core.snapshot.Snapshotable`, so a detector holding one
+snapshots it with the rest of its state.
 """
 
 from __future__ import annotations
@@ -37,135 +17,7 @@ import numpy as np
 
 from repro.core.snapshot import Snapshotable
 
-__all__ = [
-    "hoeffding_bound",
-    "running_totals",
-    "exclusive_totals",
-    "tracked_weak_min",
-    "tracked_weak_max",
-    "strict_prefix_max_exclusive",
-    "consecutive_true_runs",
-    "gather_tracked",
-    "RingWindow",
-    "ExponentialBuckets",
-]
-
-
-# --------------------------------------------------------------------- bounds
-def hoeffding_bound(n, confidence: float):
-    """Hoeffding epsilon ``sqrt(ln(1/confidence) / (2 n))``.
-
-    ``n`` may be a scalar or an array; the expression shape matches the
-    scalar helpers used by DDM-family and HDDM detectors so scalar and batch
-    paths round identically.  Returns ``inf`` where ``n <= 0`` (no samples in
-    the reference window yet — the bound is vacuous); without the guard the
-    division emits a RuntimeWarning and ``n < 0`` even yields ``nan``.
-    """
-    n = np.asarray(n, dtype=np.float64)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        out = np.sqrt(np.log(1.0 / confidence) / (2.0 * n))
-    return np.where(n <= 0.0, np.inf, out)
-
-
-# ----------------------------------------------------------- running statistics
-def running_totals(values: np.ndarray, prior: float = 0.0) -> np.ndarray:
-    """Totals *after* each element: ``prior + v0, (prior + v0) + v1, ...``.
-
-    The prior state seeds the accumulation, so the additions happen in
-    exactly the order a scalar ``acc += v`` loop performs them
-    (``np.add.accumulate`` is a strict left-to-right fold) and the partial
-    sums are bit-identical for arbitrary real-valued inputs.
-    """
-    values = np.asarray(values, dtype=np.float64)
-    seeded = np.empty(values.shape[0] + 1, dtype=np.float64)
-    seeded[0] = prior
-    seeded[1:] = values
-    return np.add.accumulate(seeded)[1:]
-
-
-def exclusive_totals(values: np.ndarray, prior: float = 0.0) -> np.ndarray:
-    """Totals *before* each element: ``prior, prior + v0, ...``.
-
-    Bit-identical to the scalar fold for arbitrary inputs (see
-    :func:`running_totals`).
-    """
-    values = np.asarray(values, dtype=np.float64)
-    seeded = np.empty(values.shape[0], dtype=np.float64)
-    if seeded.shape[0]:
-        seeded[0] = prior
-        seeded[1:] = values[:-1]
-        np.add.accumulate(seeded, out=seeded)
-    return seeded
-
-
-def tracked_weak_min(scores: np.ndarray, prior: float) -> np.ndarray:
-    """Index of the reference element a weak prefix-min tracker holds.
-
-    Models the classic "best statistic so far" update ``if s_t <= s_min:
-    remember element t`` (non-strict, so ties re-update and the *latest*
-    minimising element wins).  Returns, for every position ``t``, the index of
-    the element the tracker references after processing ``t``; ``-1`` means
-    the prior reference (``prior``) is still in place.
-    """
-    scores = np.asarray(scores, dtype=np.float64)
-    n = scores.shape[0]
-    if n == 0:
-        return np.empty(0, dtype=np.int64)
-    prefix_min = np.minimum.accumulate(scores)
-    min_excl = np.empty(n, dtype=np.float64)
-    min_excl[0] = prior
-    np.minimum(prefix_min[:-1], prior, out=min_excl[1:])
-    updates = scores <= min_excl
-    indices = np.where(updates, np.arange(n, dtype=np.int64), -1)
-    return np.maximum.accumulate(indices)
-
-
-def tracked_weak_max(scores: np.ndarray, prior: float) -> np.ndarray:
-    """Mirror of :func:`tracked_weak_min` for ``if s_t >= s_max`` trackers."""
-    return tracked_weak_min(-np.asarray(scores, dtype=np.float64), -prior)
-
-
-def strict_prefix_max_exclusive(scores: np.ndarray, prior: float) -> np.ndarray:
-    """Running maximum *before* each element, seeded with ``prior``.
-
-    Supports the strict "``if s_t > s_max`` update, else test against
-    ``s_max``" pattern (EDDM): the value tested at ``t`` is the maximum over
-    the prior state and all elements before ``t``.
-    """
-    scores = np.asarray(scores, dtype=np.float64)
-    n = scores.shape[0]
-    out = np.empty(n, dtype=np.float64)
-    if n:
-        out[0] = prior
-        np.maximum.accumulate(scores[:-1], out=out[1:])
-        np.maximum(out[1:], prior, out=out[1:])
-    return out
-
-
-def consecutive_true_runs(mask: np.ndarray, prior_run: int = 0) -> np.ndarray:
-    """Length of the True-run ending at each position, carrying a prior run.
-
-    ``mask=[T,T,F,T]`` with ``prior_run=2`` yields ``[3,4,0,1]`` — the value a
-    scalar ``count = count + 1 if flag else 0`` counter would hold after each
-    element.  Used for RDDM's consecutive-warning limit.
-    """
-    mask = np.asarray(mask, dtype=bool)
-    n = mask.shape[0]
-    indices = np.arange(n, dtype=np.int64)
-    last_false = np.maximum.accumulate(np.where(~mask, indices, -1))
-    runs = np.where(
-        last_false >= 0, indices - last_false, indices + 1 + int(prior_run)
-    )
-    return np.where(mask, runs, 0)
-
-
-def gather_tracked(
-    tracked: np.ndarray, values: np.ndarray, prior: float
-) -> np.ndarray:
-    """Gather ``values[tracked]`` with ``tracked == -1`` mapping to ``prior``."""
-    safe = np.maximum(tracked, 0)
-    out = np.asarray(values, dtype=np.float64)[safe]
-    return np.where(tracked >= 0, out, prior)
+__all__ = ["RingWindow", "ExponentialBuckets"]
 
 
 # ------------------------------------------------------------------ RingWindow
@@ -225,19 +77,6 @@ class RingWindow(Snapshotable):
             self._size += 1
         self._sum += value
         return evicted
-
-    def values(self) -> np.ndarray:
-        """Contents in chronological order (oldest first), as a copy."""
-        idx = (self._start + np.arange(self._size)) % self._capacity
-        return self._buffer[idx]
-
-    def assign(self, values: np.ndarray) -> None:
-        """Replace the contents with (the tail of) ``values``, oldest first."""
-        values = np.asarray(values, dtype=np.float64)[-self._capacity :]
-        self._size = values.shape[0]
-        self._start = 0
-        self._buffer[: self._size] = values
-        self._sum = float(values.sum())
 
     def clear(self) -> None:
         self._start = 0
@@ -309,20 +148,6 @@ class ExponentialBuckets(Snapshotable):
             size = float(2**level)
             for total, variance in zip(self._totals[level], self._variances[level]):
                 yield size, total, variance
-
-    def arrays_oldest_first(self) -> tuple[np.ndarray, np.ndarray]:
-        """``(sizes, totals)`` arrays oldest-first, for vectorized cut scans."""
-        sizes: list[float] = []
-        totals: list[float] = []
-        for level in range(len(self._totals) - 1, -1, -1):
-            row = self._totals[level]
-            if row:
-                sizes.extend([float(2**level)] * len(row))
-                totals.extend(row)
-        return (
-            np.asarray(sizes, dtype=np.float64),
-            np.asarray(totals, dtype=np.float64),
-        )
 
     def pop_oldest(self) -> tuple[float, float, float] | None:
         """Drop and return the oldest bucket as ``(size, total, variance)``."""

@@ -33,11 +33,11 @@ which consumes rows up to and including the next drift, until the batch is
 used up; ``step_batch`` alone keeps the batch bookkeeping (flags,
 detections, blamed classes, observation count).  The default hook steps row
 by row through the same ``_update`` as :meth:`DriftDetector.step`, so a
-subclass that only implements its scalar method batches correctly; HDDM-W
-and DDM-OCI batch this way.  :class:`ErrorRateDetector` hands the 0/1 errors
-to a ``_kernel_segment`` NumPy kernel built on :mod:`repro.core.windows`
-when the detector has one, and PerfSim and RBM-IM override the hook to
-consume whole accumulation batches at once.
+subclass that only implements its scalar method batches correctly; DDM-OCI
+batches this way.  :class:`ErrorRateDetector`'s hook feeds the segment's
+0/1 errors to ``add_element``, each error-rate detector's one update rule,
+and PerfSim and RBM-IM override the hook to consume whole accumulation
+batches at once.
 """
 
 from __future__ import annotations
@@ -259,22 +259,20 @@ class ErrorRateDetector(DriftDetector):
     def _update(self, x: np.ndarray, y_true: int, y_pred: int) -> None:
         self.add_element(float(y_true != y_pred))
 
-    #: Optional segment kernel over the 0/1 errors of the rows handed to
-    #: :meth:`_step_segment`: consumes elements of the current concept up to
-    #: and including the first drift (resetting the concept state there) or
-    #: to the end, and returns ``(elements consumed, last element drifted,
-    #: last element in warning)``.  Detectors without one step per row.
-    _kernel_segment = None
-
     def _step_segment(
         self, features: np.ndarray, y_true: np.ndarray, y_pred: np.ndarray
     ) -> int:
-        if self._kernel_segment is None:
-            return super()._step_segment(features, y_true, y_pred)
-        consumed, self._in_drift, self._in_warning = self._kernel_segment(
-            (y_true != y_pred).astype(np.float64)
-        )
-        return consumed
+        # The per-row default hook, minus the feature rows: the same 0/1
+        # errors reach add_element as through _update.
+        add_element = self.add_element
+        errors = (y_true != y_pred).astype(np.float64).tolist()
+        for i, error in enumerate(errors):
+            self._in_drift = False
+            self._in_warning = False
+            add_element(error)
+            if self._in_drift:
+                return i + 1
+        return len(errors)
 
     @abc.abstractmethod
     def add_element(self, value: float) -> None:

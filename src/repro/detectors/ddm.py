@@ -6,18 +6,14 @@ current concept is remembered; a warning is raised when
 ``p_t + s_t >= p_min + warning_level * s_min`` and a drift when the same
 exceeds the ``drift_level`` multiple.
 
-Both the scalar path and the batch kernel derive ``p_t`` from the (exact,
-integer-valued) running error count, so ``step_batch`` is bit-identical to
-stepping per instance for any chunking of the stream.
+:meth:`DDM.add_element` is the detector's one update rule; ``step_batch``
+feeds it the 0/1 errors of a batch.
 """
 
 from __future__ import annotations
 
 import math
 
-import numpy as np
-
-from repro.core.windows import gather_tracked, running_totals, tracked_weak_min
 from repro.detectors.base import ErrorRateDetector
 
 __all__ = ["DDM"]
@@ -88,50 +84,3 @@ class DDM(ErrorRateDetector):
             self._reset_concept()
         elif p + s >= self._p_min + self._warning_level * self._s_min:
             self._in_warning = True
-
-    # ----------------------------------------------------------- batch kernel
-    def _kernel_segment(self, errors: np.ndarray) -> tuple[int, bool, bool]:
-        """Process elements of the current concept until drift or exhaustion.
-
-        Returns ``(elements consumed, last element drifted, last element in
-        warning)``.  On drift the concept statistics are reset (as in
-        :meth:`add_element`); otherwise the state is committed to the end of
-        the segment.
-        """
-        k = errors.shape[0]
-        counts = self._sample_count + np.arange(1, k + 1, dtype=np.int64)
-        sums = running_totals(errors, self._error_sum)
-        p = sums / counts
-        s = np.sqrt(p * (1.0 - p) / counts)
-        ps = p + s
-        # The test (and the reference-minimum update) only runs once enough
-        # instances accumulated and at least one error was seen; both
-        # conditions are monotone, so the active region is a suffix.
-        active = (counts >= self._min_num_instances) & (sums > 0.0)
-        first_active = int(np.argmax(active)) if active.any() else k
-        if first_active >= k:
-            self._commit(counts[-1], sums[-1])
-            return k, False, False
-
-        ps_act = ps[first_active:]
-        tracked = tracked_weak_min(ps_act, self._ps_min)
-        p_min = gather_tracked(tracked, p[first_active:], self._p_min)
-        s_min = gather_tracked(tracked, s[first_active:], self._s_min)
-        drift = ps_act >= p_min + self._drift_level * s_min
-        if drift.any():
-            hit = int(np.argmax(drift))
-            self._reset_concept()
-            return first_active + hit + 1, True, False
-
-        warning = ps_act >= p_min + self._warning_level * s_min
-        self._commit(counts[-1], sums[-1])
-        last = int(tracked[-1])
-        if last >= 0:
-            self._p_min = float(p[first_active + last])
-            self._s_min = float(s[first_active + last])
-            self._ps_min = float(ps[first_active + last])
-        return k, False, bool(warning[-1])
-
-    def _commit(self, count: int, error_sum: float) -> None:
-        self._sample_count = int(count)
-        self._error_sum = float(error_sum)

@@ -6,18 +6,15 @@ errors are becoming denser, i.e. the concept is changing.  The ratio
 ``(p' + 2 s') / (p'_max + 2 s'_max)`` is compared against the warning
 (``alpha``) and drift (``beta``) thresholds.
 
-Distances are integers, so both paths track exact sums of distances and
-squared distances; the batch kernel evaluates the same expressions over
-cumulative sums and is bit-identical to per-instance stepping.
+Distances are integers, so the sums of distances and squared distances are
+exact.  :meth:`EDDM.add_element` is the detector's one update rule;
+``step_batch`` feeds it the 0/1 errors of a batch.
 """
 
 from __future__ import annotations
 
 import math
 
-import numpy as np
-
-from repro.core.windows import running_totals, strict_prefix_max_exclusive
 from repro.detectors.base import ErrorRateDetector
 
 __all__ = ["EDDM"]
@@ -60,10 +57,10 @@ class EDDM(ErrorRateDetector):
         self._reset_concept()
 
     @staticmethod
-    def _stat(dist_sum, dist_sq_sum, count):
-        """``mean + 2 std`` of the error distances (array- or scalar-valued)."""
+    def _stat(dist_sum: float, dist_sq_sum: float, count: int) -> float:
+        """``mean + 2 std`` of the error distances."""
         mean = dist_sum / count
-        std = np.sqrt(np.maximum(dist_sq_sum / count - mean * mean, 0.0))
+        std = math.sqrt(max(dist_sq_sum / count - mean * mean, 0.0))
         return mean + 2.0 * std
 
     def add_element(self, value: float) -> None:
@@ -81,7 +78,7 @@ class EDDM(ErrorRateDetector):
         if count < self._min_num_errors:
             return
 
-        stat = float(self._stat(self._dist_sum, self._dist_sq_sum, count))
+        stat = self._stat(self._dist_sum, self._dist_sq_sum, count)
         if stat > self._max_stat:
             self._max_stat = stat
             return
@@ -95,53 +92,3 @@ class EDDM(ErrorRateDetector):
             self._reset_concept()
         elif ratio < self._alpha:
             self._in_warning = True
-
-    # ----------------------------------------------------------- batch kernel
-    def _kernel_segment(self, errors: np.ndarray) -> tuple[int, bool, bool]:
-        k = errors.shape[0]
-        error_positions = np.flatnonzero(errors > 0.5)
-        if error_positions.shape[0] == 0:
-            self._instance_index += k
-            return k, False, False
-
-        # Global instance index of every misclassification, then integer
-        # distances to the previous one (seeded with the stored last index).
-        instance_index = self._instance_index + error_positions + 1
-        distances = np.diff(instance_index, prepend=self._last_error_index).astype(
-            np.float64
-        )
-        counts = self._error_count + np.arange(
-            1, distances.shape[0] + 1, dtype=np.int64
-        )
-        dist_sums = running_totals(distances, self._dist_sum)
-        dist_sq_sums = running_totals(distances * distances, self._dist_sq_sum)
-        stats = self._stat(dist_sums, dist_sq_sums, counts)
-
-        active = counts >= self._min_num_errors
-        first_active = int(np.argmax(active)) if active.any() else counts.shape[0]
-        drifted = False
-        warning_last = False
-        consumed = k
-        if first_active < counts.shape[0]:
-            stats_act = stats[first_active:]
-            # Strictly-greater statistics update the reference maximum and
-            # skip the test; others are tested against the prior maximum.
-            max_excl = strict_prefix_max_exclusive(stats_act, self._max_stat)
-            tested = (stats_act <= max_excl) & (max_excl > 0.0)
-            with np.errstate(invalid="ignore", divide="ignore"):
-                ratio = stats_act / max_excl
-            drift = tested & (ratio < self._beta)
-            if drift.any():
-                hit = first_active + int(np.argmax(drift))
-                self._reset_concept()
-                return int(error_positions[hit]) + 1, True, False
-            warning = tested & (ratio < self._alpha)
-            warning_last = bool(warning[-1]) and int(error_positions[-1]) == k - 1
-            self._max_stat = max(self._max_stat, float(stats_act.max()))
-        # No drift: commit statistics to the end of the chunk.
-        self._instance_index += k
-        self._last_error_index = int(instance_index[-1])
-        self._error_count = int(counts[-1])
-        self._dist_sum = float(dist_sums[-1])
-        self._dist_sq_sum = float(dist_sq_sums[-1])
-        return consumed, drifted, warning_last

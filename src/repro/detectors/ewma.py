@@ -7,18 +7,14 @@ configurable multiple of that standard deviation (a classic L-sigma EWMA
 chart); the default of 3 sigma keeps the in-control false-alarm rate low while
 remaining reactive to genuine error-rate increases.
 
-The batch kernel vectorizes everything that depends only on the (exact,
-integer-valued) running error count — pre-change mean, EWMA sigma, control
-limits — and replays only the inherently sequential EWMA recurrence in a
-tight scalar loop with identical operations, so detections are bit-identical
-to per-instance stepping.
+:meth:`ECDDWT.add_element` is the detector's one update rule; ``step_batch``
+feeds it the 0/1 errors of a batch.
 """
 
 from __future__ import annotations
 
-import numpy as np
+import math
 
-from repro.core.windows import running_totals
 from repro.detectors.base import ErrorRateDetector
 
 __all__ = ["ECDDWT"]
@@ -69,17 +65,16 @@ class ECDDWT(ErrorRateDetector):
         super().reset()
         self._reset_concept()
 
-    def _limits(self, counts, sums):
-        """Clipped pre-change mean and drift control limit per position."""
+    def _limits(self, count: int, error_sum: float) -> tuple[float, float]:
+        """Clipped pre-change mean and drift control limit after ``count`` rows."""
         lam = self._lambda
-        p = np.clip(sums / counts, 1e-9, 1.0 - 1e-9)
+        p = min(max(error_sum / count, 1e-9), 1.0 - 1e-9)
         variance = p * (1.0 - p)
-        t = np.asarray(counts, dtype=np.float64)
-        sigma_z = np.sqrt(
+        sigma_z = math.sqrt(
             variance
             * lam
             / (2.0 - lam)
-            * (1.0 - (1.0 - lam) ** (2.0 * t))
+            * (1.0 - (1.0 - lam) ** (2.0 * count))
         )
         return p, self._control_limit * sigma_z
 
@@ -94,40 +89,8 @@ class ECDDWT(ErrorRateDetector):
             return
 
         p, limit = self._limits(self._count, self._error_sum)
-        p, limit = float(p), float(limit)
         if self._ewma - p > limit:
             self._in_drift = True
             self._reset_concept()
         elif self._ewma - p > self._warning_fraction * limit:
             self._in_warning = True
-
-    # ----------------------------------------------------------- batch kernel
-    def _kernel_segment(self, errors: np.ndarray) -> tuple[int, bool, bool]:
-        k = errors.shape[0]
-        counts = self._count + np.arange(1, k + 1, dtype=np.int64)
-        sums = running_totals(errors, self._error_sum)
-        p, limit = self._limits(counts, sums)
-        active = counts >= self._min_instances
-        wfrac = self._warning_fraction
-        lam = self._lambda
-        one_minus = 1.0 - lam
-        ewma = self._ewma
-        values = errors.tolist()
-        p_list = p.tolist()
-        limit_list = limit.tolist()
-        active_list = active.tolist()
-        warning_last = False
-        for i in range(k):
-            ewma = one_minus * ewma + lam * values[i]
-            warning_last = False
-            if not active_list[i]:
-                continue
-            diff = ewma - p_list[i]
-            if diff > limit_list[i]:
-                self._reset_concept()
-                return i + 1, True, False
-            warning_last = diff > wfrac * limit_list[i]
-        self._count = int(counts[-1])
-        self._error_sum = float(sums[-1])
-        self._ewma = ewma
-        return k, False, warning_last

@@ -7,16 +7,14 @@ the current windowed probability falls below that maximum by more than the
 Hoeffding bound ``sqrt(ln(1/delta) / (2 n))``.
 
 The window lives in a :class:`~repro.core.windows.RingWindow` whose
-maintained sum is exact for the 0/1 indicator contents, so the scalar path is
-O(1) per element and the batch kernel (rolling sums over the concatenated
-window + chunk) is bit-identical to per-instance stepping.
+maintained sum is exact for the 0/1 indicator contents, so
+:meth:`FHDDM.add_element`, the detector's one update rule, is O(1) per
+element.
 """
 
 from __future__ import annotations
 
 import math
-
-import numpy as np
 
 from repro.core.windows import RingWindow
 from repro.detectors.base import ErrorRateDetector
@@ -70,32 +68,3 @@ class FHDDM(ErrorRateDetector):
         if self._p_max - p_current > self._epsilon:
             self._in_drift = True
             self._reset_concept()
-
-    # ----------------------------------------------------------- batch kernel
-    def _kernel_segment(self, errors: np.ndarray) -> tuple[int, bool, bool]:
-        k = errors.shape[0]
-        ws = self._window_size
-        correct = np.where(errors > 0.5, 0.0, 1.0)
-        stored = len(self._window)
-        combined = np.concatenate([self._window.values(), correct])
-        total = combined.shape[0]
-        if total < ws:
-            self._window.assign(combined)
-            return k, False, False
-        # Rolling window sums (exact: 0/1 contents) for every chunk element
-        # whose arrival leaves the window full; the first such element is at
-        # chunk index ws-1-stored (or 0 if the window was already full).
-        full_start = max(0, ws - 1 - stored)
-        csum = np.concatenate([[0.0], np.add.accumulate(combined)])
-        ends = stored + np.arange(full_start, k, dtype=np.int64) + 1
-        window_sums = csum[ends] - csum[ends - ws]
-        p = window_sums / ws
-        p_max = np.maximum(np.maximum.accumulate(p), self._p_max)
-        drift = p_max - p > self._epsilon
-        if drift.any():
-            hit = int(np.argmax(drift))
-            self._reset_concept()
-            return full_start + hit + 1, True, False
-        self._window.assign(combined)
-        self._p_max = float(p_max[-1])
-        return k, False, False

@@ -11,45 +11,17 @@ Two variants are provided:
 Both support one-sided or two-sided monitoring; for classifier error streams
 the one-sided (increase in error) test is the standard configuration.
 
-HDDM-A's batch kernel is a ``_kernel_segment``: it consumes the 0/1 errors
-up to and including the first drift, and
-:meth:`~repro.detectors.base.DriftDetector.step_batch` resumes it on the rows
-after the drift.  Its state is a pair of (count, sum) snapshots selected by
-weak prefix-extremum updates, so the kernel vectorizes completely on the
-shared windows core and is bit-identical to per-instance stepping.  HDDM-W's
-EWMA recurrences are inherently sequential and it has no kernel:
-:meth:`HDDM_W.add_element` is its only update rule, and batch stepping goes
-through the per-row default hook.
+Each variant's ``add_element`` is its one update rule; ``step_batch`` feeds
+it the 0/1 errors of a batch.
 """
 
 from __future__ import annotations
 
 import math
 
-import numpy as np
-
-from repro.core.windows import (
-    gather_tracked,
-    hoeffding_bound,
-    running_totals,
-    tracked_weak_max,
-    tracked_weak_min,
-)
 from repro.detectors.base import ErrorRateDetector
 
 __all__ = ["HDDM_A", "HDDM_W"]
-
-
-def _hoeffding_bound(n: float, confidence: float) -> float:
-    """Scalar-loop twin of :func:`repro.core.windows.hoeffding_bound`.
-
-    Kept as ``math``-based scalar ops for the per-instance hot path; the
-    windows-core helper computes the identical value (the expression shape
-    matches and sqrt/log are correctly rounded), which
-    ``tests/core/test_windows.py`` pins — the batch kernels rely on the
-    agreement.
-    """
-    return math.sqrt(math.log(1.0 / confidence) / (2.0 * n))
 
 
 class HDDM_A(ErrorRateDetector):
@@ -110,29 +82,26 @@ class HDDM_A(ErrorRateDetector):
     def add_element(self, value: float) -> None:
         self._n_total += 1.0
         self._sum_total += value
+        # The reference windows move on Hoeffding bounds
+        # sqrt(ln(1 / confidence) / (2 n)) at the drift confidence.
+        log_term = math.log(1.0 / self._drift_confidence)
+        mean = self._sum_total / self._n_total
+        current_bound = math.sqrt(log_term / (2.0 * self._n_total))
 
         # Update the minimum-mean reference window.
         if self._n_min == 0.0:
             self._n_min, self._sum_min = self._n_total, self._sum_total
         else:
-            current_bound = _hoeffding_bound(self._n_total, self._drift_confidence)
-            min_bound = _hoeffding_bound(self._n_min, self._drift_confidence)
-            if (
-                self._sum_total / self._n_total + current_bound
-                <= self._sum_min / self._n_min + min_bound
-            ):
+            min_bound = math.sqrt(log_term / (2.0 * self._n_min))
+            if mean + current_bound <= self._sum_min / self._n_min + min_bound:
                 self._n_min, self._sum_min = self._n_total, self._sum_total
 
         # Update the maximum-mean reference window (for two-sided tests).
         if self._n_max == 0.0:
             self._n_max, self._sum_max = self._n_total, self._sum_total
         else:
-            current_bound = _hoeffding_bound(self._n_total, self._drift_confidence)
-            max_bound = _hoeffding_bound(self._n_max, self._drift_confidence)
-            if (
-                self._sum_total / self._n_total - current_bound
-                >= self._sum_max / self._n_max - max_bound
-            ):
+            max_bound = math.sqrt(log_term / (2.0 * self._n_max))
+            if mean - current_bound >= self._sum_max / self._n_max - max_bound:
                 self._n_max, self._sum_max = self._n_total, self._sum_total
 
         increased = self._mean_incr(self._drift_confidence)
@@ -142,77 +111,6 @@ class HDDM_A(ErrorRateDetector):
             self._reset_concept()
         elif self._mean_incr(self._warning_confidence):
             self._in_warning = True
-
-    # ----------------------------------------------------------- batch kernel
-    @staticmethod
-    def _mean_test(n, s, n_ref, s_ref, confidence, decrease=False):
-        """Vectorized one-sided mean-shift test against a reference snapshot.
-
-        Mirrors :meth:`_mean_incr` (``decrease=False``) and
-        :meth:`_mean_decr` (``decrease=True``) element-wise.
-        """
-        valid = (n_ref > 0.0) & (n != n_ref)
-        with np.errstate(invalid="ignore", divide="ignore"):
-            m = (n - n_ref) / n_ref * (1.0 / n)
-            bound = np.sqrt(m / 2.0 * math.log(2.0 / confidence))
-            if decrease:
-                cond = s_ref / n_ref - s / n >= bound
-            else:
-                cond = s / n - s_ref / n_ref >= bound
-        return valid & cond
-
-    def _kernel_segment(self, errors: np.ndarray) -> tuple[int, bool, bool]:
-        k = errors.shape[0]
-        n_vec = self._n_total + np.arange(1.0, k + 1.0)
-        s_vec = running_totals(errors, self._sum_total)
-        q = s_vec / n_vec
-        bound = hoeffding_bound(n_vec, self._drift_confidence)
-
-        # Reference snapshots follow weak prefix-extremum updates on the
-        # bound-adjusted means; ties re-update, so the latest extremum wins.
-        if self._n_min == 0.0:
-            prior_min = math.inf
-        else:
-            prior_min = self._sum_min / self._n_min + float(
-                hoeffding_bound(self._n_min, self._drift_confidence)
-            )
-        tracked_min = tracked_weak_min(q + bound, prior_min)
-        n_min = gather_tracked(tracked_min, n_vec, self._n_min)
-        s_min = gather_tracked(tracked_min, s_vec, self._sum_min)
-
-        if self._n_max == 0.0:
-            prior_max = -math.inf
-        else:
-            prior_max = self._sum_max / self._n_max - float(
-                hoeffding_bound(self._n_max, self._drift_confidence)
-            )
-        tracked_max = tracked_weak_max(q - bound, prior_max)
-        n_max = gather_tracked(tracked_max, n_vec, self._n_max)
-        s_max = gather_tracked(tracked_max, s_vec, self._sum_max)
-
-        increased = self._mean_test(n_vec, s_vec, n_min, s_min, self._drift_confidence)
-        if self._two_sided:
-            decreased = self._mean_test(
-                n_vec, s_vec, n_max, s_max, self._drift_confidence, decrease=True
-            )
-            drift = increased | decreased
-        else:
-            drift = increased
-        if drift.any():
-            hit = int(np.argmax(drift))
-            self._reset_concept()
-            return hit + 1, True, False
-
-        warning = self._mean_test(
-            n_vec, s_vec, n_min, s_min, self._warning_confidence
-        )
-        self._n_total = float(n_vec[-1])
-        self._sum_total = float(s_vec[-1])
-        self._n_min = float(n_min[-1])
-        self._sum_min = float(s_min[-1])
-        self._n_max = float(n_max[-1])
-        self._sum_max = float(s_max[-1])
-        return k, False, bool(warning[-1])
 
 
 class HDDM_W(ErrorRateDetector):

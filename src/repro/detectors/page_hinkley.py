@@ -7,17 +7,12 @@ threshold ``lambda_`` a change is signalled.  It is a classic sequential
 change detector, included as an additional standard baseline and used in the
 library's ablation studies.
 
-The batch kernel precomputes the running means vectorized (exact for the 0/1
-error stream) and replays the forgetting-factor recurrence in a tight scalar
-loop with identical operations, so detections are bit-identical to
-per-instance stepping.
+:meth:`PageHinkley.add_element` is the detector's one update rule;
+``step_batch`` feeds it the 0/1 errors of a batch.
 """
 
 from __future__ import annotations
 
-import numpy as np
-
-from repro.core.windows import running_totals
 from repro.detectors.base import ErrorRateDetector
 
 __all__ = ["PageHinkley"]
@@ -82,31 +77,3 @@ class PageHinkley(ErrorRateDetector):
         if self._cumulative - self._minimum > self._threshold:
             self._in_drift = True
             self._reset_concept()
-
-    # ----------------------------------------------------------- batch kernel
-    def _kernel_segment(self, errors: np.ndarray) -> tuple[int, bool, bool]:
-        k = errors.shape[0]
-        counts = self._count + np.arange(1, k + 1, dtype=np.int64)
-        sums = running_totals(errors, self._value_sum)
-        means = sums / counts
-        active = counts >= self._min_instances
-        alpha = self._alpha
-        delta = self._delta
-        threshold = self._threshold
-        cumulative = self._cumulative
-        minimum = self._minimum
-        values = errors.tolist()
-        mean_list = means.tolist()
-        active_list = active.tolist()
-        for i in range(k):
-            cumulative = cumulative * alpha + values[i] - mean_list[i] - delta
-            if cumulative < minimum:
-                minimum = cumulative
-            if active_list[i] and cumulative - minimum > threshold:
-                self._reset_concept()
-                return i + 1, True, False
-        self._count = int(counts[-1])
-        self._value_sum = float(sums[-1])
-        self._cumulative = cumulative
-        self._minimum = minimum
-        return k, False, False

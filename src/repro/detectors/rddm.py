@@ -7,10 +7,9 @@ instances, which restores sensitivity on long stable concepts.  A bounded
 number of consecutive warnings (``warning_limit``) also forces a drift,
 keeping reaction times short.
 
-Error statistics are exact integer sums, shared between the scalar path and
-the batch kernel (the rebuild after pruning replays the retained errors
-through the same vectorized minimum tracker), so ``step_batch`` is
-bit-identical to per-instance stepping.
+:meth:`RDDM.add_element` is the detector's one update rule; ``step_batch``
+feeds it the 0/1 errors of a batch.  The rebuild after pruning replays the
+retained errors through the same per-error update, :meth:`RDDM._ingest`.
 """
 
 from __future__ import annotations
@@ -18,14 +17,6 @@ from __future__ import annotations
 import math
 from collections import deque
 
-import numpy as np
-
-from repro.core.windows import (
-    consecutive_true_runs,
-    gather_tracked,
-    running_totals,
-    tracked_weak_min,
-)
 from repro.detectors.base import ErrorRateDetector
 
 __all__ = ["RDDM"]
@@ -87,34 +78,12 @@ class RDDM(ErrorRateDetector):
         self._reset_concept(clear_storage=True)
 
     def _rebuild_from_recent(self) -> None:
-        """Recompute statistics from the last ``min_size_stable`` errors.
-
-        The replay is vectorized through the same weak-minimum tracker the
-        batch kernel uses, which is value-identical to re-ingesting the
-        errors one at a time.
-        """
-        recent = np.asarray(self._stored_errors, dtype=np.float64)[
-            -self._min_size_stable :
-        ]
+        """Recompute statistics from the last ``min_size_stable`` errors."""
+        recent = list(self._stored_errors)[-self._min_size_stable :]
         self._reset_concept(clear_storage=True)
-        self._stored_errors.extend(recent.tolist())
-        if recent.shape[0] == 0:
-            return
-        counts = np.arange(1, recent.shape[0] + 1, dtype=np.int64)
-        sums = running_totals(recent)
-        p = sums / counts
-        s = np.sqrt(p * (1.0 - p) / counts)
-        active = (counts >= self._min_num_instances) & (sums > 0.0)
-        self._sample_count = int(counts[-1])
-        self._error_sum = float(sums[-1])
-        if active.any():
-            first = int(np.argmax(active))
-            tracked = tracked_weak_min((p + s)[first:], math.inf)
-            last = int(tracked[-1])
-            if last >= 0:
-                self._p_min = float(p[first + last])
-                self._s_min = float(s[first + last])
-                self._ps_min = float((p + s)[first + last])
+        self._stored_errors.extend(recent)
+        for error in recent:
+            self._ingest(error)
 
     def _ingest(self, error: float) -> None:
         self._sample_count += 1
@@ -163,70 +132,3 @@ class RDDM(ErrorRateDetector):
                 self._in_warning = True
         else:
             self._warning_count = 0
-
-    # ----------------------------------------------------------- batch kernel
-    def _kernel_segment(self, errors: np.ndarray) -> tuple[int, bool, bool]:
-        k = errors.shape[0]
-        counts = self._sample_count + np.arange(1, k + 1, dtype=np.int64)
-        # Pruning triggers when the concept outgrows max_concept_size; the
-        # vectorized scan stops just before and the trigger element is
-        # replayed through the scalar path (ingest -> rebuild -> test).
-        over = counts > self._max_concept_size
-        prune_at = int(np.argmax(over)) if over.any() else k
-        if prune_at == 0:
-            self._in_drift = False
-            self._in_warning = False
-            error = float(errors[0])
-            self._stored_errors.append(error)
-            self._ingest(error)
-            self._rebuild_from_recent()
-            self._test_current()
-            return 1, self._in_drift, self._in_warning
-
-        span = prune_at
-        counts = counts[:span]
-        sums = running_totals(errors[:span], self._error_sum)
-        p = sums / counts
-        s = np.sqrt(p * (1.0 - p) / counts)
-        ps = p + s
-        active = (counts >= self._min_num_instances) & (sums > 0.0)
-        first_active = int(np.argmax(active)) if active.any() else span
-        warning_last = False
-        if first_active < span:
-            ps_act = ps[first_active:]
-            tracked = tracked_weak_min(ps_act, self._ps_min)
-            p_min = gather_tracked(tracked, p[first_active:], self._p_min)
-            s_min = gather_tracked(tracked, s[first_active:], self._s_min)
-            drift = ps_act >= p_min + self._drift_level * s_min
-            warning = ~drift & (ps_act >= p_min + self._warning_level * s_min)
-            runs = consecutive_true_runs(warning, self._warning_count)
-            forced = warning & (runs >= self._warning_limit)
-            any_drift = drift | forced
-            if any_drift.any():
-                hit = first_active + int(np.argmax(any_drift))
-                self._reset_concept(clear_storage=True)
-                return hit + 1, True, False
-            warning_last = bool(warning[-1])
-            self._warning_count = int(runs[-1]) if warning_last else 0
-            last = int(tracked[-1])
-            if last >= 0:
-                self._p_min = float(p[first_active + last])
-                self._s_min = float(s[first_active + last])
-                self._ps_min = float(ps[first_active + last])
-        # Commit the un-drifted span; the stored-error log gains the span's
-        # errors (deque maxlen evicts the oldest exactly as scalar appends).
-        self._stored_errors.extend(errors[:span].tolist())
-        self._sample_count = int(counts[-1])
-        self._error_sum = float(sums[-1])
-        if span < k:
-            # The next element triggers pruning; consume it via the scalar
-            # path so the rebuild + same-element test happen in order.
-            self._in_drift = False
-            self._in_warning = False
-            error = float(errors[span])
-            self._stored_errors.append(error)
-            self._ingest(error)
-            self._rebuild_from_recent()
-            self._test_current()
-            return span + 1, self._in_drift, self._in_warning
-        return k, False, warning_last

@@ -18,13 +18,13 @@ intermediate up to the standard deviation is an exactly representable
 half-integer or integer, so the p-values are bit-identical to
 ``scipy.stats.mannwhitneyu(..., method="asymptotic")`` on the windows
 themselves (pinned against :func:`_rank_sum_p_value`, the scipy reference).
-The batch kernel tests a whole segment in one vectorised call from rolling bit
-counts, bit-identical to per-instance stepping, and no state outlives the
-detector.
+:meth:`WSTD.add_element` is the detector's one update rule; ``step_batch``
+feeds it the 0/1 errors of a batch, and no state outlives the detector.
 """
 
 from __future__ import annotations
 
+import math
 from functools import lru_cache
 
 import numpy as np
@@ -59,13 +59,13 @@ def _rank_sum_p_value(n_old: int, ones_old: int, n_recent: int, ones_recent: int
     return float(p_value)
 
 
-def _rank_sum_p_values(n_old, ones_old, n_recent, ones_recent):
-    """Two-sided asymptotic Mann-Whitney p-values from 0/1 sample counts.
+def _rank_sum_p_values(
+    n_old: int, ones_old: int, n_recent: int, ones_recent: int
+) -> float:
+    """Two-sided asymptotic Mann-Whitney p-value from 0/1 sample counts.
 
-    Takes Python ints (the scalar path) or broadcastable int64 arrays (the
-    batch kernel) and is bit-identical to :func:`_rank_sum_p_value` on
-    either.  Callers exclude a constant pooled sample, for which the test is
-    undefined.
+    Bit-identical to :func:`_rank_sum_p_value` on Python ints.  Callers
+    exclude a constant pooled sample, for which the test is undefined.
     """
     n1, a, n2, b = n_old, ones_old, n_recent, ones_recent
     zeros = (n1 - a) + (n2 - b)
@@ -73,12 +73,11 @@ def _rank_sum_p_values(n_old, ones_old, n_recent, ones_recent):
     n = n1 + n2
     r1 = (n1 - a) * ((zeros + 1) / 2) + a * (zeros + (ones + 1) / 2)
     u1 = r1 - n1 * (n1 + 1) / 2
-    u = np.maximum(u1, n1 * n2 - u1)
+    u = max(u1, n1 * n2 - u1)
     tie_term = (zeros**3 - zeros) + (ones**3 - ones)
-    s = np.sqrt(n1 * n2 / 12 * ((n + 1) - tie_term / (n * (n - 1))))
-    p = special.ndtr(-((u - n1 * n2 / 2 - 0.5) / s))
-    p *= 2
-    return np.clip(p, 0.0, 1.0)
+    s = math.sqrt(n1 * n2 / 12 * ((n + 1) - tie_term / (n * (n - 1))))
+    p = 2 * float(special.ndtr(-((u - n1 * n2 / 2 - 0.5) / s)))
+    return min(max(p, 0.0), 1.0)
 
 
 class WSTD(ErrorRateDetector):
@@ -160,62 +159,3 @@ class WSTD(ErrorRateDetector):
         if ones_old == n_old:
             return ones_recent == n_recent
         return False
-
-    # ----------------------------------------------------------- batch kernel
-    def _kernel_segment(self, errors: np.ndarray) -> tuple[int, bool, bool]:
-        k = errors.shape[0]
-        ws = self._window_size
-        max_old = self._max_old_instances
-        correct = np.where(errors > 0.5, 0, 1).astype(np.int64)
-        stored = np.concatenate(
-            [self._old.values(), self._recent.values()]
-        ).astype(np.int64)
-        n_stored = stored.shape[0]
-        combined = np.concatenate([stored, correct])
-        csum = np.concatenate([[0], np.add.accumulate(combined)])
-
-        # Window geometry after each chunk element: the recent window holds
-        # the newest min(ws, total) bits, the old window the up-to-max_old
-        # bits immediately before them.
-        totals = n_stored + np.arange(1, k + 1, dtype=np.int64)
-        n_recent = np.minimum(ws, totals)
-        recent_start = totals - n_recent
-        n_old = np.minimum(max_old, recent_start)
-        old_start = recent_start - n_old
-        ones_recent = csum[totals] - csum[recent_start]
-        ones_old = csum[recent_start] - csum[old_start]
-
-        counts = self._count + np.arange(1, k + 1, dtype=np.int64)
-        tested = (counts >= self._min_instances) & (n_old >= ws)
-        constant = np.where(
-            ones_old == 0,
-            ones_recent == 0,
-            (ones_old == n_old) & (ones_recent == n_recent),
-        )
-        tested &= ~constant
-        warning_last = False
-        if tested.any():
-            test_idx = np.flatnonzero(tested)
-            p_values = _rank_sum_p_values(
-                n_old[test_idx], ones_old[test_idx],
-                n_recent[test_idx], ones_recent[test_idx],
-            )
-            drift = p_values < self._drift_significance
-            if drift.any():
-                hit = int(test_idx[int(np.argmax(drift))])
-                self._reset_concept()
-                return hit + 1, True, False
-            if tested[-1]:
-                warning_last = bool(
-                    p_values[-1] < self._warning_significance
-                )
-        # Commit: windows become the tails of the combined bit stream.
-        total_end = int(totals[-1])
-        rec_start_end = int(recent_start[-1])
-        old_start_end = int(old_start[-1])
-        self._recent.assign(combined[rec_start_end:total_end].astype(np.float64))
-        self._old.assign(
-            combined[old_start_end:rec_start_end].astype(np.float64)
-        )
-        self._count = int(counts[-1])
-        return k, False, warning_last

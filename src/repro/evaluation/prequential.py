@@ -29,10 +29,10 @@ Two loops serve three execution modes:
   - **batch** (``batch_mode=True``, which requires ``chunk_size``) —
     test-then-train at chunk granularity: the whole segment is scored with
     ``predict_proba_batch``, stepped through ``step_batch``, and trained with
-    ``partial_fit_batch``.  Every registry detector's ``step_batch`` is a
-    NumPy-native kernel that is *chunk-exact* (bit-identical detections to
-    per-instance stepping for the same prediction stream), so detection
-    *positions* stay instance-granular.  A drift inside a chunk rebuilds the
+    ``partial_fit_batch``.  Every registry detector's ``step_batch`` is
+    *chunk-exact* (bit-identical detections to per-instance stepping for the
+    same prediction stream), so detection *positions* stay
+    instance-granular.  A drift inside a chunk rebuilds the
     classifier before the post-drift rows are trained, but rows after a drift
     within the same chunk were already scored by the pre-drift classifier —
     the standard interleaved-chunks trade-off.  This is the fast path used by
@@ -647,7 +647,7 @@ class _Checkpointer:
     Saves happen only at the instance boundaries the execution modes already
     stop at (chunk boundaries in the chunked modes), so a resumed run
     re-enters its loop exactly where the uninterrupted run would have been —
-    which, together with chunk-exact kernels and lossless component
+    which, together with chunk-exact stepping and lossless component
     snapshots, is what makes resume bit-identical.
     """
 

@@ -74,10 +74,11 @@ class PrequentialMultiClassAUC(Snapshotable):
         self._n_classes = n_classes
         # Ring buffer instead of a deque of tuples: the AUC is rank-based, so
         # the in-window ordering is irrelevant and slots can be overwritten in
-        # place — no per-update allocation, no per-readout vstack.
+        # place — no per-update allocation, no per-readout vstack.  Zeroed,
+        # so the unfilled slots snapshot the same every run.
         self._window_size = window_size
-        self._scores = np.empty((window_size, n_classes), dtype=np.float64)
-        self._labels = np.empty(window_size, dtype=np.int64)
+        self._scores = np.zeros((window_size, n_classes), dtype=np.float64)
+        self._labels = np.zeros(window_size, dtype=np.int64)
         self._cursor = 0
         self._count = 0
 

@@ -5,8 +5,8 @@ this directory on ``sys.path`` when it loads ``tests/conftest.py``.
 
 At their registry settings the six sum/bound detectors fire in some test
 streams rather than in most, and RDDM never prunes and rebuilds its
-stored-error log within a few thousand rows (``max_concept_size=40 000``): a
-kernel, snapshot or reset branch that never runs is never checked.  Under
+stored-error log within a few thousand rows (``max_concept_size=40 000``): an
+update, snapshot or reset branch that never runs is never checked.  Under
 the settings below drifts, concept resets and warnings fire within a few
 hundred rows, and RDDM prunes whenever a concept outgrows 40 rows.
 """

@@ -40,7 +40,7 @@ N_CLASSES = 4
 N_FEATURES = 5
 DETECTORS = [name for name in DETECTOR_NAMES if name != "none"]
 #: RBM-IM trains an RBM per mini-batch, so its property run uses fewer
-#: examples than the cheap error-stream kernels.
+#: examples than the cheap error-rate detectors.
 MAX_EXAMPLES = {"RBM-IM": 8}
 #: Detector builders by test id (registry and drift-heavy settings).
 BUILDERS = detector_builders(DETECTORS, N_FEATURES, N_CLASSES)

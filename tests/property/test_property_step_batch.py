@@ -6,14 +6,15 @@ chunks (including size-1 and size-``n`` chunks), the positions flagged by
 count, and final drift/warning state — must be identical to stepping the
 same stream one instance at a time.  This is the contract the batch
 prequential mode and the golden harness rely on; Hypothesis hunts for
-chunkings and error patterns that break a kernel's segment bookkeeping.
+chunkings and error patterns that break a hook's segment bookkeeping.
 
 Every registry detector runs at its registry setting, and the six sum/bound
 detectors also at the drift-heavy settings of ``tests/drift_heavy.py``, under
 which RDDM prunes and rebuilds its stored-error log within 500 rows.  The
-per-row default hook steps HDDM-W and DDM-OCI; three toy subclasses of the
-family base classes, which implement only their scalar method, cover it for
-each family.
+error-rate detectors batch through ``ErrorRateDetector``'s hook, which feeds
+the 0/1 errors to their one update rule, ``add_element``; the per-row default
+hook steps DDM-OCI.  Three toy subclasses of the family base classes, which
+implement only their scalar method, cover both hooks.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ N_CLASSES = 4
 N_FEATURES = 5
 DETECTORS = [name for name in DETECTOR_NAMES if name != "none"]
 #: RBM-IM trains an RBM per mini-batch, so its property run uses fewer and
-#: shorter examples than the cheap error-stream kernels.
+#: shorter examples than the cheap error-rate detectors.
 MAX_EXAMPLES = {"RBM-IM": 10}
 
 
@@ -87,7 +88,7 @@ class _FeatureSpike(InstanceDetector):
 
 
 #: Detector builders by test id (registry and drift-heavy settings, and the
-#: per-row-default toys).
+#: toys).
 BUILDERS = {
     **detector_builders(DETECTORS, N_FEATURES, N_CLASSES),
     "toy-error-streak": _ErrorStreak,
@@ -183,7 +184,7 @@ def test_step_batch_matches_step_loop(case: str):
     run()
 
 
-def test_per_row_default_drifts_on_consecutive_rows_and_chunk_ends():
+def test_error_rate_hook_drifts_on_consecutive_rows_and_chunk_ends():
     """Errors on rows 3-6 and 9-10 drift on rows 4, 5, 6 and 10; chunks of
     6, 5 and 1 rows end on drifting rows 5 and 10."""
     labels = np.zeros(12, dtype=np.int64)
