@@ -9,9 +9,10 @@ This module ties together the pieces of Section V of the paper:
 3. a per-class :class:`~repro.core.trend.TrendTracker` estimating the trend of
    the reconstruction error over an ADWIN-sized sliding window (Eqs. 28-37);
 4. a first-difference Granger causality test between the trends of consecutive
-   windows (Section V-B): when the previous trend no longer forecasts the
-   current one *and* the reconstruction error of the class has escalated, a
-   drift is signalled for that class.
+   windows (Section V-B,
+   :func:`~repro.core.granger.granger_causality`): when the previous trend no
+   longer forecasts the current one *and* the reconstruction error of the
+   class has escalated, a drift is signalled for that class.
 
 The detector is fully trainable and self-adaptive: it re-trains itself on
 every mini-batch, so it follows changing imbalance ratios and class-role
@@ -26,7 +27,7 @@ from typing import Sequence
 
 import numpy as np
 
-from repro.core.granger import granger_causality, granger_causality_lag1_diff
+from repro.core.granger import granger_causality
 from repro.core.rbm import RBMConfig, SkewInsensitiveRBM
 from repro.core.reconstruction import reconstruction_errors_from_hidden
 from repro.core.scaling import OnlineMinMaxScaler
@@ -75,11 +76,11 @@ class RBMIMConfig:
         noise (essential under high imbalance ratios).
     granger_segment:
         Length of the "previous" and "current" trend sub-series compared by
-        the Granger test.
-    granger_lags:
-        Lag order of the Granger test.
+        the lag-1 Granger test; ``2 * granger_segment`` must not exceed
+        ``max_trend_window``, which bounds the trends a class keeps, or the
+        test could never run.
     granger_alpha:
-        Significance level of the Granger F-test.
+        Significance level of the Granger F-test, in (0, 1).
     sensitivity:
         Number of standard deviations the current per-class reconstruction
         error must exceed its window mean by to corroborate a drift.
@@ -90,9 +91,6 @@ class RBMIMConfig:
         detection delay).
     use_granger:
         Disable to fall back to the pure z-score rule (ablation).
-    require_error_increase:
-        Require the reconstruction error to escalate in addition to the
-        Granger criterion (guards against false alarms on stationary noise).
     adwin_delta:
         Confidence of the ADWIN instances that size the trend windows.
     seed:
@@ -110,13 +108,11 @@ class RBMIMConfig:
     min_class_history: int = 6
     min_class_samples: int = 5
     granger_segment: int = 6
-    granger_lags: int = 1
     granger_alpha: float = 0.05
     sensitivity: float = 3.0
     warning_sensitivity: float = 2.0
     confirmation_batches: int = 2
     use_granger: bool = True
-    require_error_increase: bool = True
     adwin_delta: float = 0.002
     max_trend_window: int = 200
     scaler_forget: float = 0.0
@@ -131,6 +127,10 @@ class RBMIMConfig:
             raise ValueError("hidden_ratio must be in (0, 4]")
         if self.granger_segment < 3:
             raise ValueError("granger_segment must be >= 3")
+        if 2 * self.granger_segment > self.max_trend_window:
+            raise ValueError("2 * granger_segment must not exceed max_trend_window")
+        if not 0.0 < self.granger_alpha < 1.0:
+            raise ValueError("granger_alpha must be in (0, 1)")
         if self.min_class_history < 2:
             raise ValueError("min_class_history must be >= 2")
         if self.sensitivity <= 0.0 or self.warning_sensitivity <= 0.0:
@@ -250,6 +250,10 @@ class RBMIM(InstanceDetector):
         self._warm_started = False
         self._batches_processed = 0
         self._last_per_class_errors = np.full(n_classes, np.nan)
+
+    #: v2: ``RBMIMConfig``, part of the state, lost its Granger lag order
+    #: and its error-increase switch, so older checkpoints are ignored.
+    SNAPSHOT_VERSION = 2
 
     # Scratch (shape-derived, fully overwritten each batch) is rebuilt on
     # restore; the mini-batch accumulator is captured as its filled prefix so
@@ -508,9 +512,13 @@ class RBMIM(InstanceDetector):
     def _test_class(self, monitor: _ClassMonitor, error: float) -> tuple[bool, bool]:
         """Drift / warning decision for one class given its error history.
 
-        The baseline mean/std come from the monitor's running first and
-        second moments (two scalar reads instead of reducing the whole
-        window every mini-batch).
+        No drift unless the class's z-score against its baseline exceeds
+        ``sensitivity``.  An escalated class drifts unless ``use_granger`` is
+        on, at least ``2 * granger_segment`` trends exist and the lag-1
+        Granger test still finds that the previous trend window forecasts
+        the current one.  The baseline mean/std come from the monitor's
+        running first and second moments (two scalar reads instead of
+        reducing the whole window every mini-batch).
         """
         cfg = self._cfg
         k = len(monitor.errors)
@@ -521,40 +529,17 @@ class RBMIM(InstanceDetector):
         z_score = (error - mean) / std
         escalated = z_score > cfg.sensitivity
         warning = z_score > cfg.warning_sensitivity
-
-        if not cfg.use_granger:
-            return escalated, warning and not escalated
-
-        if cfg.require_error_increase and not escalated:
-            # Drift needs causality breakdown AND escalation, and the warning
-            # outcome is the same on the Granger path and its fallback — the
-            # test cannot change the decision, so it is skipped outright.
-            # This removes the per-class Granger fit from almost every batch.
+        if not escalated:
             return False, warning
 
         segment = cfg.granger_segment
-        if monitor.tracker.n_trends < 2 * segment:
-            # Not enough trend history for the causality test: fall back to
-            # the escalation rule alone so early drifts are not missed.
-            return escalated, warning and not escalated
+        if not cfg.use_granger or monitor.tracker.n_trends < 2 * segment:
+            # Without the test (ablation) or enough trend history for it, the
+            # escalation alone decides, so early drifts are not missed.
+            return True, False
 
         tail = monitor.tracker.trend_tail(2 * segment)
-        if cfg.granger_lags == 1:
-            causality = granger_causality_lag1_diff(
-                tail[:segment], tail[segment:], alpha=cfg.granger_alpha
-            )
-        else:
-            result = granger_causality(
-                np.asarray(tail[:segment]),
-                np.asarray(tail[segment:]),
-                lags=cfg.granger_lags,
-                alpha=cfg.granger_alpha,
-                use_first_differences=True,
-            )
-            causality = result.causality
-        causality_broken = not causality
-        if cfg.require_error_increase:
-            drift = causality_broken and escalated
-        else:
-            drift = causality_broken or escalated
+        drift = not granger_causality(
+            tail[:segment], tail[segment:], alpha=cfg.granger_alpha
+        ).causality
         return drift, warning and not drift

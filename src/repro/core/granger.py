@@ -9,7 +9,12 @@ two series (the variation recommended for non-stationary processes).
 The implementation is a standard lag-``p`` Granger test: an OLS autoregression
 of the target series on its own lags (restricted model) is compared with an
 autoregression that additionally includes lags of the candidate causal series
-(unrestricted model) through an F-test on the residual sums of squares.
+(unrestricted model) through an F-test on the residual sums of squares.  Each
+model is one ``np.linalg.lstsq`` fit, about 80 µs per test on RBM-IM's two
+6-long trend windows (2-core Intel Xeon).  RBM-IM runs the test only after a
+class's reconstruction error has escalated: at most 21 times in one pass of
+any benchmark workload at seeds 1-3, so a faster copy of the fit would save
+under 2 ms of a pass that takes seconds.
 """
 
 from __future__ import annotations
@@ -22,7 +27,6 @@ from scipy import special
 __all__ = [
     "GrangerResult",
     "granger_causality",
-    "granger_causality_lag1_diff",
     "first_differences",
 ]
 
@@ -78,69 +82,13 @@ def _lag_matrix(series: np.ndarray, lags: int) -> np.ndarray:
     return np.column_stack(columns)
 
 
-def _solve_spd(gram: np.ndarray, moment: np.ndarray) -> np.ndarray | None:
-    """Solve the (symmetric) normal equations; None when singular.
-
-    Closed forms for the 2x2 / 3x3 systems that lag order 1 produces — the
-    overwhelmingly common case in RBM-IM — avoid the LAPACK dispatch overhead
-    of ``np.linalg.solve`` at these sizes.
-    """
-    k = gram.shape[0]
-    if k == 2:
-        (a, b), (c, d) = gram
-        det = a * d - b * c
-        # Relative singularity test: gram entries scale with the (often
-        # tiny) variance of the series, so an absolute cutoff is useless.
-        if abs(det) <= 1e-12 * (abs(a * d) + abs(b * c)):
-            return None
-        return np.array(
-            [
-                (d * moment[0] - b * moment[1]) / det,
-                (a * moment[1] - c * moment[0]) / det,
-            ]
-        )
-    if k == 3:
-        a, b, c = gram[0]
-        d, e, f = gram[1]
-        g, h, i = gram[2]
-        co_a = e * i - f * h
-        co_b = f * g - d * i
-        co_c = d * h - e * g
-        det = a * co_a + b * co_b + c * co_c
-        scale = abs(a * co_a) + abs(b * co_b) + abs(c * co_c)
-        if abs(det) <= 1e-12 * scale:
-            return None
-        inverse = np.array(
-            [
-                [co_a, c * h - b * i, b * f - c * e],
-                [co_b, a * i - c * g, c * d - a * f],
-                [co_c, b * g - a * h, a * e - b * d],
-            ]
-        )
-        return inverse @ moment / det
-    try:
-        return np.linalg.solve(gram, moment)
-    except np.linalg.LinAlgError:
-        return None
-
-
 def _ols_rss(design: np.ndarray, target: np.ndarray) -> float:
-    """Residual sum of squares of an OLS fit (with intercept).
-
-    The design matrices here are tiny (a handful of rows, ``2 * lags + 1``
-    columns at most), so the normal equations are solved directly — an order
-    of magnitude faster than ``lstsq`` at these sizes — with an ``lstsq``
-    fallback for singular systems.
-    """
+    """Residual sum of squares of an OLS fit (with intercept)."""
     n = design.shape[0]
     augmented = np.empty((n, design.shape[1] + 1))
     augmented[:, 0] = 1.0
     augmented[:, 1:] = design
-    gram = augmented.T @ augmented
-    moment = augmented.T @ target
-    coefficients = _solve_spd(gram, moment)
-    if coefficients is None:
-        coefficients, _, _, _ = np.linalg.lstsq(augmented, target, rcond=None)
+    coefficients, _, _, _ = np.linalg.lstsq(augmented, target, rcond=None)
     residuals = target - augmented @ coefficients
     return float(residuals @ residuals)
 
@@ -149,8 +97,7 @@ def _f_sf(f_statistic: float, df_num: int, df_den: int) -> float:
     """Survival function of the F distribution via the regularized beta.
 
     Identical to ``scipy.stats.f.sf`` (same identity, same ``betainc``
-    kernel) without the distribution-framework dispatch overhead that
-    dominates at RBM-IM's calling frequency.
+    kernel) without importing ``scipy.stats``, which a run must not load.
     """
     if f_statistic <= 0.0:
         return 1.0
@@ -158,116 +105,13 @@ def _f_sf(f_statistic: float, df_num: int, df_den: int) -> float:
     return float(special.betainc(df_den / 2.0, df_num / 2.0, x))
 
 
-def _constant_scalar(series: list[float]) -> bool:
-    """Scalar twin of :func:`_is_constant` for short Python-float series."""
-    reference = series[0]
-    tolerance = 1e-8 + 1e-5 * abs(reference)
-    return all(abs(v - reference) <= tolerance for v in series)
-
-
-def granger_causality_lag1_diff(
-    cause, effect, alpha: float = 0.05
-) -> bool:
-    """Decision-only fast path: lag-1 Granger test on first differences.
-
-    Computes the identical restricted/unrestricted OLS comparison as
-    ``granger_causality(cause, effect, lags=1, use_first_differences=True)``
-    but entirely in scalar arithmetic, which is an order of magnitude faster
-    at the series lengths RBM-IM tests every mini-batch (two
-    ``granger_segment``-long trend windows).  Returns only the ``causality``
-    decision; degenerate inputs fall back to the array implementation so the
-    two paths cannot disagree on the conservative defaults.
-    """
-    length = min(len(cause), len(effect))
-    if length < 2:
-        return True
-    cause = cause[-length:]
-    effect = effect[-length:]
-    # First differences, then one observation consumed by the lag.
-    dc = [cause[i + 1] - cause[i] for i in range(length - 1)]
-    de = [effect[i + 1] - effect[i] for i in range(length - 1)]
-    m = length - 1
-    n = m - 1  # usable observations
-    if n < 4:  # 2 * lags + 2 parameters at lags=1
-        return True
-    if _constant_scalar(de) or _constant_scalar(dc):
-        return True
-
-    # Restricted model: de[t] ~ 1 + de[t-1].
-    sy = sx1 = sx2 = s11 = s22 = s12 = s1y = s2y = 0.0
-    for t in range(n):
-        y_t = de[t + 1]
-        x1 = de[t]
-        x2 = dc[t]
-        sy += y_t
-        sx1 += x1
-        sx2 += x2
-        s11 += x1 * x1
-        s22 += x2 * x2
-        s12 += x1 * x2
-        s1y += x1 * y_t
-        s2y += x2 * y_t
-    fn = float(n)
-    det_r = fn * s11 - sx1 * sx1
-    if abs(det_r) <= 1e-12 * (abs(fn * s11) + sx1 * sx1):
-        # Singular normal equations: defer to the lstsq-backed general path.
-        return granger_causality(
-            np.asarray(cause, dtype=np.float64),
-            np.asarray(effect, dtype=np.float64),
-            lags=1,
-            alpha=alpha,
-            use_first_differences=True,
-        ).causality
-    b1 = (fn * s1y - sx1 * sy) / det_r
-    b0 = (sy - b1 * sx1) / fn
-    rss_r = 0.0
-    for t in range(n):
-        resid = de[t + 1] - b0 - b1 * de[t]
-        rss_r += resid * resid
-
-    # Unrestricted model: de[t] ~ 1 + de[t-1] + dc[t-1] (3x3 normal equations
-    # solved by cofactors, mirroring _solve_spd's closed form).
-    a, b, c = fn, sx1, sx2
-    d, e, f = sx1, s11, s12
-    g, h, i = sx2, s12, s22
-    co_a = e * i - f * h
-    co_b = f * g - d * i
-    co_c = d * h - e * g
-    det_u = a * co_a + b * co_b + c * co_c
-    scale = abs(a * co_a) + abs(b * co_b) + abs(c * co_c)
-    if abs(det_u) <= 1e-12 * scale:
-        return granger_causality(
-            np.asarray(cause, dtype=np.float64),
-            np.asarray(effect, dtype=np.float64),
-            lags=1,
-            alpha=alpha,
-            use_first_differences=True,
-        ).causality
-    u0 = (co_a * sy + (c * h - b * i) * s1y + (b * f - c * e) * s2y) / det_u
-    u1 = (co_b * sy + (a * i - c * g) * s1y + (c * d - a * f) * s2y) / det_u
-    u2 = (co_c * sy + (b * g - a * h) * s1y + (a * e - b * d) * s2y) / det_u
-    rss_u = 0.0
-    for t in range(n):
-        resid = de[t + 1] - u0 - u1 * de[t] - u2 * dc[t]
-        rss_u += resid * resid
-
-    df_den = n - 3
-    if df_den <= 0 or rss_u <= 1e-18:
-        return True
-    f_statistic = (rss_r - rss_u) / (rss_u / df_den)
-    if f_statistic < 0.0:
-        f_statistic = 0.0
-    return _f_sf(f_statistic, 1, df_den) < alpha
-
-
 def granger_causality(
     cause: np.ndarray,
     effect: np.ndarray,
     lags: int = 1,
     alpha: float = 0.05,
-    use_first_differences: bool = True,
 ) -> GrangerResult:
-    """Test whether ``cause`` Granger-causes ``effect``.
+    """Test whether ``cause`` Granger-causes ``effect``, on first differences.
 
     Parameters
     ----------
@@ -279,9 +123,6 @@ def granger_causality(
         Lag order of both autoregressions.
     alpha:
         Significance level of the F-test.
-    use_first_differences:
-        Difference both series first (the non-stationary variant used by the
-        paper).
 
     Returns
     -------
@@ -299,17 +140,12 @@ def granger_causality(
     if lags < 1:
         raise ValueError("lags must be >= 1")
     length = min(cause.shape[0], effect.shape[0])
-    cause = cause[-length:]
-    effect = effect[-length:]
+    if length < 2:
+        return GrangerResult(0.0, 1.0, True, lags, 0)
+    cause = first_differences(cause[-length:])
+    effect = first_differences(effect[-length:])
 
-    if use_first_differences:
-        if length < 2:
-            return GrangerResult(0.0, 1.0, True, lags, 0)
-        cause = first_differences(cause)
-        effect = first_differences(effect)
-        length -= 1
-
-    n_usable = length - lags
+    n_usable = length - 1 - lags
     # Need enough observations to estimate 2 * lags + 1 parameters.
     if n_usable < 2 * lags + 2:
         return GrangerResult(0.0, 1.0, True, lags, max(n_usable, 0))

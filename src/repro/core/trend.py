@@ -62,7 +62,8 @@ class TrendTracker(Snapshotable):
         # shift-invariant, and small offsets avoid the cancellation that raw
         # timestamps cause in n*sum(t^2) - sum(t)^2).  The buffer holds twice
         # the window so appends are O(1) between rare block compactions; it
-        # starts zeroed, so its unwritten tail snapshots the same every run.
+        # starts zeroed, and reset zeroes it again, so its unwritten tail
+        # snapshots the same every run and after a reset.
         self._values = np.zeros(2 * max_window, dtype=np.float64)
         self._cursor = 0
         self._time = 0
@@ -110,6 +111,7 @@ class TrendTracker(Snapshotable):
 
     def reset(self) -> None:
         self._adwin.reset()
+        self._values.fill(0.0)
         self._cursor = 0
         self._trend_history.clear()
         self._time = 0

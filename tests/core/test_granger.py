@@ -3,11 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.core.granger import (
-    first_differences,
-    granger_causality,
-    granger_causality_lag1_diff,
-)
+from repro.core.granger import first_differences, granger_causality
 
 
 class TestFirstDifferences:
@@ -57,9 +53,15 @@ class TestGrangerCausality:
         assert result.p_value == 1.0
 
     def test_constant_series_is_inconclusive(self):
-        result = granger_causality(np.ones(50), np.ones(50), lags=1)
-        assert result.causality
-        assert result.p_value == 1.0
+        varying = np.random.default_rng(3).normal(size=50)
+        for cause, effect in [
+            (np.ones(50), np.ones(50)),
+            (np.ones(50), varying),
+            (varying, np.ones(50)),
+        ]:
+            result = granger_causality(cause, effect, lags=1)
+            assert result.causality
+            assert result.p_value == 1.0
 
     def test_lag_order_validation(self):
         with pytest.raises(ValueError):
@@ -88,7 +90,7 @@ class TestGrangerCausality:
         trend = np.linspace(0.0, 50.0, 300)
         x = trend + rng.normal(0.0, 0.1, size=300)
         y = trend + rng.normal(0.0, 0.1, size=300)
-        differenced = granger_causality(x, y, lags=1, use_first_differences=True)
+        differenced = granger_causality(x, y, lags=1)
         assert differenced.p_value > 0.001
 
 
@@ -101,54 +103,77 @@ SERIES_KINDS = {
 }
 
 
-class TestLag1FirstDifferenceFastPath:
-    """``granger_causality_lag1_diff`` is the test RBM-IM runs: with
-    ``granger_lags=1`` its ``_test_class`` compares two 6-long trend windows
-    through it.  It re-derives the lag-1 first-difference test in scalar
-    arithmetic, so its decision must equal the array implementation's."""
+def _reference_rss(columns, target):
+    """OLS residual sum of squares with intercept, by QR projection."""
+    design = np.column_stack([np.ones_like(target), *columns])
+    q, _ = np.linalg.qr(design)
+    residuals = target - q @ (q.T @ target)
+    return float(residuals @ residuals)
 
-    @staticmethod
-    def _reference(cause, effect, alpha):
-        return granger_causality(
-            np.asarray(cause, dtype=np.float64),
-            np.asarray(effect, dtype=np.float64),
-            lags=1,
-            alpha=alpha,
-            use_first_differences=True,
-        ).causality
 
-    @pytest.mark.parametrize("alpha", [0.05, 0.01])
+def _reference_f(cause, effect, lags):
+    """(F, denominator df) of the first-difference test, or None when the
+    test is undefined: too few observations or a constant series."""
+    cause, effect = np.diff(cause), np.diff(effect)
+    n = effect.shape[0] - lags
+    if n < 2 * lags + 2:
+        return None
+    if np.allclose(effect, effect[0]) or np.allclose(cause, cause[0]):
+        return None
+    target = effect[lags:]
+    own = [effect[lags - k : lags - k + n] for k in range(1, lags + 1)]
+    other = [cause[lags - k : lags - k + n] for k in range(1, lags + 1)]
+    rss_restricted = _reference_rss(own, target)
+    rss_unrestricted = _reference_rss(own + other, target)
+    df_den = n - 2 * lags - 1
+    f_statistic = ((rss_restricted - rss_unrestricted) / lags) / (
+        rss_unrestricted / df_den
+    )
+    return max(f_statistic, 0.0), df_den
+
+
+class TestKnownAnswer:
+    """F, p and the decision against a second computation: residual sums by
+    QR projection instead of least squares, p by ``scipy.stats.f.sf``."""
+
+    @pytest.mark.parametrize("lags", [1, 2, 3])
     @pytest.mark.parametrize("kind", sorted(SERIES_KINDS))
-    def test_decision_matches_array_path(self, kind, alpha):
-        rng = np.random.default_rng(23)
-        decisions = set()
-        for _ in range(2_000):
-            length = int(rng.integers(2, 14))
-            cause, effect = SERIES_KINDS[kind](rng, (2, length))
-            fast = granger_causality_lag1_diff(
-                cause.tolist(), effect.tolist(), alpha=alpha
-            )
-            assert fast == self._reference(cause, effect, alpha), (
-                kind,
-                cause.tolist(),
-                effect.tolist(),
-            )
-            decisions.add(fast)
-        # Both outcomes occur, so agreement is not the inconclusive default.
-        assert decisions == {True, False}
+    def test_matches_qr_reference(self, kind, lags):
+        from scipy import stats
 
-    @pytest.mark.parametrize("length", [0, 1, 2, 5, 6, 13])
-    def test_constant_and_short_series_agree(self, length):
-        rng = np.random.default_rng(length)
-        varying = rng.normal(size=length)
-        constant = np.full(length, 0.25)
-        for cause, effect in [
-            (constant, constant),
-            (constant, varying),
-            (varying, constant),
-            (varying, varying),
-        ]:
-            fast = granger_causality_lag1_diff(cause.tolist(), effect.tolist())
-            assert fast == self._reference(cause, effect, 0.05)
-            if length < 6 or cause is constant or effect is constant:
-                assert fast  # inconclusive: "no drift evidence"
+        rng = np.random.default_rng(23)
+        conclusive, results, references = [], [], []
+        for _ in range(500):
+            length = int(rng.integers(0, 26))
+            cause, effect = SERIES_KINDS[kind](rng, (2, length))
+            result = granger_causality(cause, effect, lags=lags)
+            reference = _reference_f(cause, effect, lags)
+            if reference is None:
+                assert result.causality and result.p_value == 1.0
+            else:
+                conclusive.append((cause, effect))
+                results.append(result)
+                references.append(reference)
+        assert len(conclusive) > 250
+
+        f_reference, df_den = np.array(references).T
+        p_reference = stats.f.sf(f_reference, lags, df_den)
+        # Near F = 0 the statistic is a difference of two nearly equal
+        # residual sums, so its rounding error is absolute, not relative.
+        np.testing.assert_allclose(
+            [result.f_statistic for result in results],
+            f_reference,
+            rtol=1e-8,
+            atol=1e-12,
+        )
+        np.testing.assert_allclose(
+            [result.p_value for result in results], p_reference, rtol=0, atol=1e-10
+        )
+        for alpha in (0.05, 0.01):
+            decisions = [
+                granger_causality(cause, effect, lags=lags, alpha=alpha).causality
+                for cause, effect in conclusive
+            ]
+            assert decisions == (p_reference < alpha).tolist()
+            # Both outcomes occur, so agreement is not the inconclusive default.
+            assert set(decisions) == {True, False}

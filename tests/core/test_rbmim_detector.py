@@ -37,6 +37,30 @@ class TestRBMIMConfig:
         with pytest.raises(ValueError):
             RBMIMConfig(sensitivity=0.0)
 
+    @pytest.mark.parametrize(
+        "settings",
+        [
+            # A class keeps at most max_trend_window trends, so the test
+            # needing 2 * granger_segment of them would never run.
+            pytest.param(dict(granger_segment=101), id="segment-101"),
+            pytest.param(
+                dict(granger_segment=60, max_trend_window=100),
+                id="segment-60-window-100",
+            ),
+            # The test could never veto a drift, or would veto almost all.
+            pytest.param(dict(granger_alpha=0.0), id="alpha-0"),
+            pytest.param(dict(granger_alpha=-0.05), id="alpha-negative"),
+            pytest.param(dict(granger_alpha=1.0), id="alpha-1"),
+            pytest.param(dict(granger_alpha=1.5), id="alpha-above-1"),
+        ],
+    )
+    def test_refuses_granger_settings_that_switch_the_test_off(self, settings):
+        with pytest.raises(ValueError):
+            RBMIMConfig(**settings)
+
+    def test_accepts_the_longest_segment_the_trend_window_holds(self):
+        RBMIMConfig(granger_segment=50, max_trend_window=100)
+
     def test_defaults_follow_paper_grid(self):
         config = RBMIMConfig()
         assert 25 <= config.batch_size <= 100

@@ -73,6 +73,7 @@ def test_reset_replay_matches_fresh_detector(name: str) -> None:
     assert not used.in_drift and not used.in_warning
 
     fresh = BUILDERS[name]()
+    assert used.snapshot() == fresh.snapshot()
     replayed = _replay(used, second)
     expected = _replay(fresh, second)
     assert replayed == expected, (

@@ -203,6 +203,23 @@ def test_stale_nested_component_version_is_ignored(tmp_path, monkeypatch):
     _assert_resume_starts_fresh(monkeypatch, path, "RBM-IM")
 
 
+def test_rbmim_checkpoint_in_the_old_config_layout_is_ignored(tmp_path, monkeypatch):
+    """An RBM-IM snapshot from before ``RBMIMConfig`` lost ``granger_lags``
+    and ``require_error_increase`` carries version 1.  Restoring its config
+    would raise ``TypeError`` after the stream, classifier and evaluator were
+    restored, so the run must ignore it and start from row 0."""
+    path = tmp_path / "checkpoint.json"
+    _kill_after_save(monkeypatch, 1, path, "chunked", "RBM-IM")
+    payload = json.loads(path.read_text(encoding="utf-8"))
+    detector = payload["detector"]
+    detector["version"] = 1
+    config = detector["state"]["_cfg"]["__dc__"]
+    assert config["cls"] == "RBMIMConfig"
+    config["fields"].update(granger_lags=1, require_error_increase=True)
+    path.write_text(json.dumps(payload), encoding="utf-8")
+    _assert_resume_starts_fresh(monkeypatch, path, "RBM-IM")
+
+
 def _assert_resume_starts_fresh(monkeypatch, path, detector_name):
     """A run handed the checkpoint at ``path`` never applies it and equals
     an uncheckpointed run."""
