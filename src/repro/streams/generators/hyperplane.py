@@ -78,6 +78,11 @@ class HyperplaneGenerator(DataStream):
         self._concept = concept
         self._init_concept(concept)
 
+    def restart(self) -> None:
+        super().restart()
+        # A drifting hyperplane (mag_change > 0) goes back to where it started.
+        self._init_concept(self._concept)
+
     def _snapshot_extra(self) -> dict:
         # The hyperplane drifts during generation, so the evolved weights
         # (not just the concept they started from) are part of the state.

@@ -107,6 +107,11 @@ class RandomRBFGenerator(DataStream):
         self._concept = concept
         self._init_concept(concept)
 
+    def restart(self) -> None:
+        super().restart()
+        # Moving centroids (centroid_speed > 0) go back to where they started.
+        self._init_concept(self._concept)
+
     def _snapshot_extra(self) -> dict:
         # Centroids move during generation when centroid_speed > 0; their
         # std-devs/labels/weights stay concept-derived and are rebuilt by

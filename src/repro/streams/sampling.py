@@ -21,14 +21,20 @@ from typing import Deque
 
 import numpy as np
 
-from repro.core.snapshot import Snapshotable
+from repro.core.snapshot import SnapshotError, Snapshotable, encode_state
 from repro.streams.base import DataStream
 
 __all__ = [
+    "MAX_BUFFER_PER_CLASS",
+    "SOURCE_BLOCK_SIZE",
     "UniformReplayBuffer",
     "ClassConditionalSampler",
     "inverse_cdf_classes",
 ]
+
+#: Rows a sampler buffers per class, and source rows it draws at a time.
+MAX_BUFFER_PER_CLASS = 32
+SOURCE_BLOCK_SIZE = 1_024
 
 
 def inverse_cdf_classes(
@@ -89,16 +95,24 @@ class ClassConditionalSampler(Snapshotable):
     buffers rows of other classes per class, and serves requests
     newest-first so emitted instances track the current state of the
     source.  When the requested class does not appear within ``max_draws``
-    the sampler falls back deterministically: pop the fullest buffer, else
-    emit the next source row as-is — the stream never aborts mid-run.
-    :class:`StopIteration` is raised only when the source is exhausted *and*
-    every buffer is empty.
+    rows (counted across block boundaries) the sampler falls back
+    deterministically: pop the fullest buffer, else emit the next source
+    row as-is — the stream never aborts mid-run.  :class:`StopIteration` is
+    raised only when the source is exhausted *and* every buffer is empty.
+
+    A snapshot holds the buffered rows, the source's snapshot from just
+    before the current block was drawn (its current state before the first
+    block), the block's row count and the cursor into it, but not the block
+    itself: restore puts the source back and draws the block again.
     """
 
     __slots__ = (
-        "stream", "buffers", "max_draws", "block_size", "_block_x",
-        "_block_y", "_cursor",
+        "stream", "buffers", "max_draws", "block_size", "_origin", "_rows",
+        "_labels", "_cursor",
     )
+
+    #: 2: the current block is stored as the source state it was drawn from.
+    SNAPSHOT_VERSION = 2
 
     def __init__(
         self,
@@ -109,52 +123,95 @@ class ClassConditionalSampler(Snapshotable):
         block_size: int,
     ) -> None:
         self.stream = stream
-        self.buffers: list[Deque[tuple[np.ndarray, int]]] = [
+        # Buffered rows per class, newest last.
+        self.buffers: list[Deque[np.ndarray]] = [
             deque(maxlen=max_buffer) for _ in range(n_classes)
         ]
         self.max_draws = max_draws
         self.block_size = block_size
-        self._block_x: np.ndarray | None = None
-        self._block_y: np.ndarray | None = None
+        self._origin: dict | None = None
+        self._rows: list[np.ndarray] = []
+        self._labels: list[int] = []
         self._cursor = 0
 
     # The wrapped stream holds un-serialisable factories, so the sampler is
     # restore-in-place like the streams themselves.
     SNAPSHOT_SELF_CONTAINED = False
 
+    def snapshot(self) -> dict:
+        snapshot = super().snapshot()
+        # Encoded as a nested snapshot of the source, so that
+        # ``snapshot_matches`` checks its kind and version too.
+        snapshot["state"]["origin"] = self._origin or encode_state(self.stream)
+        return snapshot
+
     def _snapshot_state(self) -> dict:
         return {
-            "stream": self.stream,
             "buffers": self.buffers,
-            "block_x": self._block_x,
-            "block_y": self._block_y,
+            "rows": len(self._labels),
             "cursor": self._cursor,
         }
 
     def _restore_state(self, state: dict) -> None:
-        self.stream.restore(state["stream"])
-        self.buffers = state["buffers"]
-        self._block_x = state["block_x"]
-        self._block_y = state["block_y"]
+        self.stream.restore(state["origin"])
+        self._origin, self._rows, self._labels = None, [], []
+        rows = int(state["rows"])
+        if rows and self._draw_block(rows) != rows:
+            raise SnapshotError(
+                f"source '{self.stream.name}' no longer yields the "
+                f"{rows}-row block the snapshot was taken in"
+            )
         self._cursor = int(state["cursor"])
+        self.buffers = state["buffers"]
 
     def restart(self) -> None:
         self.stream.restart()
         for buffer in self.buffers:
             buffer.clear()
-        self._block_x = None
-        self._block_y = None
+        self._origin, self._rows, self._labels = None, [], []
         self._cursor = 0
 
-    def _next_row(self) -> tuple[np.ndarray, int]:
-        if self._block_y is None or self._cursor >= self._block_y.shape[0]:
-            block_x, block_y = self.stream.generate_batch(self.block_size)
-            if block_y.shape[0] == 0:
-                raise StopIteration(f"source '{self.stream.name}' exhausted")
-            self._block_x, self._block_y, self._cursor = block_x, block_y, 0
-        row = self._block_x[self._cursor], int(self._block_y[self._cursor])
-        self._cursor += 1
-        return row
+    def _draw_block(self, n: int) -> int:
+        """Make the source's next ``n`` rows the current block.
+
+        Returns how many rows came; on 0 (the source is spent) the previous
+        block stays current.
+        """
+        origin = encode_state(self.stream)
+        block_x, block_y = self.stream.generate_batch(n)
+        if block_y.shape[0]:
+            self._origin = origin
+            self._rows, self._labels = list(block_x), block_y.tolist()
+            self._cursor = 0
+        return block_y.shape[0]
+
+    def _scan(
+        self, accepted: "tuple[int, ...] | range", draws: int
+    ) -> "tuple[np.ndarray, int] | None":
+        """Read source rows until one of an ``accepted`` class comes.
+
+        Every row read before it goes to its class's buffer.  Returns that
+        row as ``(x, y)``, or ``None`` once ``draws`` rows were read without
+        one; raises :class:`StopIteration` if the source runs dry first.
+        """
+        buffers = self.buffers
+        while draws:
+            cursor, labels = self._cursor, self._labels
+            if cursor == len(labels):
+                if not self._draw_block(self.block_size):
+                    raise StopIteration(f"source '{self.stream.name}' exhausted")
+                cursor, labels = 0, self._labels
+            rows = self._rows
+            stop = min(len(labels), cursor + draws)
+            for i in range(cursor, stop):
+                y = labels[i]
+                if y in accepted:
+                    self._cursor = i + 1
+                    return rows[i], y
+                buffers[y].append(rows[i])
+            self._cursor = stop
+            draws -= stop - cursor
+        return None
 
     def sample(
         self, wanted: int, allowed: "tuple[int, ...] | None" = None
@@ -165,51 +222,32 @@ class ClassConditionalSampler(Snapshotable):
         restricted to the allowed classes so a removed class can never be
         re-emitted past its declared ground-truth change point.
         """
-        buffer = self.buffers[wanted]
-        if buffer:
-            return buffer.pop()
-        exhausted = False
-        for _ in range(self.max_draws):
-            try:
-                x, y = self._next_row()
-            except StopIteration:
-                exhausted = True
-                break
-            if y == wanted:
-                return x, y
-            self.buffers[y].append((x, y))
+        buffers = self.buffers
+        if buffers[wanted]:
+            return buffers[wanted].pop(), wanted
+        try:
+            row = self._scan((wanted,), self.max_draws)
+        except StopIteration:
+            row = None  # the buffers may still serve this request
+        if row is not None:
+            return row
         # Deterministic fallback: fullest (allowed) buffer first — ties break
         # toward the lowest class index — then the raw source.
-        candidates = (
-            range(len(self.buffers)) if allowed is None else allowed
-        )
-        best, best_size = -1, 0
-        for c in candidates:
-            if len(self.buffers[c]) > best_size:
-                best, best_size = c, len(self.buffers[c])
-        if best_size:
-            return self.buffers[best].pop()
-        if exhausted:
-            raise StopIteration(f"source '{self.stream.name}' exhausted")
-        if allowed is None:
-            return self._next_row()
-        # Last resort for a masked segment: keep drawing until an allowed row
-        # appears.  The budget floor is deliberately generous and independent
-        # of the (tunable) per-request ``max_draws``: only a source that
-        # cannot produce *any* allowed class should fail — loudly, rather
-        # than silently violating the declared class-removal ground truth.
+        candidates = range(len(buffers)) if allowed is None else allowed
+        fullest = max(candidates, key=lambda c: len(buffers[c]))
+        if buffers[fullest]:
+            return buffers[fullest].pop(), fullest
+        # Last resort: the next source row of an allowed class (of any class
+        # when none is masked).  The budget floor is deliberately generous
+        # and independent of the (tunable) per-request ``max_draws``: only a
+        # source that cannot produce *any* allowed class should fail —
+        # loudly, rather than silently violating the declared class-removal
+        # ground truth.
         budget = max(self.max_draws, 10_000)
-        for _ in range(budget):
-            try:
-                x, y = self._next_row()
-            except StopIteration as exc:
-                raise StopIteration(
-                    f"source '{self.stream.name}' exhausted"
-                ) from exc
-            if y in allowed:
-                return x, y
-            self.buffers[y].append((x, y))
-        raise RuntimeError(
-            f"source '{self.stream.name}' produced none of the active "
-            f"classes {allowed} within {budget} draws"
-        )
+        row = self._scan(candidates, budget)
+        if row is None:
+            raise RuntimeError(
+                f"source '{self.stream.name}' produced none of the active "
+                f"classes {allowed} within {budget} draws"
+            )
+        return row

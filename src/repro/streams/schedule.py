@@ -41,6 +41,8 @@ import numpy as np
 from repro.streams.base import DataStream, StreamSchema
 from repro.streams.imbalance import ImbalanceProfile, geometric_priors_batch
 from repro.streams.sampling import (
+    MAX_BUFFER_PER_CLASS,
+    SOURCE_BLOCK_SIZE,
     ClassConditionalSampler,
     UniformReplayBuffer,
     inverse_cdf_classes,
@@ -325,9 +327,7 @@ class ScheduledStream(DataStream):
         schedule: Schedule,
         imbalance: ImbalanceProfile | None = None,
         seed: int | None = None,
-        max_buffer_per_class: int = 32,
         max_tries_per_draw: int = 4_096,
-        source_block_size: int = 64,
         name: str | None = None,
     ) -> None:
         self._factory = generator_factory
@@ -349,9 +349,7 @@ class ScheduledStream(DataStream):
         super().__init__(schema, seed)
         self._schedule = schedule
         self._imbalance = imbalance
-        self._max_buffer = max_buffer_per_class
         self._max_tries = max_tries_per_draw
-        self._block_size = source_block_size
         self._samplers: dict[int, ClassConditionalSampler] = {
             first_concept: self._make_sampler(probe)
         }
@@ -425,9 +423,9 @@ class ScheduledStream(DataStream):
         return ClassConditionalSampler(
             stream,
             stream.n_classes,
-            max_buffer=self._max_buffer,
+            max_buffer=MAX_BUFFER_PER_CLASS,
             max_draws=self._max_tries,
-            block_size=self._block_size,
+            block_size=SOURCE_BLOCK_SIZE,
         )
 
     def _sampler(self, concept: int) -> ClassConditionalSampler:
@@ -540,28 +538,29 @@ class ScheduledStream(DataStream):
             self._previous_concepts[segment_index, wanted],
         ).tolist()
 
-        features = np.empty((n, self.n_features))
-        labels = np.empty(n, dtype=np.int64)
-        for i in range(n):
-            index = int(segment_index[i])
+        rows, classes = [], []
+        for concept, target, index in zip(
+            concepts, wanted.tolist(), segment_index.tolist()
+        ):
             try:
-                x, y = self._sampler(concepts[i]).sample(
-                    int(wanted[i]), allowed=segments[index].active_classes
+                x, y = self._sampler(concept).sample(
+                    target, segments[index].active_classes
                 )
             except StopIteration:
                 # Finite source ran dry: emit what was produced and replay the
                 # undecided uniform rows next call (terminal, chunk-exact).
                 # The emitted prefix still goes through noise/shift below.
-                self._uniforms.stash(u[i:])
-                n = i
-                features, labels = features[:n], labels[:n]
+                n = len(classes)
+                self._uniforms.stash(u[n:])
                 u, segment_index, magnitudes = u[:n], segment_index[:n], magnitudes[:n]
                 break
-            features[i] = x
-            labels[i] = y
+            rows.append(x)
+            classes.append(y)
+        features = np.array(rows).reshape(-1, self.n_features)
+        labels = np.array(classes, dtype=np.int64)
 
         # Label noise: flip to a uniformly chosen *other* active class.
-        noise = np.array([segments[j].label_noise for j in segment_index])
+        noise = np.array([segment.label_noise for segment in segments])[segment_index]
         for i in np.flatnonzero(u[:, 2] < noise):
             active = segments[int(segment_index[i])].active_classes
             pool = list(active) if active is not None else list(range(k))

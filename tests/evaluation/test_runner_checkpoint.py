@@ -19,12 +19,13 @@ import json
 
 import pytest
 
-from repro.core.snapshot import decode_state
+from repro.core.snapshot import decode_state, snapshot_matches
 from repro.evaluation.checkpoint import RunnerCheckpoint
 from repro.evaluation.experiment import default_classifier_factory
 from repro.evaluation.prequential import PrequentialRunner
 from repro.protocol.registry import build_detector
 from repro.streams.scenarios import make_artificial_stream
+from repro.streams.schedule import ScheduledStream
 
 N_INSTANCES = 1_500
 CHUNK = 128
@@ -201,6 +202,23 @@ def test_stale_nested_component_version_is_ignored(tmp_path, monkeypatch):
         tracker["version"] = 99
     path.write_text(json.dumps(payload), encoding="utf-8")
     _assert_resume_starts_fresh(monkeypatch, path, "RBM-IM")
+
+
+def test_stale_source_version_in_a_sampler_origin_is_ignored(tmp_path, monkeypatch):
+    """Each class-conditional sampler stores its source's snapshot from
+    before its current block was drawn.  A checkpoint whose stored source
+    carries another version is refused before anything is restored."""
+    path = tmp_path / "checkpoint.json"
+    _kill_after_save(monkeypatch, 1, path, "chunked", "DDM")
+    payload = json.loads(path.read_text(encoding="utf-8"))
+    assert snapshot_matches(payload["stream"], ScheduledStream)
+    samplers = _nested_snapshots(payload["stream"], "ClassConditionalSampler")
+    assert samplers
+    for sampler in samplers:
+        sampler["state"]["origin"]["__snap__"]["version"] = 99
+    assert not snapshot_matches(payload["stream"], ScheduledStream)
+    path.write_text(json.dumps(payload), encoding="utf-8")
+    _assert_resume_starts_fresh(monkeypatch, path, "DDM")
 
 
 def test_rbmim_checkpoint_in_the_old_config_layout_is_ignored(tmp_path, monkeypatch):

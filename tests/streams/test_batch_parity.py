@@ -222,11 +222,6 @@ class TestBatchInstanceParity:
         assert stream.position == 18
 
     def test_restart_replays_batches(self, name):
-        if name in ("hyperplane-drift", "rbf-moving"):
-            pytest.skip(
-                "restart resets the RNG but not concept state mutated by "
-                "incremental drift (see property tests)"
-            )
         stream = ALL_FACTORIES[name](11)
         first_x, first_y = stream.generate_batch(60)
         stream.restart()

@@ -8,7 +8,8 @@ class-conditional rejection sampler with its deterministic fallback chain.
 import numpy as np
 import pytest
 
-from repro.core.snapshot import Snapshotable
+from repro.core.jsonio import dumps_strict, loads_strict
+from repro.core.snapshot import SnapshotError, Snapshotable
 from repro.streams.base import DataStream, Instance, ListStream, StreamSchema
 from repro.streams.generators import RandomRBFGenerator
 from repro.streams.sampling import (
@@ -172,6 +173,49 @@ class TestClassConditionalSampler:
         ]
         with pytest.raises(StopIteration):
             sampler.sample(0)
+
+    def test_draw_budget_counts_across_block_boundaries(self):
+        # Blocks of 8 rows; class 3 first appears as the 11th row.
+        labels = [1, 2] * 5 + [3]
+        found = _sampler(_labelled(labels), max_draws=11).sample(3)
+        assert (float(found[0][0]), found[1]) == (10.0, 3)
+        # One draw short, the request falls back to the fullest buffer (five
+        # rows each of classes 1 and 2; ties go to class 1, newest first).
+        fallback = _sampler(_labelled(labels), max_draws=10).sample(3)
+        assert (float(fallback[0][0]), fallback[1]) == (8.0, 1)
+
+    def test_snapshot_restore_draws_the_block_again(self):
+        def make():
+            return _sampler(
+                RandomRBFGenerator(n_classes=4, n_features=5, seed=4), block_size=16
+            )
+
+        requests = [3, 0, 0, 2, 1, 3, 3, 1, 0, 2, 2, 2]
+        sampler = make()
+        for wanted in requests:
+            sampler.sample(wanted)
+        snapshot = loads_strict(dumps_strict(sampler.snapshot()))
+        assert snapshot["version"] == 2
+        state = snapshot["state"]
+        assert state["rows"] == 16 and 0 < state["cursor"] < 16
+        expected = [sampler.sample(wanted) for wanted in requests]
+
+        fresh = make()
+        fresh.restore(snapshot)
+        for (x, y), (ex, ey) in zip(
+            [fresh.sample(wanted) for wanted in requests], expected
+        ):
+            np.testing.assert_array_equal(x, ex)
+            assert y == ey
+        assert fresh.stream.position == sampler.stream.position
+
+    def test_restore_refuses_a_source_that_yields_another_block(self):
+        sampler = _sampler(_labelled([1, 2, 0, 1, 2]), block_size=8)
+        sampler.sample(0)
+        snapshot = sampler.snapshot()
+        shorter = _sampler(_labelled([1, 2, 0]), block_size=8)
+        with pytest.raises(SnapshotError, match="5-row block"):
+            shorter.restore(snapshot)
 
     def test_source_is_read_in_whole_blocks(self):
         stream = RandomRBFGenerator(n_classes=4, n_features=5, seed=1)

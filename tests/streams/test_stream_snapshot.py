@@ -25,11 +25,14 @@ from repro.streams.generators import (
     RandomTreeGenerator,
     SEAGenerator,
 )
+from repro.streams.sampling import SOURCE_BLOCK_SIZE
 from repro.streams.scenarios import (
     SCENARIO_BUILDERS,
     build_scenario_stream,
     make_artificial_stream,
 )
+from repro.streams.schedule import Schedule, ScheduledStream, Segment
+from test_batch_parity import TestFiniteSourceExhaustion as _Finite
 
 N_INSTANCES = 900
 HEAD = 413  # deliberately not a multiple of any chunk size in play
@@ -235,3 +238,85 @@ def test_streams_are_restore_in_place_only() -> None:
     ).stream
     with pytest.raises(SnapshotError):
         Snapshotable.from_snapshot(stream.snapshot())
+
+
+def _sampler_states(snapshot: dict) -> dict:
+    """Encoded sampler state per concept of a ``ScheduledStream`` snapshot."""
+    pairs = snapshot["state"]["extra"]["samplers"]["__map__"]
+    return {concept: sampler["__snap__"]["state"] for concept, sampler in pairs}
+
+
+def _arrays(value) -> list:
+    """Every encoded array (``__nd__`` payload) inside ``value``."""
+    if isinstance(value, dict):
+        own = [value["__nd__"]] if "__nd__" in value else []
+        return own + [a for item in value.values() for a in _arrays(item)]
+    if isinstance(value, list):
+        return [a for item in value for a in _arrays(item)]
+    return []
+
+
+def _assert_restores_tail(make, head: int, tail: int) -> "tuple[dict, int]":
+    """Snapshot ``make()`` after ``head`` rows, restore it through strict
+    JSON into a fresh stream, and compare the next ``tail`` rows; returns
+    the JSON-round-tripped snapshot and how many tail rows came."""
+    (expected_x, expected_y), snapshot = _checkpoint_tail(make, head, tail)
+    fresh = make()
+    fresh.restore(snapshot)
+    assert fresh.position == head
+    got_x, got_y = fresh.generate_batch(tail)
+    np.testing.assert_array_equal(got_x, expected_x)
+    np.testing.assert_array_equal(got_y, expected_y)
+    return snapshot, expected_y.shape[0]
+
+
+def _assert_holds_no_block(state: dict, n_features: int) -> None:
+    """A sampler's encoded state names its block by row count and cursor;
+    the only arrays in it are the source's and the buffered rows."""
+    assert not {"block_x", "block_y"} & set(state)
+    origin = state["origin"]["__snap__"]
+    buffered = _arrays(state["buffers"])
+    assert all(a["shape"] == [n_features] for a in buffered)
+    assert len(_arrays(state)) == len(buffered) + len(_arrays(origin))
+
+
+def test_sampler_snapshot_mid_block_before_a_concept_is_reached() -> None:
+    """Concept 0's sampler is part-way through its block and concept 1's
+    does not exist yet: the restored stream draws concept 0's block again
+    from the stored source state and creates concept 1's sampler fresh."""
+
+    def make():
+        return ScheduledStream(
+            lambda concept: RandomRBFGenerator(
+                n_classes=4, n_features=8, concept=concept, seed=5
+            ),
+            Schedule.of(
+                Segment(length=300, concept=0), Segment(length=300, concept=1)
+            ),
+            seed=6,
+        )
+
+    snapshot, _ = _assert_restores_tail(make, head=200, tail=400)
+    states = _sampler_states(snapshot)
+    assert list(states) == [0]
+    state = states[0]
+    assert state["rows"] == SOURCE_BLOCK_SIZE
+    assert 0 < state["cursor"] < state["rows"]
+    _assert_holds_no_block(state, n_features=8)
+
+
+def test_sampler_snapshot_with_a_short_last_block() -> None:
+    """Finite sources shorter than one block: each sampler's only block is
+    short, and restore draws exactly that many rows again.  The tail runs
+    until both the original and the restored stream are spent."""
+
+    def make():
+        return _Finite._make(n_base=8, n_drift=30)
+
+    snapshot, n_tail = _assert_restores_tail(make, head=12, tail=1_000)
+    assert 0 < n_tail < 1_000
+    states = _sampler_states(snapshot)
+    assert sorted(states) == [0, 1]
+    assert [states[c]["rows"] for c in (0, 1)] == [8, 30]
+    for state in states.values():
+        _assert_holds_no_block(state, n_features=2)
