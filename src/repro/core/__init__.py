@@ -29,8 +29,6 @@ _LAZY_EXPORTS = {
     "effective_number": "repro.core.loss",
     "RBMConfig": "repro.core.rbm",
     "SkewInsensitiveRBM": "repro.core.rbm",
-    "instance_reconstruction_errors": "repro.core.reconstruction",
-    "per_class_reconstruction_error": "repro.core.reconstruction",
     "OnlineMinMaxScaler": "repro.core.scaling",
     "TrendTracker": "repro.core.trend",
 }

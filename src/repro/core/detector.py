@@ -62,6 +62,10 @@ class RBMIMConfig:
     balance_beta:
         ``beta`` of the class-balanced loss; set to 0 to disable the
         skew-insensitive weighting (ablation).
+    balance_decay:
+        Forgetting factor applied to the loss's running class counts before
+        each mini-batch's labels are added, so the weighting follows changing
+        imbalance ratios and class roles (1 = never forget).
     warm_start_epochs:
         Number of passes over the first mini-batch used to initialise the RBM
         before monitoring starts.
@@ -84,6 +88,9 @@ class RBMIMConfig:
     sensitivity:
         Number of standard deviations the current per-class reconstruction
         error must exceed its window mean by to corroborate a drift.
+    warning_sensitivity:
+        Number of standard deviations above the window mean at which a class
+        that does not escalate raises a warning (``in_warning``).
     confirmation_batches:
         Number of consecutive suspicious mini-batches required before a drift
         is signalled for a class (1 = fire immediately; 2, the default,
@@ -93,6 +100,17 @@ class RBMIMConfig:
         Disable to fall back to the pure z-score rule (ablation).
     adwin_delta:
         Confidence of the ADWIN instances that size the trend windows.
+    max_trend_window:
+        Upper bound on each class's ADWIN-sized trend window and on the
+        number of trend values a class keeps for the Granger test.
+    scaler_forget:
+        ``forget`` of the online min-max scaler: per-batch shrink of the
+        tracked feature range towards its centre (0 = keep the historical
+        range).
+    momentum:
+        Classic momentum of the RBM's CD-k parameter updates, in [0, 1).
+    weight_decay:
+        L2 penalty on the RBM's connection weights.
     seed:
         RNG seed for the RBM.
     """
@@ -336,13 +354,14 @@ class RBMIM(InstanceDetector):
 
         The paper trains the detector on the first instance batch before
         monitoring begins; several epochs over that batch give the RBM a
-        usable representation of the initial concept.
+        usable representation of the initial concept.  An empty batch, or
+        one :meth:`step_batch` would refuse, is refused with ``ValueError``
+        before the scaler or the RBM changes.
         """
-        X = np.atleast_2d(np.asarray(X, dtype=np.float64))
-        y = np.asarray(y, dtype=np.int64)
-        if X.shape[0] == 0:
+        X, y, _ = self._checked_batch(X, y)
+        if y.shape[0] == 0:
             raise ValueError("warm_start requires at least one instance")
-        scaled = self._scaler.fit_transform(X)
+        scaled = self._scaler.partial_fit_transform(X)
         for _ in range(self._cfg.warm_start_epochs):
             self._rbm.partial_fit(scaled, y)
         self._warm_started = True
@@ -493,20 +512,18 @@ class RBMIM(InstanceDetector):
         ]
         cfg = self._cfg
         if not pending:
-            self._rbm.partial_fit(scaled, y, vz0=vz0, h0=h, want_error=False)
+            self._rbm.partial_fit(scaled, y, vz0=vz0, h0=h)
             for _ in range(cfg.train_epochs - 1):
-                self._rbm.partial_fit(scaled, y, vz0=vz0, want_error=False)
+                self._rbm.partial_fit(scaled, y, vz0=vz0)
         else:
             train_mask = ~np.isin(y, pending)
             if train_mask.any():
                 vz0_t = vz0[train_mask]
                 scaled_t = vz0_t[:, :n_features]
                 y_t = y[train_mask]
-                self._rbm.partial_fit(
-                    scaled_t, y_t, vz0=vz0_t, h0=h[train_mask], want_error=False
-                )
+                self._rbm.partial_fit(scaled_t, y_t, vz0=vz0_t, h0=h[train_mask])
                 for _ in range(cfg.train_epochs - 1):
-                    self._rbm.partial_fit(scaled_t, y_t, vz0=vz0_t, want_error=False)
+                    self._rbm.partial_fit(scaled_t, y_t, vz0=vz0_t)
         self._batches_processed += 1
 
     def _test_class(self, monitor: _ClassMonitor, error: float) -> tuple[bool, bool]:

@@ -12,6 +12,10 @@ the reconstruction error used for drift detection) unbiased.
 :class:`ClassBalancedWeighter` keeps *running* class counts so the weighting
 adapts as the stream's imbalance ratio and class roles evolve, optionally with
 exponential decay so outdated counts are forgotten.
+
+Eq. 13 has one implementation, the one CD-k runs:
+:meth:`ClassBalancedWeighter.observe_weights`, on top of
+:func:`class_balanced_weights` and :func:`effective_number`.
 """
 
 from __future__ import annotations
@@ -106,32 +110,8 @@ class ClassBalancedWeighter(Snapshotable):
         """Running (possibly decayed) per-class observation counts."""
         return self._counts.copy()
 
-    @property
-    def beta(self) -> float:
-        return self._beta
-
-    def observe(self, labels: np.ndarray) -> None:
-        """Update the running counts with a batch of labels."""
-        labels = np.asarray(labels, dtype=np.int64)
-        if labels.size == 0:
-            return
-        if labels.min() < 0 or labels.max() >= self._n_classes:
-            raise ValueError("label out of range")
-        if self._decay < 1.0:
-            self._counts *= self._decay
-        self._counts += np.bincount(labels, minlength=self._n_classes)
-
-    def class_weights(self) -> np.ndarray:
-        """Current per-class weights (normalised to mean 1 over seen classes)."""
-        return class_balanced_weights(self._counts, self._beta)
-
-    def instance_weights(self, labels: np.ndarray) -> np.ndarray:
-        """Weights for a batch of labels under the current class counts."""
-        labels = np.asarray(labels, dtype=np.int64)
-        return self.class_weights()[labels]
-
     def observe_weights(self, labels: np.ndarray) -> np.ndarray:
-        """Fused :meth:`observe` + :meth:`instance_weights` for the hot path.
+        """Count a batch of labels, then return their Eq. 13 weights.
 
         Assumes the caller already validated the labels.  Once every class
         has been seen, the weights reduce to ``(1/E_m) / mean(1/E)`` — the

@@ -7,6 +7,12 @@ Gibbs steps on mini-batches (Eqs. 15-21) and the class-balanced loss weighting
 of Eq. 13 via :class:`repro.core.loss.ClassBalancedWeighter`, which makes the
 learned representation robust to multi-class imbalance.
 
+Each equation has one implementation, the one RBM-IM runs on packed
+``[v | z]`` rows: Eq. 10 is :meth:`~SkewInsensitiveRBM.hidden_probabilities_packed`,
+Eqs. 11-12 :meth:`~SkewInsensitiveRBM.reconstruct_packed` and Eqs. 15-21
+:meth:`~SkewInsensitiveRBM.partial_fit`.  The energy of Eq. 8 is not
+implemented: CD-k needs only the conditionals.
+
 The network is deliberately self-contained (pure NumPy) so the whole drift
 detector has no dependencies beyond the scientific Python stack.
 """
@@ -23,19 +29,6 @@ from repro.core.loss import ClassBalancedWeighter
 from repro.core.snapshot import Snapshotable, register_dataclass
 
 __all__ = ["RBMConfig", "SkewInsensitiveRBM"]
-
-
-def _sigmoid(x: np.ndarray) -> np.ndarray:
-    # expit is a single C ufunc (numerically saturating, no explicit clip
-    # needed) — measurably cheaper than composing exp/add/divide at the
-    # mini-batch sizes RBM-IM trains on.
-    return special.expit(x)
-
-
-def _softmax(x: np.ndarray) -> np.ndarray:
-    shifted = x - x.max(axis=1, keepdims=True)
-    exp = np.exp(shifted)
-    return exp / exp.sum(axis=1, keepdims=True)
 
 
 @register_dataclass
@@ -185,77 +178,45 @@ class SkewInsensitiveRBM(Snapshotable):
         return self._weighter.counts
 
     @property
-    def _W(self) -> np.ndarray:
-        """View of the v<->h weights inside the packed parameter block."""
-        return self._Wvz[: self._n_visible]
-
-    @property
-    def _U(self) -> np.ndarray:
-        """View of the h<->z weights inside the packed parameter block."""
-        return self._Wvz[self._n_visible :].T
-
-    @property
-    def _a(self) -> np.ndarray:
-        return self._bias_vz[: self._n_visible]
-
-    @property
-    def _c(self) -> np.ndarray:
-        return self._bias_vz[self._n_visible :]
-
-    @property
     def weights(self) -> dict[str, np.ndarray]:
-        """Copies of all parameters (for inspection / serialisation)."""
+        """Copies of all parameters, unpacked (for inspection / comparison)."""
+        split = self._n_visible
         return {
-            "W": self._W.copy(),
-            "U": self._U.copy(),
-            "a": self._a.copy(),
+            "W": self._Wvz[:split].copy(),
+            "U": self._Wvz[split:].T.copy(),
+            "a": self._bias_vz[:split].copy(),
             "b": self._b.copy(),
-            "c": self._c.copy(),
+            "c": self._bias_vz[split:].copy(),
         }
 
     # -------------------------------------------------------- conditionals
-    def hidden_probabilities(self, v: np.ndarray, z: np.ndarray) -> np.ndarray:
-        """``P(h_j = 1 | v, z)`` — Eq. 10."""
-        split = self._n_visible
-        return _sigmoid(self._b + v @ self._Wvz[:split] + z @ self._Wvz[split:])
-
     @hot_path
     def hidden_probabilities_packed(
         self, vz: np.ndarray, out: np.ndarray | None = None
     ) -> np.ndarray:
-        """Eq. 10 on pre-concatenated ``[v | z]`` rows (one matmul)."""
+        """``P(h_j = 1 | v, z)`` (Eq. 10) on packed ``[v | z]`` rows.
+
+        One matmul over the packed weights; the result goes into ``out``
+        when given, else into a fresh ``(n, H)`` array.  expit is a single
+        saturating C ufunc, so extreme inputs need no clip.
+        """
         if out is None:
-            return _sigmoid(self._b + vz @ self._Wvz)
+            out = np.empty((vz.shape[0], self._b.shape[0]))
         np.matmul(vz, self._Wvz, out=out)
         out += self._b
         special.expit(out, out=out)
         return out
 
-    def visible_probabilities(self, h: np.ndarray) -> np.ndarray:
-        """``P(v_i = 1 | h)`` — Eq. 11."""
-        split = self._n_visible
-        return _sigmoid(self._bias_vz[:split] + h @ self._Wvz[:split].T)
-
-    def class_probabilities(self, h: np.ndarray) -> np.ndarray:
-        """``P(z = 1_k | h)`` — softmax class layer, Eq. 12."""
-        split = self._n_visible
-        return _softmax(self._bias_vz[split:] + h @ self._Wvz[split:].T)
-
     @hot_path
-    def reconstruct_packed(
-        self, h: np.ndarray, out: np.ndarray | None = None
-    ) -> np.ndarray:
+    def reconstruct_packed(self, h: np.ndarray, out: np.ndarray) -> np.ndarray:
         """Eqs. 11-12 fused: reconstructed ``[v | z]`` rows from hidden probs.
 
-        Returns an ``(n, V+Z)`` array (``out`` when given, else freshly
-        allocated) whose first V columns hold the sigmoid visible
-        reconstruction and last Z columns the softmax class reconstruction;
-        callers may mutate it freely.
+        Writes an ``(n, V+Z)`` block into ``out`` and returns it: its first V
+        columns hold the sigmoid visible reconstruction and its last Z
+        columns the softmax class reconstruction; callers may mutate it
+        freely.
         """
-        if out is None:
-            t = h @ self._Wvz.T
-        else:
-            t = np.matmul(h, self._Wvz.T, out=out)
+        t = np.matmul(h, self._Wvz.T, out=out)
         t += self._bias_vz
         split = self._n_visible
         visible = t[:, :split]
@@ -265,17 +226,6 @@ class SkewInsensitiveRBM(Snapshotable):
         np.exp(cls, out=cls)
         cls /= cls.sum(axis=1, keepdims=True)
         return t
-
-    def energy(self, v: np.ndarray, h: np.ndarray, z: np.ndarray) -> np.ndarray:
-        """Energy function of Eq. 8 evaluated per row of the batch."""
-        v = np.atleast_2d(v)
-        h = np.atleast_2d(h)
-        z = np.atleast_2d(z)
-        linear = -(v @ self._a) - (h @ self._b) - (z @ self._c)
-        pairwise = -np.einsum("ni,ij,nj->n", v, self._W, h) - np.einsum(
-            "nj,jk,nk->n", h, self._U, z
-        )
-        return linear + pairwise
 
     def _one_hot(self, labels: np.ndarray) -> np.ndarray:
         labels = np.asarray(labels, dtype=np.int64)
@@ -292,11 +242,9 @@ class SkewInsensitiveRBM(Snapshotable):
         X: np.ndarray,
         y: np.ndarray,
         *,
-        z0: np.ndarray | None = None,
         h0: np.ndarray | None = None,
         vz0: np.ndarray | None = None,
-        want_error: bool = True,
-    ) -> float:
+    ) -> None:
         """Run one weighted CD-k update on a mini-batch.
 
         Parameters
@@ -305,21 +253,13 @@ class SkewInsensitiveRBM(Snapshotable):
             Mini-batch of feature rows already scaled to [0, 1].
         y:
             Integer labels of the mini-batch.
-        z0, h0, vz0:
-            Optional precomputed one-hot labels, hidden probabilities for the
-            *current* parameters, and packed ``[X | z0]`` rows (as produced by
-            the reconstruction-error pass): when supplied, the positive phase
+        h0, vz0:
+            Optional hidden probabilities for the *current* parameters and
+            packed ``[X | one_hot(y)]`` rows (as produced by the
+            reconstruction-error pass): when supplied, the positive phase
             reuses them instead of recomputing — the fused path RBM-IM drives
-            every mini-batch.
-        want_error:
-            Skip the reconstruction-MSE summary (returning 0.0) when the
-            caller does not consume it.
-
-        Returns
-        -------
-        float
-            Mean (unweighted) reconstruction MSE of the batch, useful as a
-            cheap training-progress signal.
+            every mini-batch.  Without ``vz0`` the batch is checked (row
+            count, width, labels) and packed here.
         """
         cfg = self._config
         y = np.asarray(y, dtype=np.int64)
@@ -333,9 +273,7 @@ class SkewInsensitiveRBM(Snapshotable):
                 raise ValueError(
                     f"expected {cfg.n_visible} features, got {X.shape[1]}"
                 )
-            if z0 is None:
-                z0 = self._one_hot(y)
-            vz0 = np.concatenate((X, z0), axis=1)  # lint: disable=hot-path-alloc -- cold public-entry path; the fused detector path supplies vz0 pre-packed
+            vz0 = np.concatenate((X, self._one_hot(y)), axis=1)  # lint: disable=hot-path-alloc -- cold public-entry path; the fused detector path supplies vz0 pre-packed
         batch_size = vz0.shape[0]
         sample_weights = self._weighter.observe_weights(y)[:, None]
         h0_prob = h0 if h0 is not None else self.hidden_probabilities_packed(vz0)
@@ -407,36 +345,3 @@ class SkewInsensitiveRBM(Snapshotable):
         self._b += vel_b
 
         self._n_batches_trained += 1
-        if not want_error:
-            return 0.0
-        split = self._n_visible
-        diff = vz0[:, :split] - vzk[:, :split]
-        return float(np.mean(diff * diff))
-
-    # ----------------------------------------------------------- inference
-    def reconstruct(self, X: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Reconstruct features and class scores for a labelled batch.
-
-        Implements Eqs. 22-25: the hidden layer is derived from the observed
-        instance (``v = x``, ``z = one_hot(y)``), then features and class
-        support are reconstructed from the hidden probabilities.
-        """
-        X = np.atleast_2d(np.asarray(X, dtype=np.float64))
-        y = np.asarray(y, dtype=np.int64)
-        z = self._one_hot(y)
-        h = self.hidden_probabilities(X, z)
-        x_recon = self.visible_probabilities(h)
-        z_recon = self.class_probabilities(h)
-        return x_recon, z_recon
-
-    def predict_proba(self, X: np.ndarray) -> np.ndarray:
-        """Class-probability estimates using a free (unclamped) class layer."""
-        X = np.atleast_2d(np.asarray(X, dtype=np.float64))
-        # With no class information, use the uniform class prior as input.
-        z_uniform = np.full((X.shape[0], self._config.n_classes), 1.0 / self._config.n_classes)
-        h = self.hidden_probabilities(X, z_uniform)
-        return self.class_probabilities(h)
-
-    def predict(self, X: np.ndarray) -> np.ndarray:
-        """Most probable class for each row of ``X``."""
-        return np.argmax(self.predict_proba(X), axis=1)

@@ -1,13 +1,13 @@
-"""Per-class reconstruction error (Eqs. 22-27 of the paper).
+"""Per-instance reconstruction error (Eqs. 22-26 of the paper).
 
 RBM-IM detects drifts by comparing newly arrived instances against the
 compressed representation of previous concepts stored inside the RBM.  The
 similarity measure is the reconstruction error: each instance is clamped to
-the visible and class layers, the hidden layer is inferred, and features plus
-class scores are reconstructed; the root of the summed squared differences is
-the instance's reconstruction error (Eq. 26).  Errors are then averaged *per
-class* over the current mini-batch (Eq. 27), which is what enables per-class
-(local) drift detection.
+the visible and class layers, the hidden layer is inferred, and features
+plus class scores are reconstructed; the root of the summed squared
+differences is the instance's reconstruction error (Eq. 26), implemented
+once, by :func:`reconstruction_errors_from_hidden`.  The per-class average
+of Eq. 27 is :meth:`repro.core.detector.RBMIM._process_batch`'s pooling.
 """
 
 from __future__ import annotations
@@ -16,11 +16,7 @@ import numpy as np
 
 from repro.core.rbm import SkewInsensitiveRBM
 
-__all__ = [
-    "instance_reconstruction_errors",
-    "reconstruction_errors_from_hidden",
-    "per_class_reconstruction_error",
-]
+__all__ = ["reconstruction_errors_from_hidden"]
 
 
 def reconstruction_errors_from_hidden(
@@ -28,14 +24,14 @@ def reconstruction_errors_from_hidden(
     X: np.ndarray,
     z0: np.ndarray,
     h: np.ndarray,
-    recon_out: np.ndarray | None = None,
+    recon_out: np.ndarray,
 ) -> np.ndarray:
     """Eq. 26 errors from precomputed one-hot labels and hidden activations.
 
     The hidden probabilities for the clamped ``(v, z)`` pair are exactly what
     the subsequent CD training step needs for its positive phase, so RBM-IM
     computes them once per mini-batch and feeds them both here and into
-    :meth:`SkewInsensitiveRBM.partial_fit`.  ``recon_out``, when given, is a
+    :meth:`SkewInsensitiveRBM.partial_fit`.  ``recon_out`` is a
     ``(n, n_visible + n_classes)`` scratch buffer the reconstruction is
     written into (its contents are clobbered).
     """
@@ -44,53 +40,3 @@ def reconstruction_errors_from_hidden(
     recon[:, :split] -= X
     recon[:, split:] -= z0
     return np.sqrt(np.einsum("ij,ij->i", recon, recon))
-
-
-def instance_reconstruction_errors(
-    rbm: SkewInsensitiveRBM, X: np.ndarray, y: np.ndarray
-) -> np.ndarray:
-    """Reconstruction error of every instance in the batch (Eq. 26).
-
-    Parameters
-    ----------
-    rbm:
-        The trained (or partially trained) skew-insensitive RBM.
-    X:
-        Feature rows scaled to [0, 1].
-    y:
-        Integer labels.
-
-    Returns
-    -------
-    numpy.ndarray
-        One non-negative error per instance.
-    """
-    X = np.atleast_2d(np.asarray(X, dtype=np.float64))
-    y = np.asarray(y, dtype=np.int64)
-    one_hot = np.zeros((y.shape[0], rbm.config.n_classes))
-    one_hot[np.arange(y.shape[0]), y] = 1.0
-    h = rbm.hidden_probabilities(X, one_hot)
-    return reconstruction_errors_from_hidden(rbm, X, one_hot, h)
-
-
-def per_class_reconstruction_error(
-    rbm: SkewInsensitiveRBM, X: np.ndarray, y: np.ndarray, n_classes: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Average reconstruction error per class over a mini-batch (Eq. 27).
-
-    Returns
-    -------
-    (errors, counts):
-        ``errors[m]`` is the mean reconstruction error of class ``m`` within
-        the batch (NaN when the class is absent from the batch), and
-        ``counts[m]`` the number of its instances in the batch.
-    """
-    errors = instance_reconstruction_errors(rbm, X, y)
-    y = np.asarray(y, dtype=np.int64)
-    per_class = np.full(n_classes, np.nan)
-    counts = np.bincount(y, minlength=n_classes).astype(np.int64)
-    for label in range(n_classes):
-        mask = y == label
-        if mask.any():
-            per_class[label] = float(errors[mask].mean())
-    return per_class, counts

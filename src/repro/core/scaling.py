@@ -4,6 +4,10 @@ Restricted Boltzmann Machines expect visible units in [0, 1].  Streaming data
 arrives unscaled and its range may itself drift, so the scaler tracks running
 minima and maxima (optionally with slow decay towards the recent data range)
 and maps features into the unit interval on the fly.
+
+:meth:`OnlineMinMaxScaler.partial_fit_transform` is the scaler's one update:
+it widens the tracked range to cover a batch, then scales that batch.  RBM-IM
+calls it on the warm-start batch and on every mini-batch after it.
 """
 
 from __future__ import annotations
@@ -41,18 +45,14 @@ class OnlineMinMaxScaler(Snapshotable):
         self._span = np.ones(n_features)
         self._fitted = False
 
-    @property
-    def fitted(self) -> bool:
-        return self._fitted
+    def partial_fit_transform(self, X: np.ndarray) -> np.ndarray:
+        """Update the tracked range with a batch, then scale it into [0, 1].
 
-    @property
-    def data_range(self) -> tuple[np.ndarray, np.ndarray]:
-        """Currently tracked (min, max) per feature."""
-        return self._min.copy(), self._max.copy()
-
-    def partial_fit(self, X: np.ndarray) -> "OnlineMinMaxScaler":
-        """Update the tracked range with a batch of rows."""
-        X = np.atleast_2d(np.asarray(X, dtype=np.float64))
+        ``X`` is a 2-D float64 array of at least one row; a batch that is
+        not ``n_features`` wide is refused with ``ValueError`` before the
+        range changes.  Returns a new array.  The range covers the batch
+        once updated, so every scaled value lies in [0, 1] without a clip.
+        """
         if X.shape[1] != self._n_features:
             raise ValueError(
                 f"expected {self._n_features} features, got {X.shape[1]}"
@@ -65,45 +65,9 @@ class OnlineMinMaxScaler(Snapshotable):
             self._max += self._forget * (centre - self._max)
         self._min = np.minimum(self._min, batch_min)
         self._max = np.maximum(self._max, batch_max)
-        # The degenerate-range guard is fit-invariant, so it is materialised
-        # here instead of on every transform call.
-        span = self._max - self._min
-        self._span = np.where(span > 1e-12, span, 1.0)
-        self._fitted = True
-        return self
-
-    def transform(self, X: np.ndarray) -> np.ndarray:
-        """Scale a batch of rows into [0, 1] (clipping out-of-range values)."""
-        if not self._fitted:
-            raise RuntimeError("scaler must be fitted before transform")
-        X = np.atleast_2d(np.asarray(X, dtype=np.float64))
-        scaled = X - self._min
-        scaled /= self._span
-        np.clip(scaled, 0.0, 1.0, out=scaled)
-        return scaled
-
-    def fit_transform(self, X: np.ndarray) -> np.ndarray:
-        return self.partial_fit(X).transform(X)
-
-    def partial_fit_transform(self, X: np.ndarray) -> np.ndarray:
-        """Fused :meth:`partial_fit` + :meth:`transform` for pre-shaped rows.
-
-        Assumes ``X`` is already a 2-D float64 array of the right width (the
-        detector's mini-batch buffer); skips the per-call validation and the
-        second pass over the dispatch machinery.
-        """
-        batch_min = X.min(axis=0)
-        batch_max = X.max(axis=0)
-        if self._fitted and self._forget > 0.0:
-            centre = (self._min + self._max) / 2.0
-            self._min += self._forget * (centre - self._min)
-            self._max += self._forget * (centre - self._max)
-        self._min = np.minimum(self._min, batch_min)
-        self._max = np.maximum(self._max, batch_max)
         span = self._max - self._min
         self._span = np.where(span > 1e-12, span, 1.0)
         self._fitted = True
         scaled = X - self._min
         scaled /= self._span
-        np.clip(scaled, 0.0, 1.0, out=scaled)
         return scaled

@@ -80,12 +80,6 @@ class TrendTracker(Snapshotable):
 
     # --------------------------------------------------------------- state
     @property
-    def window_size(self) -> int:
-        """Current adaptive window size ``W`` (bounded by ``max_window``)."""
-        width = self._adwin.width
-        return int(min(max(width, self._min_window), self._max_window))
-
-    @property
     def n_updates(self) -> int:
         return self._time
 
@@ -137,10 +131,10 @@ class TrendTracker(Snapshotable):
         cursor += 1
         self._cursor = cursor
 
-        # Inlined self.window_size: this runs once per class per mini-batch,
-        # where attribute/property dispatch is measurable.  The slope is the
-        # least-squares ``Qr`` of Eq. 28 over the window; the abscissa is the
-        # 0-based offset inside it, whose moment sums have closed forms.
+        # The adaptive window W is ADWIN's width clamped to
+        # [min_window, max_window].  The slope is the least-squares ``Qr`` of
+        # Eq. 28 over the window; the abscissa is the 0-based offset inside
+        # it, whose moment sums have closed forms.
         width = self._adwin._width
         if width < self._min_window:
             width = self._min_window

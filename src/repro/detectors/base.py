@@ -17,7 +17,9 @@ Input checks
 :meth:`DriftDetector.step` and :meth:`DriftDetector.step_batch` refuse input
 outside the detector's domain (see :class:`ClassConditionalDetector` and
 :class:`InstanceDetector`) with ``ValueError`` before any state changes, so
-update rules may index per-class state by label unchecked.
+update rules may index per-class state by label unchecked.  The batch checks
+are :meth:`DriftDetector._checked_batch`, which RBM-IM's ``warm_start`` also
+runs.
 
 Batch stepping
 --------------
@@ -181,27 +183,8 @@ class DriftDetector(Snapshotable, abc.ABC):
         refused with ``ValueError`` before any state changes.  An empty
         batch is a strict no-op (the flags of the previous step are kept).
         """
-        features = np.atleast_2d(np.asarray(features, dtype=np.float64))
-        y_true = np.asarray(y_true, dtype=np.int64)
-        y_pred = np.asarray(y_pred, dtype=np.int64)
+        features, y_true, y_pred = self._checked_batch(features, y_true, y_pred)
         n = y_true.shape[0]
-        if features.shape[0] != n or y_pred.shape[0] != n:
-            raise ValueError(
-                f"batch rows disagree: {features.shape[0]} feature rows, "
-                f"{n} labels, {y_pred.shape[0]} predictions"
-            )
-        n_classes = self._n_classes
-        if n_classes is not None and n:
-            labels = np.concatenate((y_true, y_pred)) if self._checks_y_pred else y_true
-            if labels.min() < 0 or labels.max() >= n_classes:
-                raise ValueError(
-                    f"label out of range [0, {n_classes}): "
-                    f"labels span {labels.min()}..{labels.max()}"
-                )
-        if self._n_features is not None and features.shape[1:] != (self._n_features,):
-            raise ValueError(
-                f"expected {self._n_features} features, got shape {features.shape}"
-            )
         flags = np.zeros(n, dtype=bool)
         start = 0
         while start < n:
@@ -219,6 +202,43 @@ class DriftDetector(Snapshotable, abc.ABC):
                 )
         self._n_observations += n
         return flags
+
+    def _checked_batch(
+        self, features, y_true, y_pred=None
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
+        """Coerce a batch to arrays; ``ValueError`` if its columns disagree
+        on the row count or it holds a row outside the detector's domain.
+        ``y_pred=None`` checks a batch without predictions (a warm start).
+        """
+        features = np.atleast_2d(np.asarray(features, dtype=np.float64))
+        y_true = np.asarray(y_true, dtype=np.int64)
+        n = y_true.shape[0]
+        if y_pred is not None:
+            y_pred = np.asarray(y_pred, dtype=np.int64)
+        n_pred = n if y_pred is None else y_pred.shape[0]
+        if features.shape[0] != n or n_pred != n:
+            predictions = "" if y_pred is None else f", {n_pred} predictions"
+            raise ValueError(
+                f"batch rows disagree: {features.shape[0]} feature rows, "
+                f"{n} labels{predictions}"
+            )
+        n_classes = self._n_classes
+        if n_classes is not None and n:
+            labels = (
+                np.concatenate((y_true, y_pred))
+                if self._checks_y_pred and y_pred is not None
+                else y_true
+            )
+            if labels.min() < 0 or labels.max() >= n_classes:
+                raise ValueError(
+                    f"label out of range [0, {n_classes}): "
+                    f"labels span {labels.min()}..{labels.max()}"
+                )
+        if self._n_features is not None and features.shape[1:] != (self._n_features,):
+            raise ValueError(
+                f"expected {self._n_features} features, got shape {features.shape}"
+            )
+        return features, y_true, y_pred
 
     def _step_segment(
         self, features: np.ndarray, y_true: np.ndarray, y_pred: np.ndarray

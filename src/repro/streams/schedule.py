@@ -398,9 +398,14 @@ class ScheduledStream(DataStream):
         ]
 
     def restart(self) -> None:
+        """Rewind to a fresh stream: only the first concept's sampler is
+        kept, restarted; the others are rebuilt lazily when reached again,
+        so a restarted stream snapshots like a new one."""
         super().restart()
-        for sampler in self._samplers.values():
-            sampler.restart()
+        first_concept = int(self._schedule.segments[0].concept or 0)
+        sampler = self._sampler(first_concept)
+        sampler.restart()
+        self._samplers = {first_concept: sampler}
         self._uniforms.clear()
 
     def _snapshot_extra(self) -> dict:

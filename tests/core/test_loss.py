@@ -61,40 +61,41 @@ class TestClassBalancedWeights:
         np.testing.assert_allclose(weights, 1.0)
 
 
+def labels(*counts):
+    """int64 labels holding ``counts[m]`` rows of class ``m``."""
+    return np.repeat(np.arange(len(counts)), counts).astype(np.int64)
+
+
 class TestClassBalancedWeighter:
     def test_observe_accumulates_counts(self):
         weighter = ClassBalancedWeighter(3, beta=0.99)
-        weighter.observe(np.array([0, 0, 1, 2, 0]))
+        weighter.observe_weights(np.array([0, 0, 1, 2, 0]))
         np.testing.assert_allclose(weighter.counts, [3.0, 1.0, 1.0])
 
     def test_instance_weights_follow_imbalance(self):
         weighter = ClassBalancedWeighter(2, beta=0.999)
-        weighter.observe(np.array([0] * 900 + [1] * 10))
-        weights = weighter.instance_weights(np.array([0, 1]))
-        assert weights[1] / weights[0] > 5.0
+        batch = labels(900, 10)
+        weights = weighter.observe_weights(batch)
+        assert weights[-1] / weights[0] > 5.0
 
     def test_decay_forgets_old_roles(self):
         weighter = ClassBalancedWeighter(2, beta=0.999, decay=0.9)
-        weighter.observe(np.array([0] * 500))
+        weighter.observe_weights(labels(500))
         counts_after_flood = weighter.counts[0]
         for _ in range(100):
-            weighter.observe(np.array([1]))
+            weighter.observe_weights(np.array([1]))
         assert weighter.counts[0] < counts_after_flood * 0.01
-
-    def test_label_out_of_range_rejected(self):
-        weighter = ClassBalancedWeighter(2)
-        with pytest.raises(ValueError):
-            weighter.observe(np.array([2]))
 
     def test_reset(self):
         weighter = ClassBalancedWeighter(2)
-        weighter.observe(np.array([0, 1, 1]))
+        weighter.observe_weights(np.array([0, 1, 1]))
         weighter.reset()
         np.testing.assert_allclose(weighter.counts, 0.0)
 
     def test_empty_observation_is_noop(self):
         weighter = ClassBalancedWeighter(2)
-        weighter.observe(np.array([], dtype=int))
+        weights = weighter.observe_weights(np.array([], dtype=np.int64))
+        assert weights.shape == (0,)
         np.testing.assert_allclose(weighter.counts, 0.0)
 
     def test_invalid_construction(self):
@@ -104,3 +105,28 @@ class TestClassBalancedWeighter:
             ClassBalancedWeighter(3, beta=1.0)
         with pytest.raises(ValueError):
             ClassBalancedWeighter(3, decay=0.0)
+
+
+class TestObserveWeightsKnownAnswer:
+    """``observe_weights`` returns Eq. 13's weights under the updated running
+    counts, ``class_balanced_weights(counts, beta)[labels]``, on the general
+    path (a class still unseen) and on the all-classes-seen fast path."""
+
+    @pytest.mark.parametrize("decay", [1.0, 0.9])
+    @pytest.mark.parametrize("beta", [0.0, 0.5, 0.999])
+    def test_matches_class_balanced_weights(self, beta, decay):
+        rng = np.random.default_rng(13)
+        weighter = ClassBalancedWeighter(4, beta=beta, decay=decay)
+        counts = np.zeros(4)
+        # Class 3 arrives only from the fourth batch, so the first three take
+        # the general path and the rest the fast path.
+        for batch in range(12):
+            n_classes = 3 if batch < 3 else 4
+            batch_labels = rng.integers(0, n_classes, size=25).astype(np.int64)
+            batch_labels[:n_classes] = np.arange(n_classes)
+            counts = counts * decay + np.bincount(batch_labels, minlength=4)
+            weights = weighter.observe_weights(batch_labels)
+            np.testing.assert_allclose(weighter.counts, counts, rtol=1e-12)
+            expected = class_balanced_weights(counts, beta)[batch_labels]
+            np.testing.assert_allclose(weights, expected, rtol=1e-12)
+        assert weighter._all_seen

@@ -92,6 +92,27 @@ class TestRBMIMMechanics:
         detector.warm_start(X, y)
         assert detector.rbm.n_batches_trained == 5
 
+    @pytest.mark.parametrize(
+        "refused",
+        [
+            pytest.param(lambda X, y: (X, np.where(y == 1, 3, y)), id="label-above-range"),
+            pytest.param(lambda X, y: (X, np.where(y == 1, -1, y)), id="label-negative"),
+            pytest.param(lambda X, y: (X, y[:-1]), id="short-labels"),
+            pytest.param(lambda X, y: (X[:, :3], y), id="narrow-rows"),
+            pytest.param(lambda X, y: (X[:0], y[:0]), id="empty"),
+        ],
+    )
+    def test_refused_warm_start_leaves_state_unchanged(self, refused):
+        """A warm-start batch that ``step_batch`` would refuse is refused
+        before the scaler or the RBM changes."""
+        rng = np.random.default_rng(0)
+        X, y = refused(rng.random((20, 4)), np.arange(20) % 3)
+        detector = RBMIM(4, 3, RBMIMConfig(seed=0))
+        before = detector.snapshot()
+        with pytest.raises(ValueError):
+            detector.warm_start(X, y)
+        assert detector.snapshot() == before
+
     def test_input_validation(self):
         detector = make_detector(4, 3)
         with pytest.raises(ValueError):

@@ -1,14 +1,14 @@
 """Unit tests for per-class reconstruction error and the trend tracker."""
 
+import copy
+
 import numpy as np
 import pytest
 
+from repro.core.detector import RBMIM, RBMIMConfig
 from repro.core.rbm import RBMConfig, SkewInsensitiveRBM
-from repro.core.reconstruction import (
-    instance_reconstruction_errors,
-    per_class_reconstruction_error,
-)
 from repro.core.trend import TrendTracker
+from test_rbm import instance_errors
 
 
 def trained_rbm(X, y, n_classes=3, epochs=100):
@@ -30,7 +30,7 @@ class TestReconstructionError:
     def test_errors_non_negative_and_finite(self, labelled_batch):
         X, y = labelled_batch
         rbm = trained_rbm(X, y, epochs=10)
-        errors = instance_reconstruction_errors(rbm, X, y)
+        errors = instance_errors(rbm, X, y)
         assert errors.shape == (X.shape[0],)
         assert np.all(errors >= 0.0)
         assert np.all(np.isfinite(errors))
@@ -40,35 +40,56 @@ class TestReconstructionError:
         fresh = trained_rbm(X, y, epochs=1)
         trained = trained_rbm(X, y, epochs=150)
         assert (
-            instance_reconstruction_errors(trained, X, y).mean()
-            < instance_reconstruction_errors(fresh, X, y).mean()
+            instance_errors(trained, X, y).mean()
+            < instance_errors(fresh, X, y).mean()
         )
 
     def test_unseen_distribution_has_higher_error(self, labelled_batch, rng):
         X, y = labelled_batch
         rbm = trained_rbm(X, y, epochs=150)
-        familiar = instance_reconstruction_errors(rbm, X, y).mean()
+        familiar = instance_errors(rbm, X, y).mean()
         shifted = np.clip(1.0 - X, 0.0, 1.0)  # mirror of the training data
-        novel = instance_reconstruction_errors(rbm, shifted, y).mean()
+        novel = instance_errors(rbm, shifted, y).mean()
         assert novel > familiar
+
+
+class TestPerClassError:
+    """Eq. 27 as RBM-IM computes it: with ``min_class_samples=1`` each class
+    present in a mini-batch gets the mean error of its rows, measured with
+    the RBM and scaler as they were before the batch."""
+
+    @staticmethod
+    def _warm_detector(X, y):
+        detector = RBMIM(
+            X.shape[1],
+            3,
+            RBMIMConfig(batch_size=40, min_class_samples=1, seed=3),
+        )
+        detector.warm_start(X, y)
+        return detector
 
     def test_per_class_average_matches_manual(self, labelled_batch):
         X, y = labelled_batch
-        rbm = trained_rbm(X, y, epochs=20)
-        per_class, counts = per_class_reconstruction_error(rbm, X, y, 3)
-        errors = instance_reconstruction_errors(rbm, X, y)
+        detector = self._warm_detector(X, y)
+        batch_X, batch_y = X[:40], y[:40]
+        scaler = copy.deepcopy(detector._scaler)
+        rbm = copy.deepcopy(detector.rbm)
+        errors = instance_errors(rbm, scaler.partial_fit_transform(batch_X), batch_y)
+        detector.step_batch(batch_X, batch_y, batch_y)
+        per_class = detector.last_per_class_errors
         for label in range(3):
-            mask = y == label
-            assert counts[label] == mask.sum()
-            assert per_class[label] == pytest.approx(errors[mask].mean())
+            mask = batch_y == label
+            assert mask.any()
+            assert per_class[label] == pytest.approx(errors[mask].mean(), rel=1e-12)
 
     def test_absent_class_reported_as_nan(self, labelled_batch):
         X, y = labelled_batch
-        rbm = trained_rbm(X, y, epochs=5)
+        detector = self._warm_detector(X, y)
         mask = y != 2
-        per_class, counts = per_class_reconstruction_error(rbm, X[mask], y[mask], 3)
+        detector.step_batch(X[mask][:40], y[mask][:40], y[mask][:40])
+        per_class = detector.last_per_class_errors
         assert np.isnan(per_class[2])
-        assert counts[2] == 0
+        assert np.isfinite(per_class[:2]).all()
 
 
 class TestTrendTracker:
@@ -101,11 +122,15 @@ class TestTrendTracker:
         assert slope == pytest.approx(3.0, rel=1e-6)
 
     def test_window_size_bounded(self):
-        tracker = TrendTracker(max_window=30)
-        for value in np.random.default_rng(0).random(200):
-            tracker.update(float(value))
-        assert tracker.window_size <= 30
-        assert len(tracker.value_history) <= 30
+        """The slope reads at most ``max_window`` values: after a long flat
+        stretch, a ramp as long as the window gives its exact slope."""
+        tracker = TrendTracker(max_window=20)
+        for _ in range(100):
+            tracker.update(0.0)
+        for t in range(20):
+            slope = tracker.update(5.0 + 0.5 * t)
+        assert slope == pytest.approx(0.5, rel=1e-9)
+        assert len(tracker.value_history) <= 20
 
     def test_trend_history_recorded(self):
         tracker = TrendTracker()

@@ -52,7 +52,7 @@ def test_class_balanced_weights_order_reverses_counts(counts, beta):
 def test_scaler_output_always_in_unit_interval(rows):
     X = np.asarray(rows)
     scaler = OnlineMinMaxScaler(3)
-    scaled = scaler.fit_transform(X)
+    scaled = scaler.partial_fit_transform(X)
     assert np.all(scaled >= 0.0)
     assert np.all(scaled <= 1.0)
     assert np.all(np.isfinite(scaled))
@@ -105,11 +105,14 @@ def test_rbm_probabilities_valid_for_random_weights(seed):
     X = rng.random((20, 5))
     y = rng.integers(0, 3, size=20)
     rbm.partial_fit(X, y)
-    proba = rbm.predict_proba(X)
-    np.testing.assert_allclose(proba.sum(axis=1), 1.0, rtol=1e-9)
-    x_recon, z_recon = rbm.reconstruct(X, y)
+    vz = np.hstack([X, np.eye(3)[y]])
+    h = rbm.hidden_probabilities_packed(vz)
+    assert np.all((h >= 0.0) & (h <= 1.0))
+    recon = rbm.reconstruct_packed(h, out=np.empty_like(vz))
+    x_recon, z_recon = recon[:, :5], recon[:, 5:]
     assert np.all((x_recon >= 0.0) & (x_recon <= 1.0))
     assert np.all((z_recon >= 0.0) & (z_recon <= 1.0))
+    np.testing.assert_allclose(z_recon.sum(axis=1), 1.0, rtol=1e-9)
 
 
 @settings(max_examples=25, deadline=None)

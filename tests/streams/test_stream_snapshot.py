@@ -320,3 +320,32 @@ def test_sampler_snapshot_with_a_short_last_block() -> None:
     assert [states[c]["rows"] for c in (0, 1)] == [8, 30]
     for state in states.values():
         _assert_holds_no_block(state, n_features=2)
+
+
+def test_restart_snapshots_like_a_fresh_stream() -> None:
+    """``restart`` keeps only the first concept's sampler, restarted: a
+    stream restarted after it reached a second concept snapshots like a
+    fresh one (the dropped samplers are rebuilt when reached again) and
+    emits the same rows."""
+
+    def make():
+        return build_scenario_stream(
+            4,
+            family="rbf",
+            n_classes=5,
+            n_instances=40_000,
+            n_drifts=3,
+            max_imbalance_ratio=100.0,
+            seed=1,
+        ).stream
+
+    stream = make()
+    stream.generate_batch(12_000)
+    assert len(_sampler_states(stream.snapshot())) > 1
+    stream.restart()
+    fresh = make()
+    assert dumps_strict(stream.snapshot()) == dumps_strict(fresh.snapshot())
+    got_x, got_y = stream.generate_batch(3_000)
+    expected_x, expected_y = fresh.generate_batch(3_000)
+    np.testing.assert_array_equal(got_x, expected_x)
+    np.testing.assert_array_equal(got_y, expected_y)
