@@ -11,8 +11,10 @@ the three execution modes of :class:`PrequentialRunner`:
 * ``batch`` — chunk-granular test-then-train over the batch APIs, driving
   every detector's chunk-exact ``step_batch``.
 
-Four workload families are measured: the RBM-IM reference path of the
-earlier baselines, the full *detector zoo* — every detector in the registry
+Five workload families are measured: the RBM-IM reference path of the
+earlier baselines, the *classifier kernels* — the paper's perceptron tree and
+Gaussian NB without a detector, instance mode vs chunk-exact — the full
+*detector zoo* — every detector in the registry
 on the same stream/classifier, instance vs batch mode, with the aggregate
 speedup across the zoo as the headline number — raw generation
 throughput of a *schedule-composed scenario stream* (the
@@ -28,10 +30,11 @@ a script (``PYTHONPATH=src python benchmarks/test_bench_throughput.py``) to
 record the full measurement into ``BENCH_throughput.json`` at the repository
 root — the perf trajectory future changes are compared against — or with
 ``--smoke`` (used by CI) for a seconds-long run that exercises the whole
-harness, gates the RBM-IM batch (>= 15x) and chunk-exact (>= 3x) speedups,
-and prints a regression diff against the recorded trajectory without
-touching it.  ``--profile`` reruns the slowest measured workload under
-cProfile and dumps the pstats breakdown (CI uploads it as an artifact).
+harness, gates the RBM-IM batch (>= 15x) and chunk-exact (>= 3x) speedups
+and the tree's chunk-exact speedup (>= 2.4x), and prints a regression diff
+against the recorded trajectory without touching it.  ``--profile`` reruns
+the slowest measured workload under cProfile and dumps the pstats breakdown
+(CI uploads it as an artifact).
 """
 
 from __future__ import annotations
@@ -53,6 +56,7 @@ from bench_common import stream_length
 from repro.classifiers import GaussianNaiveBayes
 from repro.core.detector import RBMIM, RBMIMConfig
 from repro.core.jsonio import dumps_strict
+from repro.evaluation.experiment import default_classifier_factory
 from repro.evaluation.prequential import PrequentialRunner
 from repro.protocol.registry import DETECTOR_NAMES, build_detector
 from repro.streams.generators import RandomRBFGenerator, SEAGenerator
@@ -77,6 +81,13 @@ MIN_ZOO_AGGREGATE_SPEEDUP = 2.0
 #: sit comfortably above both).
 SMOKE_MIN_RBMIM_BATCH_SPEEDUP = 15.0
 SMOKE_MIN_EXACT_SPEEDUP = 3.0
+
+#: Bench-smoke floor on the paper's tree's chunk-exact speedup over instance
+#: mode (:func:`measure_classifier_kernels`).  Five smoke runs on a shared
+#: 2-core host read 4.89x-6.93x; the floor is under half the lowest, so host
+#: noise does not trip it, but a kernel fallen back to the scalar row loop
+#: (about 1x) does.
+SMOKE_MIN_TREE_EXACT_SPEEDUP = 2.4
 
 #: Floor for batch-vs-instance generation throughput of a schedule-composed
 #: scenario stream.  The recorded baseline shows >= 10x, so even on noisy CI
@@ -160,6 +171,61 @@ def measure_throughput(
             elapsed = time.perf_counter() - started
             throughput[mode] = max(throughput[mode], n_instances / elapsed)
     return throughput
+
+
+#: The classifiers of the kernel measurement: Gaussian NB and the paper's
+#: classifier, the tree that ``default_classifier_factory`` builds.
+KERNEL_CLASSIFIERS = {"gnb": _nb_factory, "tree": default_classifier_factory}
+
+KERNEL_STREAM_SHAPE = dict(n_classes=5, n_features=20)
+
+
+def measure_classifier_kernels(n_instances: int, repeats: int = 3) -> dict:
+    """Instance vs chunk-exact throughput of each classifier's kernel.
+
+    No detector runs, so the measurement isolates the classifier chain
+    (``predict_proba`` + ``partial_fit`` per row against one
+    ``predict_fit_interleaved`` per chunk) plus stream and metric work,
+    which both modes share.  Modes alternate within each repeat; best of
+    ``repeats`` per mode.
+    """
+    per_classifier: dict[str, dict] = {}
+    for name, factory in KERNEL_CLASSIFIERS.items():
+        runners = {
+            mode: PrequentialRunner(
+                factory, pretrain_size=200, snapshot_every=10**9, **MODES[mode]
+            )
+            for mode in ("instance", "chunk-exact")
+        }
+        best_time = {mode: math.inf for mode in runners}
+        for _ in range(repeats):
+            for mode, runner in runners.items():
+                stream = RandomRBFGenerator(seed=1, **KERNEL_STREAM_SHAPE)
+                started = time.perf_counter()
+                runner.run(stream, None, n_instances=n_instances)
+                best_time[mode] = min(
+                    best_time[mode], time.perf_counter() - started
+                )
+        per_classifier[name] = {
+            "instances_per_sec": {
+                mode: round(n_instances / elapsed, 1)
+                for mode, elapsed in best_time.items()
+            },
+            "speedup_exact_vs_instance": round(
+                best_time["instance"] / best_time["chunk-exact"], 2
+            ),
+        }
+    return {
+        "description": (
+            "Instance-mode vs chunk-exact prequential throughput of each "
+            "classifier's kernel (RBF stream, no detector): Gaussian NB and "
+            "the paper's cost-sensitive perceptron tree "
+            "(default_classifier_factory); best of N."
+        ),
+        "n_instances": n_instances,
+        "stream": KERNEL_STREAM_SHAPE,
+        "per_classifier": per_classifier,
+    }
 
 
 def measure_detector_zoo(
@@ -537,6 +603,19 @@ def print_regression_diff(current: dict) -> None:
         old = recorded.get("workloads", {}).get(name, {})
         for key in ("speedup_batch_vs_instance", "speedup_exact_vs_instance"):
             row(f"{name}.{key}", old.get(key), workload.get(key))
+    for name, entry in current.get("classifier_kernels", {}).get(
+        "per_classifier", {}
+    ).items():
+        old = (
+            recorded.get("classifier_kernels", {})
+            .get("per_classifier", {})
+            .get(name, {})
+        )
+        row(
+            f"classifier_kernels.{name}.speedup_exact_vs_instance",
+            old.get("speedup_exact_vs_instance"),
+            entry.get("speedup_exact_vs_instance"),
+        )
     for key in (
         "aggregate_speedup_batch_vs_instance",
         "aggregate_speedup_exact_vs_instance",
@@ -661,6 +740,18 @@ def main(smoke: bool = False, profile: bool = False) -> None:
                 f"deepcopy it replaced "
                 f"(floor {MIN_RBMIM_SNAPSHOT_VS_DEEPCOPY}x)"
             )
+        # The paper's tree: its chunk-exact kernel must stay well ahead of
+        # the scalar row loop.
+        kernel_results = measure_classifier_kernels(n_instances=6_000)
+        print(dumps_strict(kernel_results, indent=2))
+        tree_speedup = kernel_results["per_classifier"]["tree"][
+            "speedup_exact_vs_instance"
+        ]
+        if tree_speedup < SMOKE_MIN_TREE_EXACT_SPEEDUP:
+            raise SystemExit(
+                f"tree: chunk-exact mode only {tree_speedup:.2f}x faster than "
+                f"instance mode (floor {SMOKE_MIN_TREE_EXACT_SPEEDUP}x)"
+            )
         # RBM-IM reference workloads: hard floors on the batched CD-k path
         # and the dispatch-free chunk-exact runner.
         rbmim_results = run_benchmark(n_instances=15_000, repeats=3)
@@ -683,6 +774,7 @@ def main(smoke: bool = False, profile: bool = False) -> None:
         print_regression_diff(
             {
                 **rbmim_results,
+                "classifier_kernels": kernel_results,
                 "detector_zoo": results,
                 "schedule_stream": schedule_results,
                 "snapshot_overhead": snapshot_results,
@@ -692,6 +784,7 @@ def main(smoke: bool = False, profile: bool = False) -> None:
             "\nsmoke OK: all detectors measured in all modes; "
             f"schedule stream batch {speedup:.1f}x instance mode; "
             f"per-chunk checkpointing keeps {relative:.2f}x throughput; "
+            f"tree chunk-exact {tree_speedup:.1f}x instance mode; "
             "RBM-IM workloads hold the batch/chunk-exact floors"
         )
         return
@@ -699,6 +792,9 @@ def main(smoke: bool = False, profile: bool = False) -> None:
     # recorded ratios gate CI — more repeats, not longer streams, is what
     # tightens them.
     results = run_benchmark(n_instances=30_000, repeats=5)
+    results["classifier_kernels"] = measure_classifier_kernels(
+        n_instances=20_000, repeats=3
+    )
     results["detector_zoo"] = measure_detector_zoo(n_instances=20_000, repeats=2)
     results["schedule_stream"] = measure_schedule_stream(
         n_instances=20_000, repeats=2

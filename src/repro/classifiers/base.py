@@ -11,8 +11,15 @@ The interface is batch-first: the chunked prequential runner calls
 loops so every classifier works unchanged.  Naive Bayes and the perceptron
 override the batch pair with native NumPy paths; naive Bayes, the perceptron
 and the perceptron tree override ``predict_fit_interleaved`` with bit-exact
-kernels.  Every entry point that takes labels checks them against the feature
-rows first (:meth:`StreamClassifier._checked_batch`).
+kernels.  Each kernel computes every value that does not depend on the
+previous row once per chunk, and loops per row only over the true
+recurrences: the Welford means, replayed in lock-step by
+:func:`repro.classifiers.welford.replay_welford` (shared by all three), and
+the perceptron weights.  The runner also replays a rebuilt classifier's
+buffer and chunk-exact mode's pretrain rows through
+``predict_fit_interleaved``, dropping the scores.  Every entry point that
+takes labels checks them against the feature rows and the class range first
+(:meth:`StreamClassifier._checked_batch`).
 """
 
 from __future__ import annotations
@@ -65,12 +72,13 @@ class StreamClassifier(Snapshotable, abc.ABC):
         weights: np.ndarray | None = None,
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
         """Coerce a labelled batch; refuse one that is not one feature row
-        (and, when given, one weight) per label.
+        (and, when given, one weight) per label, or that has a label outside
+        ``[0, n_classes)``.
 
         Every batch entry point that takes labels calls this first.  Past
         it, a count mismatch would be padded with uninitialised score rows,
-        cut short, or learned against the wrong labels, depending on the
-        classifier.
+        cut short, or learned against the wrong labels, and a label of -1
+        would be learned as the last class through negative indexing.
         """
         features = np.atleast_2d(np.asarray(features, dtype=np.float64))
         labels = np.asarray(labels, dtype=np.int64)
@@ -82,6 +90,13 @@ class StreamClassifier(Snapshotable, abc.ABC):
             raise ValueError(
                 "need one 2-D feature row per label, got features of shape "
                 f"{features.shape} and labels of shape {labels.shape}"
+            )
+        if labels.shape[0] and (
+            labels.min() < 0 or labels.max() >= self._n_classes
+        ):
+            raise ValueError(
+                f"label out of range [0, {self._n_classes}): "
+                f"labels span {labels.min()}..{labels.max()}"
             )
         if weights is not None:
             weights = np.asarray(weights, dtype=np.float64)

@@ -3,6 +3,12 @@
 Per-class, per-feature running means and variances (Welford's algorithm) give
 a fully incremental Gaussian naive Bayes model — a light-weight baseline used
 in tests, examples, and as an alternative leaf model for the perceptron tree.
+
+Its chunk-exact kernel replays the per-class chains in lock-step through the
+shared :func:`~repro.classifiers.welford.replay_welford`, one iteration per
+row of the chunk's largest class, and scores every row from the chain states
+it gathers; :meth:`GaussianNaiveBayes.predict_proba` and
+:meth:`GaussianNaiveBayes.partial_fit` stay the reference.
 """
 
 from __future__ import annotations
@@ -10,6 +16,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.classifiers.base import StreamClassifier
+from repro.classifiers.welford import flat_states, replay_welford
 
 __all__ = ["GaussianNaiveBayes"]
 
@@ -35,9 +42,14 @@ class GaussianNaiveBayes(StreamClassifier):
         self._init_state()
 
     def partial_fit(self, x: np.ndarray, y: int, weight: float = 1.0) -> None:
+        """Weighted Welford update; a row of weight 0 leaves the model as it
+        is (on an unseen class it would divide 0 by 0)."""
+        if not weight >= 0.0:
+            raise ValueError(f"weight must be >= 0, got {weight}")
+        if weight == 0.0:
+            return
         x = np.asarray(x, dtype=np.float64)
         y = int(y)
-        # Weighted Welford update.
         self._counts[y] += weight
         delta = x - self._means[y]
         self._means[y] += weight * delta / self._counts[y]
@@ -57,6 +69,8 @@ class GaussianNaiveBayes(StreamClassifier):
         rounding.
         """
         features, labels, weights = self._checked_batch(features, labels, weights)
+        if weights is not None and not np.all(weights >= 0.0):
+            raise ValueError("weights must be >= 0")
         for label in np.unique(labels):
             mask = labels == label
             class_rows = features[mask]
@@ -121,74 +135,46 @@ class GaussianNaiveBayes(StreamClassifier):
         """Bit-exact vectorized test-then-train over a chunk.
 
         Row ``i`` is scored with the model state after rows ``0..i-1`` and
-        then learned, exactly like the per-instance loop.  The trick: the
-        per-class Welford chains are sequential, but each chain only advances
-        on its own class's rows, so the chains are replayed once (recording
-        every intermediate state) and each row *gathers* the states its
-        prediction needs.  Every expression mirrors :meth:`predict_proba` /
-        :meth:`partial_fit` — NumPy elementwise ufuncs and last-axis
-        reductions are bitwise shape-independent, so the scores and the final
-        moments are identical to the instance loop down to the last bit.
+        then learned, exactly like the per-instance loop.  The class chains
+        advance only on their own rows, so :func:`replay_welford` replays
+        them in lock-step, keeping every intermediate state; the variance and
+        log-normaliser are computed once per chain state, and each row
+        *gathers* the states its prediction needs.  Every expression mirrors
+        :meth:`predict_proba` / :meth:`partial_fit`, and elementwise ufuncs
+        and last-axis reductions give the same bits whatever the array
+        shape, so the scores and the final moments equal the instance loop's
+        down to the last bit.
         """
         features, labels, _ = self._checked_batch(features, labels)
-        n = labels.shape[0]
         n_classes = self._n_classes
-        if n == 0:
+        if labels.shape[0] == 0:
             return np.empty((0, n_classes))
+        chains = replay_welford(
+            self._counts, self._means, self._m2, features, labels, n_classes
+        )
 
-        class_range = np.arange(n_classes)
-        onehot = labels[:, None] == class_range[None, :]
-        per_class_updates = onehot.sum(axis=0)
-        # exclusive[i, c]: number of class-c rows strictly before row i =
-        # how many updates class c's chain has absorbed when row i is scored.
+        # Once per chain state: the divisor 1.0 keeps the <2-count states
+        # finite (their likelihoods are overwritten by the guards below).
+        k, chain, start = flat_states(chains.sizes)
+        counts = chains.count[k, chain]
+        divisor = np.where(counts < 2.0, 1.0, counts)
+        variance = np.maximum(chains.m2[k, chain] / divisor[:, None], _MIN_VARIANCE)
+        log_norm = np.log(2.0 * np.pi * variance)
+
+        # exclusive[i, c]: class-c rows before row i, the state of class c's
+        # chain when row i is scored.
+        onehot = labels[:, None] == np.arange(n_classes)
         exclusive = np.cumsum(onehot, axis=0) - onehot
+        state = start + exclusive
+        counts_g = counts[state]
 
-        max_updates = int(per_class_updates.max())
-        counts_hist = np.empty((n_classes, max_updates + 1))
-        means_hist = np.empty((n_classes, max_updates + 1, self._n_features))
-        m2_hist = np.empty_like(means_hist)
-        counts_hist[:, 0] = self._counts
-        means_hist[:, 0] = self._means
-        m2_hist[:, 0] = self._m2
-        for label in range(n_classes):
-            k_updates = int(per_class_updates[label])
-            if k_updates == 0:
-                continue
-            rows = features[onehot[:, label]]
-            chain_counts = counts_hist[label]
-            chain_means = means_hist[label]
-            chain_m2 = m2_hist[label]
-            count = chain_counts[0]
-            mean = chain_means[0]
-            m2 = chain_m2[0]
-            for k in range(k_updates):
-                x = rows[k]
-                count = count + 1.0
-                delta = x - mean
-                mean = mean + delta / count
-                m2 = m2 + delta * (x - mean)
-                chain_counts[k + 1] = count
-                chain_means[k + 1] = mean
-                chain_m2[k + 1] = m2
-
-        gather_c = class_range[None, :]
-        counts_g = counts_hist[gather_c, exclusive]
-        means_g = means_hist[gather_c, exclusive]
-        m2_g = m2_hist[gather_c, exclusive]
-
-        # Posterior — same expressions as predict_proba, batched on the
-        # leading axis (divisor 1.0 keeps the <2-count rows finite before
-        # their likelihoods are overwritten by the guards).
         total = counts_g.sum(axis=1)
         priors = (counts_g + self._prior_smoothing) / (
             total + self._prior_smoothing * n_classes
         )[:, None]
-        divisor = np.where(counts_g < 2.0, 1.0, counts_g)
-        variance = m2_g / divisor[:, :, None]
-        variance = np.maximum(variance, _MIN_VARIANCE)
-        diff = features[:, None, :] - means_g
+        diff = features[:, None, :] - chains.mean[exclusive, np.arange(n_classes)]
         log_likelihoods = -0.5 * np.sum(
-            np.log(2.0 * np.pi * variance) + diff**2 / variance, axis=2
+            log_norm[state] + diff**2 / variance[state], axis=2
         )
         log_likelihoods[counts_g == 0.0] = -1e6
         log_likelihoods[(counts_g > 0.0) & (counts_g < 2.0)] = 0.0
@@ -197,9 +183,7 @@ class GaussianNaiveBayes(StreamClassifier):
         posterior = np.exp(log_posterior)
         scores = posterior / posterior.sum(axis=1, keepdims=True)
 
-        self._counts[:] = counts_hist[class_range, per_class_updates]
-        self._means[:] = means_hist[class_range, per_class_updates]
-        self._m2[:] = m2_hist[class_range, per_class_updates]
+        self._counts[:], self._means[:], self._m2[:] = chains.final()
         return scores
 
     def _log_likelihood(self, x: np.ndarray) -> np.ndarray:

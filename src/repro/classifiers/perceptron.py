@@ -3,8 +3,12 @@
 A one-vs-rest linear model trained with perceptron/logistic-style updates on a
 running-standardised feature representation.  It is both a standalone baseline
 and the leaf model of the cost-sensitive perceptron tree (the paper's base
-classifier).  Its fused test-then-train row step
-(:meth:`OnlinePerceptron._predict_fit_row`) is the exact chunk kernel of both.
+classifier).  :func:`predict_fit_perceptrons` is the exact chunk kernel of
+both: it replays the standardisation chains of every perceptron a chunk
+touches through the shared lock-step Welford replay, then loops per row only
+over the weight recurrence.  The scalar :meth:`OnlinePerceptron.predict_proba`
+and :meth:`OnlinePerceptron.partial_fit` stay the reference it is tested
+against.
 """
 
 from __future__ import annotations
@@ -12,6 +16,12 @@ from __future__ import annotations
 import numpy as np
 
 from repro.classifiers.base import StreamClassifier
+from repro.classifiers.welford import (
+    WelfordReplay,
+    chain_ranks,
+    flat_states,
+    replay_welford,
+)
 from repro.core.hotpath import hot_path
 
 __all__ = ["OnlinePerceptron"]
@@ -23,63 +33,150 @@ def _softmax(scores: np.ndarray, axis: int = -1) -> np.ndarray:
     return exp / exp.sum(axis=axis, keepdims=True)
 
 
-@hot_path
-def _masked_std(
-    m2: np.ndarray, count: float, out: np.ndarray, small: np.ndarray
+def standardisation_chains(
+    models: list["OnlinePerceptron"],
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Initial ``(count, mean, m2)`` of the models' standardisation chains,
+    in the layout :func:`replay_welford` takes."""
+    return (
+        np.array([float(model._count) for model in models]),
+        np.array([model._mean for model in models]),
+        np.array([model._m2 for model in models]),
+    )
+
+
+def predict_fit_perceptrons(
+    models: list["OnlinePerceptron"],
+    features: np.ndarray,
+    labels: np.ndarray,
+    owner: np.ndarray,
+    chains: WelfordReplay,
+    scores: np.ndarray,
 ) -> None:
-    """``np.where(std > 1e-9, std, 1.0)`` of ``std = sqrt(m2 / count)``, in
-    place.  ``small`` is *not* ``std > 1e-9``, which unlike ``std <= 1e-9``
-    is also true for NaN."""
-    np.divide(m2, count, out=out)
-    np.sqrt(out, out=out)
-    np.greater(out, 1e-9, out=small)
-    np.logical_not(small, out=small)
-    np.copyto(out, 1.0, where=small)
+    """Test-then-train rows spread over several perceptrons, bit-exactly.
 
+    Row ``i`` belongs to ``models[owner[i]]``: it is scored into
+    ``scores[i]`` as that model's :meth:`~OnlinePerceptron.predict_proba`
+    would score it, then learned as its ``partial_fit(x, y)`` would learn
+    it.  The models share their learning rate and cost sensitivity (the
+    leaves of one tree do); the standalone perceptron is the one-model case.
 
-class _RowScratch:
-    """Buffers of the fused row step, allocated once per chunk and shared by
-    every perceptron that one ``predict_fit_interleaved`` call steps."""
+    ``chains`` is the caller's :func:`replay_welford` of the rows into the
+    models' standardisation chains (:func:`standardisation_chains`), which
+    come first; the replay may carry further chains and rows after them in
+    the same lock-step loop (the tree's leaf statistics), which this
+    ignores.
 
-    def __init__(self, n_features: int, n_classes: int) -> None:
-        self.delta = np.empty(n_features)
-        self.centred = np.empty(n_features)
-        self.term = np.empty(n_features)
-        self.pred_row = np.empty(n_features)
-        self.fit_row = np.empty(n_features)
-        self.small = np.empty(n_features, dtype=bool)
-        # Row 0 scores the prediction, row 1 the fit: one stacked softmax.
-        self.scores = np.empty((2, n_classes))
-        self.pred_scores = self.scores[0]
-        self.fit_scores = self.scores[1]
-        self.row_max = np.empty((2, 1))
-        self.row_sum = np.empty((2, 1))
-        self.target = np.zeros(n_classes)
-        self.error = np.empty(n_classes)
-        # np.outer(error, row) is exactly error[:, None] * row.
-        self.error_column = self.error[:, None]
-        self.update = np.empty((n_classes, n_features))
-
-
-class _FitMemo:
-    """What one ``predict_fit_interleaved`` call remembers about a perceptron
-    between its rows, instead of recomputing it per row.
-
-    ``std`` is the masked standard deviation of the model's current moments
-    (valid while ``_count >= 2``): the one its last fit computed, which is
-    exactly what the next prediction on the same model needs.
-    ``class_total`` is ``_class_counts.sum()``, exact as a running total
-    because every class count is a whole number.  A memo lives for one call,
-    so no snapshot ever sees it.
+    Phase 1 computes, once for all rows, every value that does not depend on
+    the previous row's weights: with the replayed chains, the masked std of
+    every chain state, each row's prediction and fit rows, and the
+    cost-sensitive step sizes from the running class counts.  Phase 2
+    (:func:`_weight_recurrence`) loops per row only over the weight
+    recurrence.  Elementwise ufuncs and last-axis reductions give the same
+    bits whatever the array shape.
     """
+    first = models[0]
+    n_classes = first.n_classes
+    n_models = len(models)
+    # np.where(std > 1e-9, std, 1.0) of std = sqrt(m2 / count), once per
+    # chain state; a state with fewer than two rows does not divide, and
+    # x / 1.0 is x.
+    k, chain, start = flat_states(chains.sizes[:n_models])
+    count = chains.count[k, chain][:, None]
+    few = count < 2.0
+    std = np.sqrt(chains.m2[k, chain] / np.where(few, 1.0, count))
+    std = np.where((std > 1e-9) & ~few, std, 1.0)
+    # Each row centred on its chain's mean before and after its update: the
+    # prediction's and the fit's x - mean.
+    rank = chains.rank[: labels.shape[0]]
+    before = start[owner] + rank
+    pred_rows = (features - chains.mean[rank, owner]) / std[before]
+    fit_rows = (features - chains.mean[rank + 1, owner]) / std[before + 1]
 
-    __slots__ = ("std", "class_total")
+    # Every class count is a whole number, so the running counts are exact.
+    pair_rank, pair_sizes = chain_ranks(
+        owner * n_classes + labels, n_models * n_classes
+    )
+    class_counts = np.array([model._class_counts for model in models])
+    steps = np.full(labels.shape[0], first._learning_rate)
+    if first._cost_sensitive:
+        # _class_weight(y) right after the row's class count increment, when
+        # its guards against an empty total or class cannot fire.
+        frequency = (class_counts[owner, labels] + (pair_rank + 1.0)) / (
+            class_counts.sum(axis=1)[owner] + (rank + 1.0)
+        )
+        steps *= np.minimum(1.0 / (n_classes * frequency), 100.0)
 
-    def __init__(self, model: "OnlinePerceptron", scratch: _RowScratch) -> None:
-        self.std = np.empty(model.n_features)
-        if model._count >= 2:
-            _masked_std(model._m2, float(model._count), self.std, scratch.small)
-        self.class_total = float(model._class_counts.sum())
+    pred_scores = np.empty((labels.shape[0], n_classes))
+    owners = owner.tolist()
+    _weight_recurrence(
+        [models[g]._weights for g in owners],
+        [models[g]._bias for g in owners],
+        pred_rows,
+        fit_rows,
+        (labels[:, None] == np.arange(n_classes)).astype(np.float64),
+        steps[:, None],
+        pred_scores,
+    )
+    scores[:] = _softmax(pred_scores, axis=1)
+
+    count, mean, m2 = chains.final()
+    pair_sizes = pair_sizes.reshape(n_models, n_classes)
+    for g, model in enumerate(models):
+        model._count = int(count[g])
+        model._mean[:] = mean[g]
+        model._m2[:] = m2[g]
+        model._class_counts += pair_sizes[g]
+
+
+@hot_path
+def _weight_recurrence(
+    weights: list[np.ndarray],
+    biases: list[np.ndarray],
+    pred_rows: np.ndarray,
+    fit_rows: np.ndarray,
+    targets: np.ndarray,
+    steps: np.ndarray,
+    pred_scores: np.ndarray,
+) -> None:
+    """The per-row loop: each row's weights and bias score its prediction
+    row (before the softmax, which the caller applies to the whole chunk),
+    then take the fit row's update in place.
+
+    The same float operations as :meth:`OnlinePerceptron.partial_fit`.
+    Each matrix-vector product stays its own 2-D x 1-D ``np.dot``: a stacked
+    ``(C, F) @ (F, 2)`` product goes through gemm and may sum in another
+    order.  The error is ``target - p`` (``1 - p`` and ``-p`` would flip the
+    sign of an underflowed zero) and the update is ``(error x row) * step``.
+    """
+    n_classes, n_features = pred_scores.shape[1], fit_rows.shape[1]
+    fit = np.empty(n_classes)
+    # 0-d reduction outputs and (1,) step rows broadcast faster than
+    # keepdims outputs and Python floats; the values are the same.
+    top = np.empty(())
+    total = np.empty(())
+    error = np.empty(n_classes)
+    # np.outer(error, row) is exactly error[:, None] * row.
+    error_column = error[:, None]
+    update = np.empty((n_classes, n_features))
+    for w, b, pred_row, fit_row, target, step, score in zip(
+        weights, biases, pred_rows, fit_rows, targets, steps, pred_scores
+    ):
+        np.dot(w, pred_row, out=score)
+        np.add(score, b, out=score)
+        np.dot(w, fit_row, out=fit)
+        np.add(fit, b, out=fit)
+        np.maximum.reduce(fit, out=top)
+        np.subtract(fit, top, out=fit)
+        np.exp(fit, out=fit)
+        np.add.reduce(fit, out=total)
+        np.divide(fit, total, out=fit)
+        np.subtract(target, fit, out=error)
+        np.multiply(error_column, fit_row, out=update)
+        np.multiply(update, step, out=update)
+        np.add(w, update, out=w)
+        np.multiply(error, step, out=error)
+        np.add(b, error, out=b)
 
 
 class OnlinePerceptron(StreamClassifier):
@@ -169,92 +266,19 @@ class OnlinePerceptron(StreamClassifier):
         return _softmax(scores)
 
     # ------------------------------------------------------- exact chunk kernel
-    @hot_path
-    def _predict_fit_row(
-        self,
-        x: np.ndarray,
-        y: int,
-        proba: np.ndarray,
-        scratch: _RowScratch,
-        memo: _FitMemo,
-    ) -> None:
-        """Write ``predict_proba(x)`` into ``proba``, then ``partial_fit(x, y)``.
-
-        The same float operations as the two scalar calls, fused: the
-        prediction's ``x - mean`` is the fit's Welford delta, the
-        prediction divides by ``memo.std``, and both rows share one stacked
-        ``(2, C)`` softmax (elementwise ufuncs and last-axis reductions are
-        bitwise shape-independent).  Each matrix-vector product stays its own
-        2-D x 1-D ``np.dot``: a stacked ``(C, F) @ (F, 2)`` product goes
-        through gemm and may sum in another order.  The error is
-        ``target - p`` (``1 - p`` and ``-p`` would flip the sign of an
-        underflowed zero) and the update is ``(error x row) * step``, never
-        ``error * step`` first.
-        """
-        delta = np.subtract(x, self._mean, out=scratch.delta)
-        count = self._count
-        if count < 2:
-            pred_row = delta
-        else:
-            pred_row = np.divide(delta, memo.std, out=scratch.pred_row)
-        np.dot(self._weights, pred_row, out=scratch.pred_scores)
-
-        count += 1
-        self._count = count
-        # Dividing by the count as a Python float is the same division, and
-        # NumPy takes a faster scalar path for it than for an int.
-        term = np.divide(delta, float(count), out=scratch.term)
-        np.add(self._mean, term, out=self._mean)
-        centred = np.subtract(x, self._mean, out=scratch.centred)
-        np.multiply(delta, centred, out=term)
-        np.add(self._m2, term, out=self._m2)
-        if count < 2:
-            fit_row = centred
-        else:
-            _masked_std(self._m2, float(count), memo.std, scratch.small)
-            fit_row = np.divide(centred, memo.std, out=scratch.fit_row)
-        class_counts = self._class_counts
-        class_counts[y] += 1.0
-        memo.class_total += 1.0
-        np.dot(self._weights, fit_row, out=scratch.fit_scores)
-
-        scores = scratch.scores
-        np.add(scores, self._bias, out=scores)
-        scores.max(axis=1, keepdims=True, out=scratch.row_max)
-        np.subtract(scores, scratch.row_max, out=scores)
-        np.exp(scores, out=scores)
-        scores.sum(axis=1, keepdims=True, out=scratch.row_sum)
-        np.divide(scores, scratch.row_sum, out=scores)
-        np.copyto(proba, scratch.pred_scores)
-
-        target = scratch.target
-        target[y] = 1.0
-        error = np.subtract(target, scratch.fit_scores, out=scratch.error)
-        target[y] = 0.0
-        step = self._learning_rate
-        if self._cost_sensitive:
-            # _class_weight(y) on the running total; its guards against an
-            # empty total or class cannot fire right after the increment.
-            frequency = class_counts[y] / memo.class_total
-            step *= float(min(1.0 / (self._n_classes * frequency), 100.0))
-        update = np.multiply(scratch.error_column, fit_row, out=scratch.update)
-        np.multiply(update, step, out=update)
-        np.add(self._weights, update, out=self._weights)
-        np.multiply(error, step, out=error)
-        np.add(self._bias, error, out=self._bias)
-
-    @hot_path
     def predict_fit_interleaved(
         self, features: np.ndarray, labels: np.ndarray
     ) -> np.ndarray:
-        """Bit-exact test-then-train over a chunk, one fused
-        :meth:`_predict_fit_row` per row."""
+        """Bit-exact test-then-train over a chunk: the one-model case of
+        :func:`predict_fit_perceptrons`."""
         features, labels, _ = self._checked_batch(features, labels)
         scores = np.empty((labels.shape[0], self._n_classes))
-        scratch = _RowScratch(self._n_features, self._n_classes)
-        memo = _FitMemo(self, scratch)
-        for i, y in enumerate(labels.tolist()):
-            self._predict_fit_row(features[i], y, scores[i], scratch, memo)
+        if labels.shape[0]:
+            owner = np.zeros(labels.shape[0], dtype=np.intp)
+            chains = replay_welford(
+                *standardisation_chains([self]), features, owner, 1
+            )
+            predict_fit_perceptrons([self], features, labels, owner, chains, scores)
         return scores
 
     # --------------------------------------------------------- batch interface

@@ -12,10 +12,14 @@ prequential harness calls :meth:`reset` (or the detector-driven
 :class:`~repro.evaluation.prequential.PrequentialRunner` rebuilds it) when a
 drift is signalled, exactly as in the paper's experimental protocol.
 
-Chunk-exact evaluation runs the tree's ``predict_fit_interleaved`` kernel,
-which routes each row once and hands it to its leaf perceptron's fused
-test-then-train row step.  It is bit-identical to ``predict_proba`` followed
-by ``partial_fit`` per row, which stay the reference.
+Chunk-exact evaluation runs the tree's ``predict_fit_interleaved`` kernel.
+It cuts the chunk at the rows where a split is attempted and routes each
+segment at once.  Per segment it computes every value that does not depend
+on the previous row vectorised (the leaf perceptrons' standardisation chains
+and step sizes, and the leaves' split statistics, through one lock-step
+Welford replay) and loops per row only over the leaf perceptrons' weight
+recurrence.  It is bit-identical to ``predict_proba`` followed by
+``partial_fit`` per row, which stay the reference.
 """
 
 from __future__ import annotations
@@ -25,8 +29,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.classifiers.base import StreamClassifier
-from repro.classifiers.perceptron import OnlinePerceptron, _FitMemo, _RowScratch
-from repro.core.hotpath import hot_path
+from repro.classifiers.perceptron import (
+    OnlinePerceptron,
+    predict_fit_perceptrons,
+    standardisation_chains,
+)
+from repro.classifiers.welford import replay_welford
 from repro.core.snapshot import register_dataclass
 
 __all__ = ["CostSensitivePerceptronTree"]
@@ -76,18 +84,6 @@ class _TreeNode:
     @property
     def is_leaf(self) -> bool:
         return self.model is not None
-
-
-class _LeafMemo(_FitMemo):
-    """A leaf's call-local memo: its perceptron's, plus ``stats.total()``
-    kept as a running total (exact: the counts are whole numbers)."""
-
-    __slots__ = ("stats_total",)
-
-    def __init__(self, leaf: _TreeNode, scratch: _RowScratch) -> None:
-        assert leaf.model is not None and leaf.stats is not None
-        super().__init__(leaf.model, scratch)
-        self.stats_total = leaf.stats.total()
 
 
 class CostSensitivePerceptronTree(StreamClassifier):
@@ -246,56 +242,99 @@ class CostSensitivePerceptronTree(StreamClassifier):
         return leaf.model.predict_proba(x)
 
     # ------------------------------------------------------- exact chunk kernel
-    @hot_path
     def predict_fit_interleaved(
         self, features: np.ndarray, labels: np.ndarray
     ) -> np.ndarray:
         """Bit-exact test-then-train over a chunk.
 
-        Per row: route once (on ``tolist()`` rows), let the leaf perceptron
-        score and learn the row in one fused step
-        (:meth:`OnlinePerceptron._predict_fit_row`), update the leaf's split
-        statistics with the float operations of :meth:`_LeafStats.update`,
-        and attempt a split exactly when :meth:`partial_fit` would.  Memos
-        are keyed by node id: a split node stays in the tree (never routed
-        to again), while its dropped model's id may be reused.
+        The chunk runs in segments that end at the rows where
+        :meth:`partial_fit` would attempt a split: the first row at which a
+        leaf above ``max_depth`` reaches a multiple of ``grace_period`` rows.
+        Each segment is routed once with the current tree.  One lock-step
+        :func:`replay_welford` replays its leaf perceptrons'
+        standardisation chains and its leaves' split statistics (the float
+        operations of :meth:`_LeafStats.update`);
+        :func:`predict_fit_perceptrons` then scores and learns the rows, and
+        the split is attempted.
         """
         features, labels, _ = self._checked_batch(features, labels)
-        scores = np.empty((labels.shape[0], self._n_classes))
-        scratch = _RowScratch(self._n_features, self._n_classes)
-        delta, term = scratch.delta, scratch.term
-        memos: dict[int, _LeafMemo] = {}
-        for i, (row, y) in enumerate(zip(features.tolist(), labels.tolist())):
-            node = self._root
-            while node.model is None:
-                if row[node.feature] <= node.threshold:
-                    node = node.left
-                else:
-                    node = node.right
-            memo = memos.get(id(node))
-            if memo is None:
-                memo = memos[id(node)] = _LeafMemo(node, scratch)
-            x = features[i]
-            node.model._predict_fit_row(x, y, scores[i], scratch, memo)
-
-            # _LeafStats.update(x, y), through the scratch buffers.
-            stats = node.stats
-            count = float(stats.counts[y]) + 1.0
-            stats.counts[y] = count
-            mean = stats.means[y]
-            np.subtract(x, mean, out=delta)
-            np.divide(delta, count, out=term)
-            np.add(mean, term, out=mean)
-            np.subtract(x, mean, out=term)
-            np.multiply(delta, term, out=term)
-            m2 = stats.m2[y]
-            np.add(m2, term, out=m2)
-            memo.stats_total += 1.0
-            total = memo.stats_total
-            if (
-                node.depth < self._max_depth
-                and total >= self._grace_period
-                and total % self._grace_period == 0
-            ):
-                self._attempt_split(node)
+        n_rows, n_classes = labels.shape[0], self._n_classes
+        scores = np.empty((n_rows, n_classes))
+        start = 0
+        while start < n_rows:
+            leaves, owner = self._route_rows(features[start:])
+            stop, split_leaf = self._next_split_attempt(leaves, owner)
+            segment = slice(start, start + stop)
+            rows, targets, owner = features[segment], labels[segment], owner[:stop]
+            models = [leaf.model for leaf in leaves]
+            stats = [leaf.stats for leaf in leaves]
+            # (leaf, class) statistics, only those the segment's rows reach.
+            present, pair = np.unique(owner * n_classes + targets, return_inverse=True)
+            stat_counts = np.concatenate([s.counts for s in stats])
+            stat_means = np.concatenate([s.means for s in stats])
+            stat_m2 = np.concatenate([s.m2 for s in stats])
+            # One lock-step replay: the leaf perceptrons' standardisation
+            # chains, then the leaves' per-class split statistics.
+            count, mean, m2 = standardisation_chains(models)
+            n_leaves = len(leaves)
+            chains = replay_welford(
+                np.concatenate([count, stat_counts[present]]),
+                np.concatenate([mean, stat_means[present]]),
+                np.concatenate([m2, stat_m2[present]]),
+                np.concatenate([rows, rows]),
+                np.concatenate([owner, n_leaves + pair]),
+                n_leaves + present.shape[0],
+            )
+            predict_fit_perceptrons(
+                models, rows, targets, owner, chains, scores[segment]
+            )
+            counts, means, m2s = chains.final()
+            stat_counts[present] = counts[n_leaves:]
+            stat_means[present] = means[n_leaves:]
+            stat_m2[present] = m2s[n_leaves:]
+            for g, leaf_stats in enumerate(stats):
+                states = slice(g * n_classes, (g + 1) * n_classes)
+                leaf_stats.counts[:] = stat_counts[states]
+                leaf_stats.means[:] = stat_means[states]
+                leaf_stats.m2[:] = stat_m2[states]
+            if split_leaf is not None:
+                self._attempt_split(split_leaf)
+            start += stop
         return scores
+
+    def _route_rows(self, features: np.ndarray) -> tuple[list[_TreeNode], np.ndarray]:
+        """The leaves ``features`` reach and, per row, the index of its leaf
+        (the comparisons of :meth:`_route`)."""
+        leaves: list[_TreeNode] = []
+        owner = np.empty(features.shape[0], dtype=np.intp)
+        pending = [(self._root, np.arange(features.shape[0]))]
+        while pending:
+            node, rows = pending.pop()
+            if not rows.shape[0]:
+                continue
+            if node.model is not None:
+                owner[rows] = len(leaves)
+                leaves.append(node)
+                continue
+            left = features[rows, node.feature] <= node.threshold
+            pending.append((node.right, rows[~left]))
+            pending.append((node.left, rows[left]))
+        return leaves, owner
+
+    def _next_split_attempt(
+        self, leaves: list[_TreeNode], owner: np.ndarray
+    ) -> tuple[int, _TreeNode | None]:
+        """``(stop, leaf)``: the rows up to and including the first one after
+        which :meth:`partial_fit` would attempt to split ``leaf``, or all
+        rows and ``None``.  Leaf totals are whole numbers, so exact."""
+        stop, split_leaf = owner.shape[0], None
+        grace = self._grace_period
+        for g, leaf in enumerate(leaves):
+            assert leaf.stats is not None
+            if leaf.depth >= self._max_depth:
+                continue
+            needed = grace - int(leaf.stats.total()) % grace
+            rows = np.flatnonzero(owner[:stop] == g)
+            if rows.shape[0] >= needed:
+                stop, split_leaf = int(rows[needed - 1]) + 1, leaf
+        return stop, split_leaf

@@ -25,7 +25,10 @@ Two loops serve three execution modes:
     ``update_batch``.  Segments execute optimistically; a mid-segment drift
     rolls the detector back to a snapshot and deterministically replays up
     to the drift row, so the rebuilt classifier scores the remaining rows,
-    exactly like the instance loop;
+    exactly like the instance loop.  The pretrain rows, like every
+    rebuilt classifier's replay buffer (in all modes), go through the same
+    kernel with the scores dropped: the state equals a ``partial_fit`` per
+    row;
   - **batch** (``batch_mode=True``, which requires ``chunk_size``) —
     test-then-train at chunk granularity: the whole segment is scored with
     ``predict_proba_batch``, stepped through ``step_batch``, and trained with
@@ -384,11 +387,11 @@ class PrequentialRunner:
                         features[:offset], labels[:offset]
                     )
                 else:
-                    # Exact mode keeps the classifier chain scalar so its
-                    # state is bit-identical to the instance loop.
-                    classifier = state.classifier
-                    for i in range(offset):
-                        classifier.partial_fit(features[i], int(labels[i]))
+                    # The chunk-exact kernel, scores dropped: its state is
+                    # bit-identical to the instance loop's partial_fit calls.
+                    state.classifier.predict_fit_interleaved(
+                        features[:offset], labels[:offset]
+                    )
                 state.classifier_time += time.perf_counter() - start
                 state.warm_x.append(features[:offset])
                 state.warm_y.append(labels[:offset])
@@ -589,10 +592,17 @@ class PrequentialRunner:
     def _rebuild_classifier(
         self, n_features: int, n_classes: int, replay: _Replay
     ) -> StreamClassifier:
-        """Build a fresh classifier and replay the recent buffer into it."""
+        """Build a fresh classifier and replay the recent buffer into it.
+
+        The replay runs through the chunk-exact kernel with its scores
+        dropped, which leaves the state a ``partial_fit`` per row would.
+        """
         classifier = self._classifier_factory(n_features, n_classes)
-        for x, y in replay:
-            classifier.partial_fit(x, int(y))
+        if replay:
+            rows, labels = zip(*replay)
+            classifier.predict_fit_interleaved(
+                np.array(rows, dtype=np.float64), np.array(labels, dtype=np.int64)
+            )
         return classifier
 
 

@@ -7,6 +7,8 @@ the perceptron); the native ``predict_fit_interleaved`` kernels (naive Bayes,
 perceptron, perceptron tree) must equal the scalar row loop bit for bit.
 """
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -26,6 +28,31 @@ def data():
         n_classes=4, n_features=6, seed=0
     ).generate_batch(600)
     return features, labels
+
+
+@pytest.fixture(scope="module")
+def skewed_data():
+    """600 RBF rows, 91% of them class 0; class 3 appears only in rows
+    300-305, so it is absent from most chunks."""
+    features, labels = RandomRBFGenerator(
+        n_classes=4, n_features=6, seed=0
+    ).generate_batch(4_000)
+    rows = {label: np.flatnonzero(labels == label) for label in range(4)}
+    order = np.concatenate([rows[0][:546], rows[1][:36], rows[2][:12]])
+    np.random.default_rng(5).shuffle(order)
+    order = np.insert(order, 300, rows[3][:6])
+    return features[order], labels[order]
+
+
+def _gnb_with_fractional_counts() -> GaussianNaiveBayes:
+    """A GNB whose class counts are not whole numbers, so its count chains
+    must add 1.0 in the row loop's order."""
+    model = GaussianNaiveBayes(6, 4)
+    features, labels = RandomRBFGenerator(
+        n_classes=4, n_features=6, seed=9
+    ).generate_batch(40)
+    model.partial_fit_batch(features, labels, weights=np.linspace(0.15, 0.95, 40))
+    return model
 
 
 DEFAULT_ADAPTER_FACTORIES = [
@@ -52,11 +79,15 @@ def test_default_adapter_identical_to_loop(factory, data):
     np.testing.assert_array_equal(batch_scores, loop_scores)
 
 
-#: One factory per classifier: GNB, the perceptron and both trees have a
+#: One factory per classifier: GNB, the perceptron and the trees have a
 #: native ``predict_fit_interleaved`` kernel, the two baselines run the
-#: base-class row loop.  Both trees split at rows 49, 147 and 153.
+#: base-class row loop.  On ``data``, "tree" and "tree-plain" split at rows
+#: 49, 147 and 153; "tree-failed-splits" splits twice, and 15 of its 17
+#: split attempts fail its threshold.  "gnb-fractional" starts from class
+#: counts that are not whole numbers.
 INTERLEAVED_FACTORIES = {
     "gnb": lambda: GaussianNaiveBayes(6, 4),
+    "gnb-fractional": _gnb_with_fractional_counts,
     "perceptron": lambda: OnlinePerceptron(6, 4, seed=3),
     **dict(zip(("majority", "no-change", "tree"), DEFAULT_ADAPTER_FACTORIES)),
     "tree-plain": lambda: CostSensitivePerceptronTree(
@@ -67,7 +98,24 @@ INTERLEAVED_FACTORIES = {
         cost_sensitive=False,
         seed=1,
     ),
+    "tree-failed-splits": lambda: CostSensitivePerceptronTree(
+        n_features=6,
+        n_classes=4,
+        grace_period=20,
+        max_depth=2,
+        split_threshold=2.5,
+        seed=1,
+    ),
 }
+
+
+#: Every factory on ``data`` (id: the factory name) and on ``skewed_data``,
+#: where one class holds 91% of the rows and one is absent from most chunks.
+STREAM_CASES = [
+    pytest.param(name, stream, id=name + suffix)
+    for stream, suffix in (("rbf", ""), ("skewed", "-skewed"))
+    for name in sorted(INTERLEAVED_FACTORIES)
+]
 
 
 class TestPredictFitInterleaved:
@@ -75,9 +123,9 @@ class TestPredictFitInterleaved:
 
     # Chunk 50 ends a chunk on the first split row.
     @pytest.mark.parametrize("chunk", [1, 7, 50, 64, None], ids=str)
-    @pytest.mark.parametrize("name", sorted(INTERLEAVED_FACTORIES))
-    def test_equals_row_loop_bitwise(self, name, chunk, data):
-        features, labels = data
+    @pytest.mark.parametrize("name,stream", STREAM_CASES)
+    def test_equals_row_loop_bitwise(self, name, stream, chunk, data, skewed_data):
+        features, labels = data if stream == "rbf" else skewed_data
         n = labels.shape[0]
         loop_model = INTERLEAVED_FACTORIES[name]()
         expected = np.empty((n, 4))
@@ -123,6 +171,22 @@ def test_refuses_row_label_count_mismatch(name, method, data):
     before = model.snapshot()
     with pytest.raises(ValueError, match="one 2-D feature row per label"):
         getattr(model, method)(features[:3], labels[:1])
+    assert model.snapshot() == before
+
+
+@pytest.mark.parametrize("label", [-1, 4], ids=["minus-one", "n-classes"])
+@pytest.mark.parametrize("method", ["partial_fit_batch", "predict_fit_interleaved"])
+@pytest.mark.parametrize("name", sorted(INTERLEAVED_FACTORIES))
+def test_refuses_label_out_of_range(name, method, label, data):
+    # -1 used to be learned as the last class through negative indexing, and
+    # n_classes raised IndexError after part of the batch was learned.
+    features, labels = data
+    labels = labels[:10].copy()
+    labels[6] = label
+    model = INTERLEAVED_FACTORIES[name]()
+    before = model.snapshot()
+    with pytest.raises(ValueError, match=r"label out of range \[0, 4\)"):
+        getattr(model, method)(features[:10], labels)
     assert model.snapshot() == before
 
 
@@ -186,6 +250,33 @@ class TestNaiveBayesNativeBatch:
         )
         np.testing.assert_allclose(weighted._counts, doubled._counts)
         np.testing.assert_allclose(weighted._means, doubled._means, rtol=1e-10)
+
+    def test_zero_weight_is_a_no_op(self, data):
+        # Weight 0 on an unseen class used to write 0 * delta / 0 = NaN into
+        # the class's means and M2 for the rest of the run.
+        features, labels = data
+        model = GaussianNaiveBayes(6, 4)
+        model.partial_fit(features[0], 1)
+        before = model.snapshot()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            model.partial_fit(features[1], 2, weight=0.0)
+            model.partial_fit(features[2], 1, weight=0.0)
+        assert model.snapshot() == before
+        assert np.isfinite(model._means).all() and np.isfinite(model._m2).all()
+
+    def test_refuses_negative_weight(self, data):
+        features, labels = data
+        model = GaussianNaiveBayes(6, 4)
+        model.partial_fit_batch(features[:20], labels[:20])
+        before = model.snapshot()
+        with pytest.raises(ValueError, match="must be >= 0"):
+            model.partial_fit(features[20], 1, weight=-0.5)
+        weights = np.ones(10)
+        weights[7] = -1.0
+        with pytest.raises(ValueError, match="must be >= 0"):
+            model.partial_fit_batch(features[20:30], labels[20:30], weights=weights)
+        assert model.snapshot() == before
 
     def test_unseen_class_guard(self):
         model = GaussianNaiveBayes(3, 3)

@@ -1,5 +1,7 @@
 """Unit and integration tests for the prequential runner and the default classifier."""
 
+from collections import deque
+
 import numpy as np
 import pytest
 
@@ -122,6 +124,24 @@ class TestPrequentialRunner:
             PrequentialRunner(
                 perceptron_factory, snapshot_every=snapshot_every, chunk_size=64
             )
+
+    @pytest.mark.parametrize(
+        "factory", [nb_factory, default_classifier_factory], ids=["gnb", "tree"]
+    )
+    def test_rebuild_replays_like_scalar_partial_fit(self, factory):
+        # The rebuild replays its buffer through predict_fit_interleaved;
+        # the state must be the one a partial_fit per row leaves.  400 rows
+        # take the default tree through split attempts at 200 and 400.
+        features, labels = RandomRBFGenerator(
+            n_classes=5, n_features=8, seed=11
+        ).generate_batch(450)
+        replay = deque(zip(features, labels.tolist()), maxlen=400)
+        runner = PrequentialRunner(factory, chunk_size=64)
+        rebuilt = runner._rebuild_classifier(8, 5, replay)
+        expected = factory(8, 5)
+        for x, y in replay:
+            expected.partial_fit(x, y)
+        assert rebuilt.snapshot() == expected.snapshot()
 
 
 class TestExperimentOrchestration:
