@@ -20,7 +20,8 @@ speedup across the zoo as the headline number — raw generation
 throughput of a *schedule-composed scenario stream* (the
 :mod:`repro.streams.schedule` engine driving concept transitions, local
 drift, imbalance, label noise, and feature drift at once), batch fetch vs
-per-instance iteration — and the *snapshot contract* overhead: a chunk-exact run writing a full
+per-instance iteration, over RBF sources and over agrawal as a control —
+and the *snapshot contract* overhead: a chunk-exact run writing a full
 ``RunnerCheckpoint`` at every chunk vs without, plus snapshot()/restore()
 rates against the rollback deepcopy they replaced.
 
@@ -59,7 +60,11 @@ from repro.core.jsonio import dumps_strict
 from repro.evaluation.experiment import default_classifier_factory
 from repro.evaluation.prequential import PrequentialRunner
 from repro.protocol.registry import DETECTOR_NAMES, build_detector
-from repro.streams.generators import RandomRBFGenerator, SEAGenerator
+from repro.streams.generators import (
+    AgrawalGenerator,
+    RandomRBFGenerator,
+    SEAGenerator,
+)
 from repro.streams.imbalance import DynamicImbalance
 from repro.streams.schedule import Schedule, ScheduledStream, Segment
 
@@ -297,11 +302,20 @@ def measure_detector_zoo(
     }
 
 
-def _schedule_composed_stream(seed: int = 3) -> ScheduledStream:
+#: Sources of the schedule-composed stream.  Its samplers compute an RBF
+#: row's features only for the rows they keep; agrawal labels a row from its
+#: features, so its blocks are computed whole, a control that bypasses that.
+SCHEDULE_SOURCES = {
+    "rbf": RandomRBFGenerator,
+    "agrawal": AgrawalGenerator,
+}
+
+
+def _schedule_composed_stream(seed: int = 3, source: str = "rbf") -> ScheduledStream:
     """A scenario stream exercising every axis of the schedule engine."""
 
-    def factory(concept: int) -> RandomRBFGenerator:
-        return RandomRBFGenerator(
+    def factory(concept: int):
+        return SCHEDULE_SOURCES[source](
             n_classes=5, n_features=20, concept=concept, seed=seed
         )
 
@@ -328,40 +342,54 @@ def _schedule_composed_stream(seed: int = 3) -> ScheduledStream:
 def measure_schedule_stream(
     n_instances: int, repeats: int = 2, chunk_size: int = 1_024
 ) -> dict:
-    """Generation throughput of the schedule engine: batch vs instance mode."""
-    best_time = {"instance": math.inf, "batch": math.inf}
-    for _ in range(repeats):
-        stream = _schedule_composed_stream()
-        started = time.perf_counter()
-        for _ in range(n_instances):
-            stream.next_instance()
-        best_time["instance"] = min(
-            best_time["instance"], time.perf_counter() - started
-        )
-        stream = _schedule_composed_stream()
-        produced = 0
-        started = time.perf_counter()
-        while produced < n_instances:
-            produced += stream.generate_batch(
-                min(chunk_size, n_instances - produced)
-            )[1].shape[0]
-        best_time["batch"] = min(best_time["batch"], time.perf_counter() - started)
+    """Generation throughput of the schedule engine: batch vs instance mode.
+
+    The headline numbers are the RBF stream's; ``control_agrawal`` is the
+    same schedule over agrawal sources.
+    """
+    per_source = {}
+    for source in SCHEDULE_SOURCES:
+        best_time = {"instance": math.inf, "batch": math.inf}
+        for _ in range(repeats):
+            stream = _schedule_composed_stream(source=source)
+            started = time.perf_counter()
+            for _ in range(n_instances):
+                stream.next_instance()
+            best_time["instance"] = min(
+                best_time["instance"], time.perf_counter() - started
+            )
+            stream = _schedule_composed_stream(source=source)
+            produced = 0
+            started = time.perf_counter()
+            while produced < n_instances:
+                produced += stream.generate_batch(
+                    min(chunk_size, n_instances - produced)
+                )[1].shape[0]
+            best_time["batch"] = min(
+                best_time["batch"], time.perf_counter() - started
+            )
+        per_source[source] = {
+            "instances_per_sec": {
+                mode: round(n_instances / elapsed, 1)
+                for mode, elapsed in best_time.items()
+            },
+            "speedup_batch_vs_instance": round(
+                best_time["instance"] / best_time["batch"], 2
+            ),
+        }
     return {
         "description": (
             "Raw generation throughput of a schedule-composed scenario "
             "stream (4 segments: sudden + gradual + local drift + label "
-            "noise/feature drift, dynamic imbalance), batch fetch vs "
-            "per-instance iteration; best of N repeats."
+            "noise/feature drift, dynamic imbalance) over RBF sources, "
+            "batch fetch vs per-instance iteration; best of N repeats.  "
+            "control_agrawal: the same schedule over agrawal sources, whose "
+            "sampler blocks are computed whole."
         ),
         "n_instances": n_instances,
         "chunk_size": chunk_size,
-        "instances_per_sec": {
-            mode: round(n_instances / elapsed, 1)
-            for mode, elapsed in best_time.items()
-        },
-        "speedup_batch_vs_instance": round(
-            best_time["instance"] / best_time["batch"], 2
-        ),
+        **per_source["rbf"],
+        "control_agrawal": per_source["agrawal"],
     }
 
 
@@ -629,6 +657,15 @@ def print_regression_diff(current: dict) -> None:
         "schedule_stream.speedup_batch_vs_instance",
         recorded.get("schedule_stream", {}).get("speedup_batch_vs_instance"),
         current.get("schedule_stream", {}).get("speedup_batch_vs_instance"),
+    )
+    row(
+        "schedule_stream.control_agrawal.speedup_batch_vs_instance",
+        recorded.get("schedule_stream", {})
+        .get("control_agrawal", {})
+        .get("speedup_batch_vs_instance"),
+        current.get("schedule_stream", {})
+        .get("control_agrawal", {})
+        .get("speedup_batch_vs_instance"),
     )
     row(
         "snapshot_overhead.checkpointed_relative_throughput",

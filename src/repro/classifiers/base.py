@@ -18,8 +18,8 @@ recurrences: the Welford means, replayed in lock-step by
 the perceptron weights.  The runner also replays a rebuilt classifier's
 buffer and chunk-exact mode's pretrain rows through
 ``predict_fit_interleaved``, dropping the scores.  Every entry point that
-takes labels checks them against the feature rows and the class range first
-(:meth:`StreamClassifier._checked_batch`).
+takes labels checks them against the feature rows, the whole numbers and the
+class range first (:meth:`StreamClassifier._checked_batch`).
 """
 
 from __future__ import annotations
@@ -28,6 +28,7 @@ import abc
 
 import numpy as np
 
+from repro.core.labels import as_labels
 from repro.core.snapshot import Snapshotable
 
 __all__ = ["StreamClassifier", "MajorityClassClassifier", "NoChangeClassifier"]
@@ -72,16 +73,18 @@ class StreamClassifier(Snapshotable, abc.ABC):
         weights: np.ndarray | None = None,
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
         """Coerce a labelled batch; refuse one that is not one feature row
-        (and, when given, one weight) per label, or that has a label outside
-        ``[0, n_classes)``.
+        (and, when given, one weight) per label, or that has a label that is
+        not a whole number (:func:`~repro.core.labels.as_labels`) or lies
+        outside ``[0, n_classes)``.
 
         Every batch entry point that takes labels calls this first.  Past
         it, a count mismatch would be padded with uninitialised score rows,
-        cut short, or learned against the wrong labels, and a label of -1
-        would be learned as the last class through negative indexing.
+        cut short, or learned against the wrong labels, a label of -1 would
+        be learned as the last class through negative indexing, and a label
+        of 0.4 as class 0.
         """
         features = np.atleast_2d(np.asarray(features, dtype=np.float64))
-        labels = np.asarray(labels, dtype=np.int64)
+        labels = as_labels(labels)
         if (
             features.ndim != 2
             or labels.ndim != 1

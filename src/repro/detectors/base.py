@@ -19,7 +19,9 @@ outside the detector's domain (see :class:`ClassConditionalDetector` and
 :class:`InstanceDetector`) with ``ValueError`` before any state changes, so
 update rules may index per-class state by label unchecked.  The batch checks
 are :meth:`DriftDetector._checked_batch`, which RBM-IM's ``warm_start`` also
-runs.
+runs; on every detector they refuse a label or prediction that is not a whole
+number, by the rule the classifiers' batch checks share
+(:func:`repro.core.labels.as_labels`).
 
 Batch stepping
 --------------
@@ -48,6 +50,7 @@ import abc
 
 import numpy as np
 
+from repro.core.labels import as_labels
 from repro.core.snapshot import Snapshotable
 
 __all__ = [
@@ -206,15 +209,17 @@ class DriftDetector(Snapshotable, abc.ABC):
     def _checked_batch(
         self, features, y_true, y_pred=None
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
-        """Coerce a batch to arrays; ``ValueError`` if its columns disagree
-        on the row count or it holds a row outside the detector's domain.
-        ``y_pred=None`` checks a batch without predictions (a warm start).
+        """Coerce a batch to arrays; ``ValueError`` if a label or prediction
+        is not a whole number (:func:`~repro.core.labels.as_labels`), its
+        columns disagree on the row count or it holds a row outside the
+        detector's domain.  ``y_pred=None`` checks a batch without
+        predictions (a warm start).
         """
         features = np.atleast_2d(np.asarray(features, dtype=np.float64))
-        y_true = np.asarray(y_true, dtype=np.int64)
+        y_true = as_labels(y_true)
         n = y_true.shape[0]
         if y_pred is not None:
-            y_pred = np.asarray(y_pred, dtype=np.int64)
+            y_pred = as_labels(y_pred, "predictions")
         n_pred = n if y_pred is None else y_pred.shape[0]
         if features.shape[0] != n or n_pred != n:
             predictions = "" if y_pred is None else f", {n_pred} predictions"

@@ -9,6 +9,13 @@ Streams are **batch-first**: a subclass implements one hook,
 ``_generate_batch(n)``, which produces ``(X, y)`` NumPy arrays for up to ``n``
 instances in one call.  The per-instance iterator protocol
 (:meth:`DataStream.next_instance` / ``__iter__``) reads batches of size one.
+A subclass may also override :meth:`DataStream.generate_block`, which draws
+rows like :meth:`~DataStream.generate_batch` but returns a
+:class:`SourceBlock`: their labels at once, their features for any rows
+asked for.  The class-conditional sampler of the schedule engine reads its
+sources that way and computes features only for the rows it keeps.  The
+default block holds features already computed; the stationary RBF
+generator computes a row's features only when they are asked for.
 
 Because every vectorized generator draws its randomness as one contiguous
 block of uniform doubles per instance (see :mod:`repro.streams.vector_ops`),
@@ -30,6 +37,7 @@ from repro.core.snapshot import Snapshotable
 __all__ = [
     "Instance",
     "StreamSchema",
+    "SourceBlock",
     "DataStream",
     "ListStream",
     "take",
@@ -96,6 +104,25 @@ class StreamSchema:
             raise ValueError("feature_names length does not match n_features")
         if len(self.class_names) != self.n_classes:
             raise ValueError("class_names length does not match n_classes")
+
+
+class SourceBlock:
+    """Rows drawn from a stream: their labels now, their features on demand.
+
+    ``labels`` is the ``(n,)`` int64 label array.  :meth:`features` returns
+    the ``(len(rows), n_features)`` features of the rows at ``rows`` (row
+    indices or a slice), and gives a row the same bits whichever rows are
+    asked for with it and however often.  This base form holds features
+    already computed; :meth:`DataStream.generate_block` documents when a
+    stream returns another.
+    """
+
+    def __init__(self, features: np.ndarray, labels: np.ndarray) -> None:
+        self.labels = labels
+        self._features = features
+
+    def features(self, rows: "np.ndarray | slice") -> np.ndarray:
+        return self._features[rows]
 
 
 class DataStream(Snapshotable, abc.ABC):
@@ -220,6 +247,18 @@ class DataStream(Snapshotable, abc.ABC):
         features, labels = self._generate_batch(n)
         self._position += int(labels.shape[0])
         return features, labels
+
+    def generate_block(self, n: int) -> SourceBlock:
+        """Draw the next ``n`` rows as a :class:`SourceBlock`.
+
+        Consumes the stream and advances :attr:`position` exactly like
+        ``generate_batch(n)``, whose rows the block holds.  A stream whose
+        labels do not depend on its features may override this to compute
+        a row's features only when :meth:`SourceBlock.features` asks; this
+        default draws through :meth:`generate_batch`.
+        """
+        features, labels = self.generate_batch(n)
+        return SourceBlock(features, labels)
 
     def _empty_batch(self) -> tuple[np.ndarray, np.ndarray]:
         return (

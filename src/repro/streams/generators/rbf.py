@@ -5,6 +5,14 @@ assigned to a class.  This is the classic MOA RandomRBF generator; the paper
 uses RBF5/RBF10/RBF20 with sudden drifts, which correspond to replacing the
 set of centroids (a new ``concept``).  Optionally the centroids can move with
 constant speed to model incremental drift (the MOA "RandomRBFDrift" variant).
+
+A row's label is its centroid's class, read from the row's first uniform
+alone.  With stationary centroids its features are an elementwise function
+of its own uniforms and centroid (Box–Muller offsets around the centre,
+clipped to the unit cube), so :meth:`RandomRBFGenerator.generate_block`
+draws a block's uniforms and labels and computes a row's features only when
+they are asked for: the same bits as computing the whole block, from the
+same RNG consumption.  Moving centroids keep the eager default block.
 """
 
 from __future__ import annotations
@@ -14,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.streams import vector_ops as vo
-from repro.streams.base import DataStream, StreamSchema
+from repro.streams.base import DataStream, SourceBlock, StreamSchema
 
 __all__ = ["RandomRBFGenerator"]
 
@@ -26,6 +34,38 @@ class _Centroid:
     std_dev: float
     weight: float
     direction: np.ndarray
+
+
+class _CentroidBlock(SourceBlock):
+    """Rows drawn around stationary centroids, features computed on demand.
+
+    Holds each row's uniforms and centroid index plus the centroid arrays of
+    the concept they were drawn under (a concept switch replaces those
+    arrays, never mutates them).
+    """
+
+    def __init__(
+        self,
+        uniforms: np.ndarray,
+        centroids: np.ndarray,
+        labels: np.ndarray,
+        centres: np.ndarray,
+        std_devs: np.ndarray,
+    ) -> None:
+        self.labels = labels
+        self.uniforms = uniforms
+        self.centroids = centroids
+        self._centres = centres
+        self._std_devs = std_devs
+
+    def features(self, rows: "np.ndarray | slice") -> np.ndarray:
+        idx = self.centroids[rows]
+        offsets = vo.normals_from_uniform(
+            self.uniforms[rows, 1:], self._centres.shape[1]
+        )
+        return np.clip(
+            self._centres[idx] + offsets * self._std_devs[idx, None], 0.0, 1.0
+        )
 
 
 class RandomRBFGenerator(DataStream):
@@ -128,20 +168,31 @@ class RandomRBFGenerator(DataStream):
         """Return the centres currently assigned to ``label`` (for inspection)."""
         return [c.centre.copy() for c in self._centroids if c.class_label == label]
 
-    def _generate_batch(self, n: int) -> tuple[np.ndarray, np.ndarray]:
-        n_features = self.n_features
-        normal_cols = vo.n_normal_columns(n_features)
-        u = self._rng.random((n, 1 + normal_cols))
+    def _centroid_block(self, n: int) -> _CentroidBlock:
+        """Draw ``n`` rows' uniforms and centroids; no features yet."""
+        u = self._rng.random((n, 1 + vo.n_normal_columns(self.n_features)))
         idx = vo.categorical_from_uniform(u[:, 0], self._probs)
-        offsets = vo.normals_from_uniform(u[:, 1:], n_features)
-        labels = self._labels[idx]
+        return _CentroidBlock(
+            u, idx, self._labels[idx], self._centres, self._std_devs
+        )
+
+    def generate_block(self, n: int) -> SourceBlock:
+        if self._centroid_speed > 0.0:
+            return super().generate_block(n)
+        block = self._centroid_block(n)
+        self._position += n
+        return block
+
+    def _generate_batch(self, n: int) -> tuple[np.ndarray, np.ndarray]:
+        block = self._centroid_block(n)
         if self._centroid_speed > 0.0:
             # Incremental drift moves the sampled centroid after every draw,
             # a sequential recurrence; iterate, but reuse the pre-drawn
             # uniform block so the RNG consumption stays batch-invariant.
-            features = np.empty((n, n_features))
-            for i in range(n):
-                centroid = self._centroids[int(idx[i])]
+            offsets = vo.normals_from_uniform(block.uniforms[:, 1:], self.n_features)
+            features = np.empty(offsets.shape)
+            for i, c in enumerate(block.centroids.tolist()):
+                centroid = self._centroids[c]
                 features[i] = np.clip(
                     centroid.centre + offsets[i] * centroid.std_dev, 0.0, 1.0
                 )
@@ -151,8 +202,5 @@ class RandomRBFGenerator(DataStream):
                     1.0,
                 )
             self._refresh_centroid_arrays()
-        else:
-            features = np.clip(
-                self._centres[idx] + offsets * self._std_devs[idx, None], 0.0, 1.0
-            )
-        return features, labels
+            return features, block.labels
+        return block.features(slice(None)), block.labels

@@ -26,6 +26,9 @@ stream.  Two invariants make it fit the repo's chunk-exactness contract:
 
 Each class carries its own concept: a local drift moves only the classes it
 names, and they stay apart from the rest until a later segment moves them.
+Each concept has its own class-conditional sampler
+(:mod:`repro.streams.sampling`); a batch hands each run of requests with
+the same concept and segment to that sampler in one call.
 
 The last segment is open-ended: its configuration continues indefinitely, so
 a scheduled stream never exhausts (evaluation harnesses choose the length).
@@ -541,17 +544,24 @@ class ScheduledStream(DataStream):
             u[:, 1] < p_new,
             self._concepts[segment_index, wanted],
             self._previous_concepts[segment_index, wanted],
-        ).tolist()
+        )
 
-        rows, classes = [], []
-        for concept, target, index in zip(
-            concepts, wanted.tolist(), segment_index.tolist()
-        ):
-            try:
-                x, y = self._sampler(concept).sample(
-                    target, segments[index].active_classes
-                )
-            except StopIteration:
+        # One sampler call per run of requests with the same concept and
+        # segment; each sampler sees its requests in stream order.
+        changes = np.flatnonzero(
+            (concepts[1:] != concepts[:-1])
+            | (segment_index[1:] != segment_index[:-1])
+        )
+        bounds = [0, *(changes + 1).tolist(), n]
+        targets = wanted.tolist()
+        parts, classes = [], []
+        for lo, hi in zip(bounds[:-1], bounds[1:]):
+            x, y = self._sampler(int(concepts[lo])).serve(
+                targets[lo:hi], segments[int(segment_index[lo])].active_classes
+            )
+            parts.append(x)
+            classes += y
+            if len(y) < hi - lo:
                 # Finite source ran dry: emit what was produced and replay the
                 # undecided uniform rows next call (terminal, chunk-exact).
                 # The emitted prefix still goes through noise/shift below.
@@ -559,9 +569,7 @@ class ScheduledStream(DataStream):
                 self._uniforms.stash(u[n:])
                 u, segment_index, magnitudes = u[:n], segment_index[:n], magnitudes[:n]
                 break
-            rows.append(x)
-            classes.append(y)
-        features = np.array(rows).reshape(-1, self.n_features)
+        features = parts[0] if len(parts) == 1 else np.concatenate(parts)
         labels = np.array(classes, dtype=np.int64)
 
         # Label noise: flip to a uniformly chosen *other* active class.

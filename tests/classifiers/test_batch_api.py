@@ -7,6 +7,7 @@ the perceptron); the native ``predict_fit_interleaved`` kernels (naive Bayes,
 perceptron, perceptron tree) must equal the scalar row loop bit for bit.
 """
 
+import re
 import warnings
 
 import numpy as np
@@ -187,6 +188,25 @@ def test_refuses_label_out_of_range(name, method, label, data):
     before = model.snapshot()
     with pytest.raises(ValueError, match=r"label out of range \[0, 4\)"):
         getattr(model, method)(features[:10], labels)
+    assert model.snapshot() == before
+
+
+@pytest.mark.parametrize("label", [0.4, np.nan], ids=["fraction", "nan"])
+@pytest.mark.parametrize("method", ["partial_fit_batch", "predict_fit_interleaved"])
+@pytest.mark.parametrize("name", sorted(INTERLEAVED_FACTORIES))
+def test_refuses_label_that_is_not_a_whole_number(name, method, label, data):
+    # An int64 cast used to learn 0.4 as class 0, and to turn NaN into
+    # -2**63 with a RuntimeWarning before refusing it as out of range.
+    features, labels = data
+    labels = labels[:10].astype(np.float64)
+    labels[6] = label
+    model = INTERLEAVED_FACTORIES[name]()
+    before = model.snapshot()
+    message = re.escape(f"labels must be whole numbers, got {label!r}")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=message):
+            getattr(model, method)(features[:10], labels)
     assert model.snapshot() == before
 
 

@@ -1,5 +1,8 @@
 """Unit and behavioural tests for the RBM-IM drift detector."""
 
+import re
+import warnings
+
 import numpy as np
 import pytest
 
@@ -111,6 +114,22 @@ class TestRBMIMMechanics:
         before = detector.snapshot()
         with pytest.raises(ValueError):
             detector.warm_start(X, y)
+        assert detector.snapshot() == before
+
+    @pytest.mark.parametrize("label", [0.4, np.nan], ids=["fraction", "nan"])
+    def test_warm_start_refuses_label_that_is_not_a_whole_number(self, label):
+        """An int64 cast used to learn 0.4 as class 0, and to turn NaN into
+        -2**63 with a RuntimeWarning before refusing it as out of range."""
+        rng = np.random.default_rng(0)
+        X, y = rng.random((20, 4)), np.arange(20) % 3 * 1.0
+        y[7] = label
+        detector = RBMIM(4, 3, RBMIMConfig(seed=0))
+        before = detector.snapshot()
+        message = re.escape(f"labels must be whole numbers, got {label!r}")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=message):
+                detector.warm_start(X, y)
         assert detector.snapshot() == before
 
     def test_input_validation(self):

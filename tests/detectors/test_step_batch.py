@@ -5,8 +5,12 @@ exactly equivalent to the ``step`` loop; RBM-IM's native hook must produce
 bit-identical detections (flags, positions, blamed classes) for any split of
 the stream into batches.  A batch whose columns disagree on the row count,
 and a row outside the detector's domain (a label outside ``[0, n_classes)``,
-a feature row of the wrong width), are refused before any state changes.
+a feature row of the wrong width), are refused before any state changes, as
+is a label or prediction that is not a whole number.
 """
+
+import re
+import warnings
 
 import numpy as np
 import pytest
@@ -245,6 +249,26 @@ def test_out_of_range_prediction_is_refused(name, label, entry):
     _assert_refused_unchanged(
         detector, entry, features[:6], labels[:6], y_pred, "label out of range"
     )
+
+
+@pytest.mark.parametrize("label", [0.4, np.nan], ids=["fraction", "nan"])
+@pytest.mark.parametrize("column", ["labels", "predictions"])
+def test_label_that_is_not_a_whole_number_is_refused(column, label):
+    """An int64 cast used to count 0.4 as class 0, and to turn NaN into
+    -2**63 with a RuntimeWarning before refusing it as out of range."""
+    detector, features, labels, predictions = _stepped("PerfSim")
+    rows = {"labels": labels[:6] * 1.0, "predictions": predictions[:6] * 1.0}
+    rows[column][-1] = label
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        _assert_refused_unchanged(
+            detector,
+            "step_batch",
+            features[:6],
+            rows["labels"],
+            rows["predictions"],
+            re.escape(f"{column} must be whole numbers, got {label!r}"),
+        )
 
 
 @pytest.mark.parametrize("entry", ENTRY_POINTS)

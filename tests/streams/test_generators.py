@@ -264,6 +264,39 @@ class TestRandomRBF:
         assert np.any((centres == 0.0) | (centres == 1.0))  # some hit a face
         assert np.all((features >= 0.0) & (features <= 1.0))
 
+    @pytest.mark.parametrize(
+        "n_features, speed", [(20, 0.0), (7, 0.0), (7, 0.01)]
+    )
+    def test_block_rows_match_generate_batch(self, n_features, speed):
+        # generate_block consumes the stream like generate_batch, and the
+        # features of any rows of a block, asked for in any order and after
+        # later draws, are those rows of generate_batch bit for bit.  Seven
+        # features: Box-Muller drops a column.  Moving centroids keep the
+        # eager default block.
+        def make():
+            stream = RandomRBFGenerator(
+                n_classes=5, n_features=n_features, centroid_speed=speed, seed=8
+            )
+            stream.generate_batch(37)
+            return stream
+
+        batched, blocked = make(), make()
+        drawn = []
+        for n in (1, 300, 1_024):
+            drawn.append((blocked.generate_block(n), *batched.generate_batch(n)))
+            assert blocked.position == batched.position
+            assert blocked.snapshot() == batched.snapshot()
+        rng = np.random.default_rng(0)
+        for block, x, y in drawn:
+            n = y.shape[0]
+            np.testing.assert_array_equal(block.labels, y)
+            for rows in (
+                rng.permutation(n),
+                rng.integers(0, n, size=n // 3 + 1),
+                rng.choice(n, size=1),
+            ):
+                np.testing.assert_array_equal(block.features(rows), x[rows])
+
     def test_centroid_labels_cover_every_class(self):
         stream = RandomRBFGenerator(n_classes=20, n_features=8, n_centroids=50, seed=3)
         per_class = [len(stream.centroids_of_class(c)) for c in range(20)]

@@ -5,6 +5,8 @@ the row-wise inverse-CDF class choice, the uniform replay buffer, and the
 class-conditional rejection sampler with its deterministic fallback chain.
 """
 
+import weakref
+
 import numpy as np
 import pytest
 
@@ -124,65 +126,63 @@ class TestUniformReplayBuffer:
 class TestClassConditionalSampler:
     def test_returns_requested_class(self):
         sampler = _sampler(RandomRBFGenerator(n_classes=4, n_features=5, seed=0))
-        for wanted in (2, 0, 3, 1, 2):
-            _, label = sampler.sample(wanted)
-            assert label == wanted
+        _, labels = sampler.serve([2, 0, 3, 1, 2])
+        assert labels == [2, 0, 3, 1, 2]
 
     def test_buffers_other_classes_and_serves_newest_first(self):
         sampler = _sampler(_labelled([1, 1, 0, 2]))
-        x, y = sampler.sample(0)
-        assert (float(x[0]), y) == (2.0, 0)
+        x, y = sampler.serve([0])
+        assert (float(x[0, 0]), y[0]) == (2.0, 0)
         # Rows 0 and 1 were buffered on the way; the newer one comes first.
-        assert [float(sampler.sample(1)[0][0]) for _ in range(2)] == [1.0, 0.0]
+        assert sampler.serve([1, 1])[0][:, 0].tolist() == [1.0, 0.0]
 
     def test_unreachable_class_falls_back_to_fullest_buffer(self):
         sampler = _sampler(_labelled([1, 2, 2, 1, 2, 0] * 4), max_draws=6)
-        x, y = sampler.sample(3)
+        x, y = sampler.serve([3])
         # Six draws buffer three rows of class 2, two of 1 and one of 0.
-        assert (float(x[0]), y) == (4.0, 2)
+        assert (float(x[0, 0]), y[0]) == (4.0, 2)
 
     def test_fallback_ties_break_toward_lowest_class(self):
         sampler = _sampler(_labelled([2, 1, 2, 1] * 4), max_draws=4)
-        _, y = sampler.sample(3)
-        assert y == 1
+        _, y = sampler.serve([3])
+        assert y == [1]
 
     def test_no_draw_budget_emits_the_raw_source_row(self):
         sampler = _sampler(_labelled([2, 1, 0, 3]), max_draws=0)
-        x, y = sampler.sample(0)
-        assert (float(x[0]), y) == (0.0, 2)
+        x, y = sampler.serve([0])
+        assert (float(x[0, 0]), y[0]) == (0.0, 2)
 
     def test_allowed_classes_restrict_the_fallback(self):
         sampler = _sampler(_labelled([0, 0, 0, 2, 0, 0, 1] * 3), max_draws=3)
-        x, y = sampler.sample(3, allowed=(1, 2))
+        x, y = sampler.serve([3], allowed=(1, 2))
         # The three class-0 rows fill the fullest buffer, but class 0 is not
         # allowed: the sampler keeps drawing until an allowed row appears.
-        assert (float(x[0]), y) == (3.0, 2)
+        assert (float(x[0, 0]), y[0]) == (3.0, 2)
 
     def test_source_without_allowed_classes_fails_loudly(self):
         sampler = _sampler(_SingleClassSource(), max_draws=4, block_size=256)
         with pytest.raises(RuntimeError, match="active"):
-            sampler.sample(1, allowed=(1, 2))
+            sampler.serve([1], allowed=(1, 2))
 
     def test_exhausted_source_serves_buffers_before_stopping(self):
         sampler = _sampler(_labelled([1, 2, 1]), max_draws=100)
-        served = [sampler.sample(0) for _ in range(3)]
+        x, y = sampler.serve([0, 0, 0, 0])
         # Class 0 never appears: each request falls back to the fullest
-        # buffer until the source is spent and every buffer is empty.
-        assert [(float(x[0]), y) for x, y in served] == [
-            (2.0, 1), (0.0, 1), (1.0, 2)
-        ]
-        with pytest.raises(StopIteration):
-            sampler.sample(0)
+        # buffer until the source is spent and every buffer is empty, and
+        # the call returns the three rows served before that.
+        assert list(zip(x[:, 0].tolist(), y)) == [(2.0, 1), (0.0, 1), (1.0, 2)]
+        x, y = sampler.serve([0])
+        assert x.shape == (0, 1) and y == []
 
     def test_draw_budget_counts_across_block_boundaries(self):
         # Blocks of 8 rows; class 3 first appears as the 11th row.
         labels = [1, 2] * 5 + [3]
-        found = _sampler(_labelled(labels), max_draws=11).sample(3)
-        assert (float(found[0][0]), found[1]) == (10.0, 3)
+        x, y = _sampler(_labelled(labels), max_draws=11).serve([3])
+        assert (float(x[0, 0]), y[0]) == (10.0, 3)
         # One draw short, the request falls back to the fullest buffer (five
         # rows each of classes 1 and 2; ties go to class 1, newest first).
-        fallback = _sampler(_labelled(labels), max_draws=10).sample(3)
-        assert (float(fallback[0][0]), fallback[1]) == (8.0, 1)
+        x, y = _sampler(_labelled(labels), max_draws=10).serve([3])
+        assert (float(x[0, 0]), y[0]) == (8.0, 1)
 
     def test_snapshot_restore_draws_the_block_again(self):
         def make():
@@ -192,26 +192,35 @@ class TestClassConditionalSampler:
 
         requests = [3, 0, 0, 2, 1, 3, 3, 1, 0, 2, 2, 2]
         sampler = make()
-        for wanted in requests:
-            sampler.sample(wanted)
+        sampler.serve(requests)
         snapshot = loads_strict(dumps_strict(sampler.snapshot()))
         assert snapshot["version"] == 2
         state = snapshot["state"]
         assert state["rows"] == 16 and 0 < state["cursor"] < 16
-        expected = [sampler.sample(wanted) for wanted in requests]
+        expected_x, expected_y = sampler.serve(requests)
 
         fresh = make()
         fresh.restore(snapshot)
-        for (x, y), (ex, ey) in zip(
-            [fresh.sample(wanted) for wanted in requests], expected
-        ):
-            np.testing.assert_array_equal(x, ex)
-            assert y == ey
+        x, y = fresh.serve(requests)
+        np.testing.assert_array_equal(x, expected_x)
+        assert y == expected_y
         assert fresh.stream.position == sampler.stream.position
+
+    def test_previous_block_is_freed_when_the_next_is_drawn(self):
+        stream = RandomRBFGenerator(n_classes=4, n_features=5, seed=3)
+        sampler = _sampler(stream, block_size=16)
+        sampler.serve([0])
+        first = weakref.ref(sampler._block)
+        # Rows of other classes read on the way wait in the buffers as
+        # indices into the block, not yet computed.
+        assert any(type(e) is int for buffer in sampler.buffers for e in buffer)
+        while stream.position == 16:
+            sampler.serve([3, 2, 1, 0])
+        assert first() is None
 
     def test_restore_refuses_a_source_that_yields_another_block(self):
         sampler = _sampler(_labelled([1, 2, 0, 1, 2]), block_size=8)
-        sampler.sample(0)
+        sampler.serve([0])
         snapshot = sampler.snapshot()
         shorter = _sampler(_labelled([1, 2, 0]), block_size=8)
         with pytest.raises(SnapshotError, match="5-row block"):
@@ -220,16 +229,15 @@ class TestClassConditionalSampler:
     def test_source_is_read_in_whole_blocks(self):
         stream = RandomRBFGenerator(n_classes=4, n_features=5, seed=1)
         sampler = _sampler(stream, block_size=16)
-        sampler.sample(0)
+        sampler.serve([0])
         assert stream.position == 16
 
     def test_restart_clears_buffers_and_rewinds_source(self):
         sampler = _sampler(RandomRBFGenerator(n_classes=4, n_features=5, seed=2))
         requests = [3, 3, 0, 1, 3, 2, 2, 0]
-        first = [sampler.sample(c) for c in requests]
+        first_x, first_y = sampler.serve(requests)
         sampler.restart()
         assert not any(sampler.buffers)
-        second = [sampler.sample(c) for c in requests]
-        for (xa, ya), (xb, yb) in zip(first, second):
-            np.testing.assert_array_equal(xa, xb)
-            assert ya == yb
+        second_x, second_y = sampler.serve(requests)
+        np.testing.assert_array_equal(first_x, second_x)
+        assert first_y == second_y

@@ -218,7 +218,9 @@ class TestScheduledStream:
         )
         _, labels = stream.generate_batch(500)
         assert set(np.unique(labels[50:])) <= {2, 3}
-        # Both reading paths agree under the stressed fallback.
+        # Both reading paths agree under the stressed fallback: the batch
+        # read serves each segment's requests in one sampler call (one run
+        # of concept 0), `take` serves every request in a call of its own.
         other = ScheduledStream(
             rbf_factory(), schedule, seed=3, max_tries_per_draw=2
         )

@@ -272,10 +272,13 @@ def _assert_restores_tail(make, head: int, tail: int) -> "tuple[dict, int]":
 
 def _assert_holds_no_block(state: dict, n_features: int) -> None:
     """A sampler's encoded state names its block by row count and cursor;
-    the only arrays in it are the source's and the buffered rows."""
+    the only arrays in it are the source's and the buffered rows, and every
+    buffered entry is a computed row, none an index into the block."""
     assert not {"block_x", "block_y"} & set(state)
     origin = state["origin"]["__snap__"]
+    entries = [e for buffer in state["buffers"] for e in buffer["__deque__"]["items"]]
     buffered = _arrays(state["buffers"])
+    assert len(buffered) == len(entries)
     assert all(a["shape"] == [n_features] for a in buffered)
     assert len(_arrays(state)) == len(buffered) + len(_arrays(origin))
 
@@ -320,6 +323,43 @@ def test_sampler_snapshot_with_a_short_last_block() -> None:
     assert [states[c]["rows"] for c in (0, 1)] == [8, 30]
     for state in states.values():
         _assert_holds_no_block(state, n_features=2)
+
+
+def test_snapshot_computes_rows_still_owed_by_the_block() -> None:
+    """A sampler buffers rows of its current block as uncomputed indices.
+    A snapshot taken while it does computes them, and changes nothing the
+    stream emits: it goes on like a twin never snapshotted, and a fresh
+    stream restored from the snapshot emits the same rows."""
+
+    def make():
+        return build_scenario_stream(
+            4,
+            family="rbf",
+            n_classes=5,
+            n_instances=40_000,
+            n_drifts=3,
+            max_imbalance_ratio=100.0,
+            seed=1,
+        ).stream
+
+    stream, twin = make(), make()
+    stream.generate_batch(HEAD)
+    twin.generate_batch(HEAD)
+    samplers = stream._samplers.values()
+    assert any(
+        type(e) is int for s in samplers for buffer in s.buffers for e in buffer
+    )
+    snapshot = _json_roundtrip(stream.snapshot())
+    for state in _sampler_states(snapshot).values():
+        assert 0 < state["cursor"] < state["rows"]
+        _assert_holds_no_block(state, n_features=stream.n_features)
+    expected_x, expected_y = twin.generate_batch(TAIL)
+    fresh = make()
+    fresh.restore(snapshot)
+    for other in (stream, fresh):
+        got_x, got_y = other.generate_batch(TAIL)
+        np.testing.assert_array_equal(got_x, expected_x)
+        np.testing.assert_array_equal(got_y, expected_y)
 
 
 def test_restart_snapshots_like_a_fresh_stream() -> None:
